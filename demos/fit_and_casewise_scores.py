@@ -28,12 +28,13 @@ for label, value in zip(fitted.data.x_names, fitted.beta):
 print(f"  {'factor':>12s}  {fitted.theta[0]:+.4f}  "
       f"(true {sim.theta[0]:.1f})")
 
-contributions = llcont(fitted)
+# derivatives default to 5 points; the fit's own count reproduces its loglik
+contributions = llcont(fitted, fitted.m_used)
 print(f"\nper-cluster log-likelihoods: shape {contributions.shape}, "
       f"sum {contributions.sum():.6f}")
 print(f"fit.loglik:                  {fitted.loglik:.6f}")
 
-scores = estfun(fitted, parameterization="var")
+scores = estfun(fitted, parameterization="var", n_points=fitted.m_used)
 print(f"\nscore matrix: shape {scores.values.shape}, "
       f"columns {scores.labels}")
 print("column sums at the maximizer (should be ~0):")

@@ -219,16 +219,15 @@ def _cluster_level(values, data, what):
     from .exceptions import ConfigError
 
     values = np.asarray(values)
-    out = []
-    for i in range(data.n_clusters):
-        vals = values[data.cluster_index == i]
-        if len(set(vals.tolist())) != 1:
-            raise ConfigError(
-                f"{what} varies within cluster {data.cluster_ids[i]!r}; "
-                "one value per cluster is required"
-            )
-        out.append(vals[0])
-    return np.asarray(out)
+    first = values[data.offsets[:-1]]
+    varies = values != first[data.cluster_index]
+    if np.any(varies):
+        i = data.cluster_index[np.argmax(varies)]
+        raise ConfigError(
+            f"{what} varies within cluster {data.cluster_ids[i]!r}; "
+            "one value per cluster is required"
+        )
+    return first
 
 
 # ---------------------------------------------------------------------------

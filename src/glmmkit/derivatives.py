@@ -9,7 +9,10 @@ finite-difference Hessian of the total log-likelihood.
 Scores are ratios of two integrals sharing one adapted quadrature rule per
 cluster: the numerator integrates the conditional score times the
 conditional density, the denominator the conditional density alone.  Both
-are evaluated in log space with a per-cluster max shift, so small marginal
+come from the same kernel as the fit objective
+(``estimation._quadrature_sweep``), one pass over the nodes in blocks of at
+most ``estimation._BLOCK_ELEMENTS`` (row, node) entries.  The ratio is
+formed in log space with a per-cluster max shift, so small marginal
 densities never produce NaN scores.
 """
 
@@ -18,16 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import covariance as cov
-from .estimation import (FittedGlmm, _adapted_log_weights, _cluster_loglik,
-                         _linear_predictor, conditional_modes, default_points)
-from .exceptions import ConfigError, EstimationError, SingularityError
-from .quadrature import AdaptedRule, adapt_rule, gh_rule
+from .estimation import (FittedGlmm, _quadrature_sweep, conditional_modes,
+                         default_points)
+from .exceptions import EstimationError, SingularityError
+from .quadrature import GhRule, gh_rule
 
-__all__ = ["ScoreMatrix", "HessianResult", "llcont", "score_beta_cluster",
-           "score_theta_cluster", "estfun", "gradient", "hessian"]
+__all__ = ["ScoreMatrix", "HessianResult", "llcont", "estfun", "gradient",
+           "hessian"]
 
 _FD_STEP = 1e-5
 
@@ -67,141 +69,48 @@ def llcont(fit: FittedGlmm, n_points: int | None = None) -> np.ndarray:
 
     Uses the posterior modes stored in the fit (modes depend on the
     parameters, not on the point count), so changing ``n_points`` refines
-    the same anchored rule.
+    the same anchored rule.  The default is 5 points per dimension, which
+    is not the fit's own count: pass ``fit.m_used`` to reproduce
+    ``fit.loglik``.  Computed by the shared quadrature kernel, which
+    evaluates the nodes in blocks of at most
+    ``estimation._BLOCK_ELEMENTS`` (row, node) entries.
     """
-    n_points = n_points or default_points(fit.data.n_random, "derivatives")
-    rule = gh_rule(n_points, fit.data.n_random)
-    return _cluster_loglik(fit.beta, fit.lambda_matrix, fit.data, fit.family,
-                           fit.modes, fit.cond_chol, rule)
+    return _quadrature_sweep(fit.beta, fit.lambda_matrix, fit.data,
+                             fit.family, fit.modes, fit.cond_chol,
+                             _derivative_rule(fit, n_points))
 
 
-def _working_residual(family, y, eta, mu, general: bool) -> np.ndarray:
-    """d log f / d eta per observation: (y - mu) / (D V), which collapses
-    to y - mu under a canonical link."""
-    if not general:
-        return y - mu
-    dmu = family._dmu_deta(eta)
-    var = family.variance_function(mu)
-    return (y - mu) * dmu / var
-
-
-def _score_pass(fit: FittedGlmm, n_points: int, general: bool | None = None):
-    """One shared-rule sweep: per-cluster loglik, beta scores, theta scores."""
-    data, family = fit.data, fit.family
-    lam = fit.lambda_matrix
-    q = data.n_random
-    if general is None:
-        general = not family.canonical
-    rule = gh_rule(n_points, q)
-    log_w, locations = _adapted_log_weights(fit.modes, fit.cond_chol, rule)
-    xbeta = data.X @ fit.beta
-
-    cond = np.empty_like(log_w)
-    for m in range(rule.size):
-        eta = _linear_predictor(xbeta, lam, locations[:, m, :], data)
-        mu = family.inverse_link(eta)
-        cond[:, m] = data.sum_by_cluster(family._log_density(data.y, mu))
-    joint = log_w + cond
-    ell = logsumexp(joint, axis=1)
-    rho = np.exp(joint - ell[:, None])  # normalized node weights per cluster
-
-    positions = cov.free_positions(q, fit.structure)
-    s_beta = np.zeros((data.n_clusters, data.n_fixed))
-    s_theta = np.zeros((data.n_clusters, len(positions)))
-    for m in range(rule.size):
-        u = locations[:, m, :]
-        eta = _linear_predictor(xbeta, lam, u, data)
-        mu = family.inverse_link(eta)
-        resid = _working_residual(family, data.y, eta, mu, general)
-        x_kernel = data.sum_by_cluster(data.X * resid[:, None])
-        z_kernel = data.sum_by_cluster(data.Z * resid[:, None])
-        w = rho[:, m, None]
-        s_beta += w * x_kernel
-        for col, (a, b) in enumerate(positions):
-            s_theta[:, col] += w[:, 0] * z_kernel[:, a] * u[:, b]
-    return ell, s_beta, s_theta
-
-
-def _cluster_position(fit: FittedGlmm, cluster) -> int:
-    ids = fit.data.cluster_ids
-    try:
-        return ids.index(cluster)
-    except ValueError:
-        pass
-    idx = int(cluster)
-    if not 0 <= idx < len(ids):
-        raise ConfigError(f"unknown cluster {cluster!r}")
-    return idx
-
-
-def _cluster_ratio_scores(fit: FittedGlmm, idx: int, adapted: AdaptedRule,
-                          general: bool | None = None):
-    """Log-space numerator/denominator ratio for one cluster."""
-    data, family = fit.data, fit.family
-    lam = fit.lambda_matrix
-    if general is None:
-        general = not family.canonical
-    rows = data.rows(idx)
-    y = data.y[rows]
-    x = data.X[rows]
-    z = data.Z[rows]
-    xbeta = x @ fit.beta
-    positions = cov.free_positions(data.n_random, fit.structure)
-
-    log_terms = np.empty(adapted.weights.size)
-    beta_kernels = np.empty((adapted.weights.size, data.n_fixed))
-    theta_kernels = np.empty((adapted.weights.size, len(positions)))
-    for m, u in enumerate(adapted.locations):
-        eta = xbeta + z @ (lam @ u)
-        mu = family.inverse_link(eta)
-        log_terms[m] = adapted.log_weights[m] + float(
-            np.sum(family._log_density(y, mu)))
-        resid = _working_residual(family, y, eta, mu, general)
-        beta_kernels[m] = x.T @ resid
-        zr = z.T @ resid
-        theta_kernels[m] = [zr[a] * u[b] for (a, b) in positions]
-    shift = np.max(log_terms)
-    weights = np.exp(log_terms - shift)
-    denom = weights.sum()
-    return (beta_kernels.T @ weights / denom,
-            theta_kernels.T @ weights / denom)
-
-
-def _default_adapted(fit: FittedGlmm, idx: int, n_points: int) -> AdaptedRule:
+def _derivative_rule(fit: FittedGlmm, n_points: int | None) -> GhRule:
     q = fit.data.n_random
-    return adapt_rule(gh_rule(n_points, q), fit.modes[idx],
-                      fit.cond_chol[idx], np.eye(q))
+    return gh_rule(default_points(q, "derivatives") if n_points is None
+                   else n_points, q)
 
 
-def score_beta_cluster(fit: FittedGlmm, cluster, adapted: AdaptedRule | None = None,
-                       n_points: int | None = None) -> np.ndarray:
-    """Score of one cluster's log marginal likelihood w.r.t. beta."""
-    idx = _cluster_position(fit, cluster)
-    if adapted is None:
-        n_points = n_points or default_points(fit.data.n_random, "derivatives")
-        adapted = _default_adapted(fit, idx, n_points)
-    return _cluster_ratio_scores(fit, idx, adapted)[0]
-
-
-def score_theta_cluster(fit: FittedGlmm, cluster, adapted: AdaptedRule | None = None,
-                        n_points: int | None = None) -> np.ndarray:
-    """Score of one cluster's log marginal likelihood w.r.t. theta.
-
-    Entries follow the column-major free positions of the factor; the
-    derivative of Lambda w.r.t. each theta entry is the 0/1 selector
-    matrix, so the trace form reduces to picking single entries of
-    ``Z' D^-1 V^-1 (y - mu) u'``.
-    """
-    idx = _cluster_position(fit, cluster)
-    if adapted is None:
-        n_points = n_points or default_points(fit.data.n_random, "derivatives")
-        adapted = _default_adapted(fit, idx, n_points)
-    return _cluster_ratio_scores(fit, idx, adapted)[1]
+def _scores(fit: FittedGlmm, beta, theta, modes, chols, rule: GhRule,
+            parameterization: str) -> np.ndarray:
+    """Per-cluster scores at (beta, theta) on the requested scale."""
+    q = fit.data.n_random
+    lam = cov.theta_to_lambda(theta, q, fit.structure)
+    _, values = _quadrature_sweep(beta, lam, fit.data, fit.family, modes,
+                                  chols, rule,
+                                  cov.free_positions(q, fit.structure))
+    if parameterization == "theta":
+        return values
+    p = fit.data.n_fixed
+    return np.hstack([values[:, :p], cov.reparameterize_scores(
+        values[:, p:], lam, parameterization, fit.structure)])
 
 
 def estfun(fit: FittedGlmm, parameterization: str = "var",
            n_points: int | None = None) -> ScoreMatrix:
     """Per-cluster scores for all parameters on the requested scale.
+
+    Theta-scale scores come from one pass of the shared quadrature
+    kernel (nodes in blocks of at most ``estimation._BLOCK_ELEMENTS``
+    (row, node) entries); the var and sd scales apply the chain rule.
+    The derivative of Lambda w.r.t. each free theta entry is a 0/1
+    selector, so that entry's score is the posterior mean of one entry of
+    ``Z' D^-1 V^-1 (y - mu) u'``.
 
     Parameters
     ----------
@@ -225,15 +134,13 @@ def estfun(fit: FittedGlmm, parameterization: str = "var",
             "fit is on the boundary (a relative-covariance diagonal entry is "
             "zero); only theta-scale scores are defined"
         )
-    n_points = n_points or default_points(fit.data.n_random, "derivatives")
-    _, s_beta, s_theta = _score_pass(fit, n_points)
-    if parameterization != "theta":
-        s_theta = cov.reparameterize_scores(s_theta, fit.lambda_matrix,
-                                            parameterization, fit.structure)
-    values = np.hstack([s_beta, s_theta])
+    rule = _derivative_rule(fit, n_points)
+    values = _scores(fit, fit.beta, fit.theta, fit.modes, fit.cond_chol, rule,
+                     parameterization)
     return ScoreMatrix(values=values,
                        labels=tuple(fit.parameter_labels(parameterization)),
-                       parameterization=parameterization, m_used=n_points)
+                       parameterization=parameterization,
+                       m_used=rule.points_per_dim)
 
 
 def gradient(fit: FittedGlmm, parameterization: str = "var",
@@ -290,7 +197,7 @@ def _theta_from_vector(tail: np.ndarray, q: int, structure: str,
 
 
 def _gradient_at(vector: np.ndarray, fit: FittedGlmm, parameterization: str,
-                 n_points: int) -> np.ndarray | None:
+                 rule: GhRule) -> np.ndarray | None:
     """Total gradient at a perturbed parameter vector, modes re-solved."""
     p = fit.data.n_fixed
     beta = vector[:p]
@@ -308,17 +215,8 @@ def _gradient_at(vector: np.ndarray, fit: FittedGlmm, parameterization: str,
         modes, chols = conditional_modes(beta, lam, fit.data, fit.family)
     except (EstimationError, np.linalg.LinAlgError):
         return None
-    shifted = FittedGlmm(
-        beta=np.asarray(beta, dtype=float), theta=np.asarray(theta, dtype=float),
-        structure=fit.structure, family=fit.family, data=fit.data,
-        modes=modes, cond_chol=chols, loglik=np.nan, m_used=n_points,
-        converged=True, boundary=False,
-    )
-    _, s_beta, s_theta = _score_pass(shifted, n_points)
-    if parameterization != "theta":
-        s_theta = cov.reparameterize_scores(s_theta, shifted.lambda_matrix,
-                                            parameterization, fit.structure)
-    return np.hstack([s_beta, s_theta]).sum(axis=0)
+    return _scores(fit, beta, theta, modes, chols, rule,
+                   parameterization).sum(axis=0)
 
 
 def _diag_positions(fit: FittedGlmm) -> list[int]:
@@ -344,7 +242,7 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
         raise SingularityError(
             "fit is on the boundary; request the theta parameterization"
         )
-    n_points = n_points or default_points(fit.data.n_random, "derivatives")
+    rule = _derivative_rule(fit, n_points)
     x0 = _parameter_vector(fit, parameterization)
     n = x0.size
     matrix = np.empty((n, n))
@@ -356,8 +254,8 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
         plus[j] += h
         minus = x0.copy()
         minus[j] -= h
-        g_plus = _gradient_at(plus, fit, parameterization, n_points)
-        g_minus = _gradient_at(minus, fit, parameterization, n_points)
+        g_plus = _gradient_at(plus, fit, parameterization, rule)
+        g_minus = _gradient_at(minus, fit, parameterization, rule)
         if g_plus is not None and g_minus is not None:
             matrix[:, j] = (g_plus - g_minus) / (2.0 * h)
             continue
@@ -366,7 +264,7 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
                 f"both perturbations of parameter {j} left the parameter space"
             )
         if center is None:
-            center = _gradient_at(x0, fit, parameterization, n_points)
+            center = _gradient_at(x0, fit, parameterization, rule)
             if center is None:
                 raise SingularityError("gradient undefined at the fitted value")
         one_sided.append(j)
@@ -377,5 +275,6 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
     matrix = 0.5 * (matrix + matrix.T)
     return HessianResult(values=matrix,
                          labels=tuple(fit.parameter_labels(parameterization)),
-                         parameterization=parameterization, m_used=n_points,
+                         parameterization=parameterization,
+                         m_used=rule.points_per_dim,
                          one_sided=tuple(one_sided))

@@ -30,6 +30,13 @@ _EPS = 1e-10
 # predictor so the mean stays finite and log densities stay well defined.
 _ETA_MAX = 709.0
 
+# kappa range matching the mean clamp, for the canonical-link shortcut
+# kappa = clamped eta: logit([eps, 1 - eps]) and log([eps, exp(_ETA_MAX)])
+_KAPPA_RANGE = {
+    "binomial": (float(special.logit(_EPS)), float(special.logit(1.0 - _EPS))),
+    "poisson": (float(np.log(_EPS)), _ETA_MAX),
+}
+
 SUPPORTED_LINKS = {
     "binomial": ("logit", "probit", "cloglog"),
     "poisson": ("log",),
@@ -163,7 +170,8 @@ class FamilySpec:
         if self.family == "poisson":
             out = np.exp(kappa)
         else:
-            out = np.logaddexp(0.0, kappa)
+            # log(1 + e^kappa), stable at both tails
+            out = np.maximum(kappa, 0.0) + np.log1p(np.exp(-np.abs(kappa)))
         return out[()] if out.ndim == 0 else out
 
     def log_normalizer(self, y):
@@ -180,6 +188,20 @@ class FamilySpec:
     def _log_density(self, y: np.ndarray, mu: np.ndarray) -> np.ndarray:
         kappa = self.canonical_parameter(mu)
         return y * kappa - self.cumulant(kappa) + self.log_normalizer(y)
+
+    def _natural_parameter(self, eta: np.ndarray, mu=None) -> np.ndarray:
+        """kappa at a linear predictor, given its mean from
+        :meth:`inverse_link` unless the link is canonical.
+
+        Under the canonical link kappa is eta itself, clamped to the range
+        the mean clamp allows, so the mean is not needed; without one,
+        non-finite eta raises DomainError as :meth:`inverse_link` would.
+        """
+        if not self.canonical:
+            return self.canonical_parameter(mu)
+        if mu is None and not np.all(np.isfinite(eta)):
+            raise DomainError("non-finite linear predictor")
+        return np.clip(eta, *_KAPPA_RANGE[self.family])
 
     def _clamp(self, mu: np.ndarray) -> np.ndarray:
         if self.family == "binomial":

@@ -10,7 +10,11 @@ adapted rule recentres and rescales the grid at a cluster's posterior mode
     w*_m = w_m * (2*pi)^(d/2) * det(C) * exp(0.5 * ||a_m||^2) * phi(a*_m | 0, G)
 
 so the prior density ``phi(.|0, G)`` is folded into the weights and cluster
-integrands only need to supply the conditional density itself.
+integrands only need to supply the conditional density itself.  For the
+identity prior this is ``log w*_m = log w_m + log det C + 0.5 ||a_m||^2 -
+0.5 ||a*_m||^2``; ``_adapted_grid`` evaluates it for every cluster at once,
+and a general prior ``G = P P'`` reduces to it on the whitened scale
+``v = P^-1 u``.
 """
 
 from __future__ import annotations
@@ -129,18 +133,30 @@ def adapt_rule(rule: GhRule, center, chol, prior_cov) -> AdaptedRule:
     except np.linalg.LinAlgError as exc:
         raise SingularityError("prior covariance is not positive definite") from exc
 
-    locations = center + rule.nodes @ chol.T
-    # log w* = log w + (d/2) log 2pi + log det C + 0.5||a||^2 + log phi(a*|0,G)
+    # on the whitened scale v = P^-1 u the prior is N(0, I); the weights
+    # carry the Jacobian through det(P^-1 C)
+    white_center = solve_triangular(prior_chol, center, lower=True)
+    white_chol = solve_triangular(prior_chol, chol, lower=True)
+    log_w = _adapted_grid(rule, white_center[None], white_chol[None])[0][0]
+    return AdaptedRule(locations=center + rule.nodes @ chol.T,
+                       weights=np.exp(log_w), log_weights=log_w)
+
+
+def _adapted_grid(rule: GhRule, centers: np.ndarray, chols: np.ndarray):
+    """Adapted log weights and locations of many clusters at once, for the
+    identity prior.
+
+    ``centers`` is (I, d) and ``chols`` (I, d, d) lower triangular.
+    Returns log weights (I, M**d) and locations component-major, shape
+    (d, I, M**d), so each coordinate of every node is one contiguous block.
+    """
+    locations = np.stack([centers[:, a, None] + chols[:, a, :] @ rule.nodes.T
+                          for a in range(rule.dim)])
+    logdet = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
     half_sq = 0.5 * np.sum(rule.nodes ** 2, axis=1)
-    logdet_c = float(np.sum(np.log(np.diag(chol))))
-    white = solve_triangular(prior_chol, locations.T, lower=True).T
-    log_prior = (-0.5 * np.sum(white ** 2, axis=1)
-                 - float(np.sum(np.log(np.diag(prior_chol))))
-                 - 0.5 * d * math.log(2.0 * math.pi))
-    log_w = np.log(rule.weights) + 0.5 * d * math.log(2.0 * math.pi) \
-        + logdet_c + half_sq + log_prior
-    weights = np.exp(log_w)
-    return AdaptedRule(locations=locations, weights=weights, log_weights=log_w)
+    log_w = (np.log(rule.weights) + half_sq + logdet[:, None]
+             - 0.5 * np.sum(locations ** 2, axis=0))
+    return log_w, locations
 
 
 def integrate_cluster(integrand, adapted: AdaptedRule) -> float:

@@ -47,17 +47,36 @@ def sandwich_vcov(fit: FittedGlmm, parameterization: str = "var",
         Quadrature points for scores and gradient evaluations (default 5).
     scores, neg_hessian : optional
         Precomputed :func:`estfun` result and negative Hessian matrix, for
-        callers that already have them.
+        callers that already have them.  Both must be on the requested
+        scale and point count.
 
     Raises
     ------
+    ConfigError
+        If a :class:`ScoreMatrix` was computed on another parameterization
+        or point count, or ``neg_hessian`` is not (n_params, n_params).
     SingularityError
         If A cannot be inverted; the message reports its eigenvalues.
     """
-    n_points = n_points or default_points(fit.data.n_random, "derivatives")
+    if n_points is None:
+        n_points = default_points(fit.data.n_random, "derivatives")
     if fit.data.n_clusters <= fit.n_params:
         raise ConfigError(
             "need more clusters than parameters for a sandwich covariance"
+        )
+    if isinstance(scores, ScoreMatrix) and (
+            scores.parameterization != parameterization
+            or scores.m_used != n_points):
+        raise ConfigError(
+            f"scores are on the {scores.parameterization!r} scale at "
+            f"{scores.m_used} points; the request is {parameterization!r} "
+            f"at {n_points} points"
+        )
+    if neg_hessian is not None and np.shape(neg_hessian) != (fit.n_params,
+                                                             fit.n_params):
+        raise ConfigError(
+            f"neg_hessian has shape {np.shape(neg_hessian)}, expected "
+            f"({fit.n_params}, {fit.n_params})"
         )
     if scores is None:
         scores = estfun(fit, parameterization, n_points)

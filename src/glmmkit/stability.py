@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivatives import ScoreMatrix, estfun
-from .estimation import FittedGlmm, default_points
+from .estimation import FittedGlmm
 from .exceptions import ConfigError, DegenerateError, SingularityError
 
 __all__ = [
@@ -304,8 +304,7 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
         raise ConfigError(f"invalid trimming window {trim}")
     if scores is None:
         scores = estfun(fit, parameterization=parameterization,
-                        n_points=n_points or
-                        default_points(fit.data.n_random, "derivatives"))
+                        n_points=n_points)
     if isinstance(scores, ScoreMatrix):
         values, all_labels = scores.values, list(scores.labels)
     else:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats as sps
 
 from .derivatives import estfun, hessian, llcont
-from .estimation import FittedGlmm, default_points
+from .estimation import FittedGlmm
 from .exceptions import ConfigError, DegenerateError
 
 __all__ = ["VuongResult", "vuong_variance_test", "vuong_lr_test"]
@@ -79,8 +79,7 @@ def _check_same_clustering(fit1: FittedGlmm, fit2: FittedGlmm) -> None:
         )
 
 
-def _comparison_weights(fit1, fit2, n_points1, n_points2,
-                        parameterization="var"):
+def _comparison_weights(fit1, fit2, n_points, parameterization="var"):
     """Eigenvalue weights of the chi-square mixture null.
 
     Assembles W = [[B1 A1^-1, B12 A2^-1], [-B21 A1^-1, -B2 A2^-1]] with
@@ -89,10 +88,10 @@ def _comparison_weights(fit1, fit2, n_points1, n_points2,
     a nested pair the spectrum collapses to ones and zeros, recovering
     the classical chi-square null.
     """
-    s1 = estfun(fit1, parameterization, n_points1).values
-    s2 = estfun(fit2, parameterization, n_points2).values
-    a1 = -hessian(fit1, parameterization, n_points1).values
-    a2 = -hessian(fit2, parameterization, n_points2).values
+    s1 = estfun(fit1, parameterization, n_points).values
+    s2 = estfun(fit2, parameterization, n_points).values
+    a1 = -hessian(fit1, parameterization, n_points).values
+    a2 = -hessian(fit2, parameterization, n_points).values
     b1 = s1.T @ s1
     b2 = s2.T @ s2
     b12 = s1.T @ s2
@@ -119,10 +118,6 @@ def _mixture_tail(weights, value, rng, n_sim):
         count += int(np.count_nonzero(sims >= value))
         done += size
     return count / n_sim
-
-
-def _resolve_points(fit, n_points):
-    return n_points or default_points(fit.data.n_random, "derivatives")
 
 
 def vuong_variance_test(fit1: FittedGlmm, fit2: FittedGlmm,
@@ -157,13 +152,11 @@ def vuong_variance_test(fit1: FittedGlmm, fit2: FittedGlmm,
             "vuong_variance_test requires a seed for the p-value simulation"
         )
     _check_same_clustering(fit1, fit2)
-    m1 = _resolve_points(fit1, n_points)
-    m2 = _resolve_points(fit2, n_points)
-    diff = llcont(fit1, m1) - llcont(fit2, m2)
+    diff = llcont(fit1, n_points) - llcont(fit2, n_points)
     n_clusters = diff.shape[0]
     omega2 = float(np.var(diff))
     statistic = n_clusters * omega2
-    weights = _comparison_weights(fit1, fit2, m1, m2, parameterization)
+    weights = _comparison_weights(fit1, fit2, n_points, parameterization)
     rng = np.random.default_rng(seed)
     p_value = float(_mixture_tail(np.square(weights), statistic, rng, n_sim))
     return VuongResult(
@@ -204,12 +197,10 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
             "vuong_lr_test requires a seed for the p-value simulation"
         )
     _check_same_clustering(fit1, fit2)
-    m1 = _resolve_points(fit1, n_points)
-    m2 = _resolve_points(fit2, n_points)
-    diff = llcont(fit1, m1) - llcont(fit2, m2)
+    diff = llcont(fit1, n_points) - llcont(fit2, n_points)
     n_clusters = diff.shape[0]
     omega2 = float(np.var(diff))
-    weights = _comparison_weights(fit1, fit2, m1, m2, parameterization)
+    weights = _comparison_weights(fit1, fit2, n_points, parameterization)
     rng = np.random.default_rng(seed)
     variance_p = float(_mixture_tail(
         np.square(weights), n_clusters * omega2, rng, n_sim))

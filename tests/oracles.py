@@ -102,6 +102,84 @@ def simpson_cluster(y, x, z, beta, lam, family, link,
 
 
 # ---------------------------------------------------------------------------
+# node-by-node per-cluster scores on the fit's own anchors
+
+
+def _hermite_grid(n_points, dim):
+    """Tensor Gauss-Hermite rule for E[f(U)], U ~ N(0, I_dim)."""
+    x, w = np.polynomial.hermite.hermgauss(n_points)
+    axes = [np.sqrt(2.0) * x] * dim
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                     axis=1)
+    weights = np.prod(np.stack(
+        [g.ravel() for g in np.meshgrid(*([w / np.sqrt(np.pi)] * dim),
+                                        indexing="ij")], axis=1), axis=1)
+    return nodes, weights
+
+
+def _cluster_position(fit, cluster):
+    ids = fit.data.cluster_ids
+    if cluster in ids:
+        return ids.index(cluster)
+    idx = int(cluster)
+    if not 0 <= idx < len(ids):
+        raise ValueError(f"unknown cluster {cluster!r}")
+    return idx
+
+
+def cluster_scores(fit, cluster, n_points=5):
+    """Beta and theta scores of one cluster, looping over the nodes.
+
+    Anchors a tensor Gauss-Hermite rule at the cluster's stored posterior
+    mode b with conditional factor C (u = b + C a, log weight log w +
+    log det C + ||a||^2/2 - ||u||^2/2 for the N(0, I) prior on u) and
+    forms the ratio of integrals of score times density over density,
+    with the general residual (y - mu) mu'(eta) / V(mu) at every link.
+    ``cluster`` is a cluster label or a position.
+    """
+    data = fit.data
+    idx = _cluster_position(fit, cluster)
+    rows = data.rows(idx)
+    y, x, z = data.y[rows], data.X[rows], data.Z[rows]
+    q = data.n_random
+    lam = fit.lambda_matrix
+    mode, chol = fit.modes[idx], fit.cond_chol[idx]
+    family, link = fit.family.family, fit.family.link
+    if fit.structure == "diagonal":
+        positions = [(a, a) for a in range(q)]
+    else:   # column-major lower triangle
+        positions = [(a, b) for b in range(q) for a in range(b, q)]
+    nodes, weights = _hermite_grid(n_points, q)
+    logdet = np.sum(np.log(np.diag(chol)))
+
+    log_terms, beta_kernels, theta_kernels = [], [], []
+    for a, w in zip(nodes, weights):
+        u = mode + chol @ a
+        eta = x @ fit.beta + z @ (lam @ u)
+        mu = _inverse_link(link, eta)
+        log_terms.append(np.log(w) + logdet + 0.5 * a @ a - 0.5 * u @ u
+                         + _log_density(family, y, mu).sum())
+        resid = (y - mu) * _dmu_deta(link, eta) / _variance(family, mu)
+        beta_kernels.append(x.T @ resid)
+        zr = z.T @ resid
+        theta_kernels.append([zr[i] * u[j] for i, j in positions])
+    log_terms = np.asarray(log_terms)
+    post = np.exp(log_terms - log_terms.max())
+    post /= post.sum()
+    return post @ np.asarray(beta_kernels), post @ np.asarray(theta_kernels)
+
+
+def score_beta_cluster(fit, cluster, n_points=5):
+    """Score of one cluster's log marginal likelihood w.r.t. beta."""
+    return cluster_scores(fit, cluster, n_points)[0]
+
+
+def score_theta_cluster(fit, cluster, n_points=5):
+    """Score of one cluster's log marginal likelihood w.r.t. theta."""
+    return cluster_scores(fit, cluster, n_points)[1]
+
+
+# ---------------------------------------------------------------------------
 # finite differences of the package's own per-cluster loglik
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from glmmkit import make_glmm_data
-from glmmkit.cli import _parse_parm, main
+from glmmkit.cli import _cluster_level, _parse_parm, main
 from glmmkit.exceptions import ConfigError
 
 
@@ -179,6 +179,34 @@ def test_sctest_order_by_must_be_cluster_constant(workdir, capsys):
     assert code == 1
     assert payload["error"]["category"] == "config"
     _validate(payload, "error")
+
+
+@pytest.mark.parametrize("command", ["scores", "hessian", "sandwich",
+                                     "sctest"])
+def test_nagq_zero_is_a_config_error(workdir, capsys, command):
+    argv = [command, "--data", str(workdir / "data.csv"),
+            "--config", str(workdir / "config.json"),
+            "--fit", str(workdir / "fit.json"), "--nagq", "0"]
+    if command == "sctest":
+        argv += ["--order-by", "age", "--seed", "1"]
+    code, payload = _run_json(argv, capsys)
+    assert code == 1
+    assert payload["error"]["category"] == "config"
+    _validate(payload, "error")
+
+
+def test_cluster_level_values_and_first_varying_cluster():
+    data = make_glmm_data("binomial", n_clusters=6, cluster_size=3,
+                          seed=4).data
+    per_cluster = np.array([3.5, -1.0, 2.0, 2.0, 0.0, 7.25])
+    values = per_cluster[data.cluster_index]
+    np.testing.assert_array_equal(_cluster_level(values, data, "age"),
+                                  per_cluster)
+    values[data.offsets[4] + 2] = 1.0
+    values[data.offsets[5] + 1] = 9.0
+    with pytest.raises(ConfigError,
+                       match=rf"varies within cluster {data.cluster_ids[4]};"):
+        _cluster_level(values, data, "age")
 
 
 def test_vuong_nested(workdir, capsys):

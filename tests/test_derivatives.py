@@ -9,11 +9,14 @@ finite-difference truncation accuracy (~1e-8 relative at h = 1e-5).
 import numpy as np
 import pytest
 
-from glmmkit import (SingularityError, estfun, family_spec, gradient,
-                     hessian, load_fitted, make_glmm_data)
-from glmmkit.derivatives import (_score_pass, score_beta_cluster,
-                                 score_theta_cluster)
-from oracles import fd_scores_fixed_anchor, simpson_cluster
+from glmmkit import (ConfigError, FitControl, SingularityError, estfun,
+                     family_spec, fit, gradient, hessian, llcont, load_fitted,
+                     make_glmm_data, marginal_loglik, sandwich_vcov, sctest,
+                     vuong_lr_test, vuong_variance_test)
+from glmmkit.estimation import _quadrature_sweep
+from glmmkit.quadrature import gh_rule
+from oracles import (fd_scores_fixed_anchor, score_beta_cluster,
+                     score_theta_cluster, simpson_cluster)
 
 
 def _rel_dev(analytic, fd):
@@ -62,10 +65,19 @@ def test_estfun_matches_simpson_scores(binom_fit):
                                    np.r_[beta_s, theta_s], atol=1e-9)
 
 
+def _sweep_scores(fitted, n_points, general):
+    _, values = _quadrature_sweep(
+        fitted.beta, fitted.lambda_matrix, fitted.data, fitted.family,
+        fitted.modes, fitted.cond_chol, gh_rule(n_points, 1), [(0, 0)],
+        general=general)
+    p = fitted.data.n_fixed
+    return values[:, :p], values[:, p:]
+
+
 def test_canonical_shortcut_agrees_with_general_form(binom_fit, poisson_fit):
     for fitted in (binom_fit, poisson_fit):
-        _, b_canon, t_canon = _score_pass(fitted, 7, general=False)
-        _, b_general, t_general = _score_pass(fitted, 7, general=True)
+        b_canon, t_canon = _sweep_scores(fitted, 7, general=False)
+        b_general, t_general = _sweep_scores(fitted, 7, general=True)
         np.testing.assert_allclose(b_canon, b_general, rtol=1e-12,
                                    atol=1e-14)
         np.testing.assert_allclose(t_canon, t_general, rtol=1e-12,
@@ -169,3 +181,28 @@ def test_hessian_var_scale_consistent_with_sandwich_chain(binom_fit):
     np.testing.assert_allclose(h_var[:-1, :-1], h_theta[:-1, :-1], rtol=1e-7)
     np.testing.assert_allclose(h_var[-1, :-1], h_theta[-1, :-1] / (2 * lam),
                                rtol=1e-5)
+
+
+ZERO_POINT_CALLS = {
+    "fit": lambda f: fit(f.data, "binomial", control=FitControl(n_points=0)),
+    "load_fitted": lambda f: load_fitted(f.beta, f.theta, f.data, "binomial",
+                                         n_points=0),
+    "marginal_loglik": lambda f: marginal_loglik(f.beta, f.lambda_matrix,
+                                                 f.data, "binomial", 0),
+    "llcont": lambda f: llcont(f, n_points=0),
+    "estfun": lambda f: estfun(f, "theta", n_points=0),
+    "gradient": lambda f: gradient(f, "theta", n_points=0),
+    "hessian": lambda f: hessian(f, "theta", n_points=0),
+    "sandwich_vcov": lambda f: sandwich_vcov(f, "theta", n_points=0),
+    "sctest": lambda f: sctest(f, np.arange(f.data.n_clusters), n_points=0,
+                               seed=1),
+    "vuong_variance_test": lambda f: vuong_variance_test(f, f, n_points=0,
+                                                         seed=1),
+    "vuong_lr_test": lambda f: vuong_lr_test(f, f, n_points=0, seed=1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ZERO_POINT_CALLS))
+def test_zero_points_is_an_error_not_the_default(binom_fit, entry):
+    with pytest.raises(ConfigError):
+        ZERO_POINT_CALLS[entry](binom_fit)

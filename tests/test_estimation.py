@@ -91,11 +91,13 @@ def test_load_fitted_reproduces_fit_loglik(binom_fit):
     np.testing.assert_allclose(again.modes, binom_fit.modes, atol=1e-9)
 
 
-def test_llcont_sums_to_loglik(binom_fit):
-    contributions = llcont(binom_fit, n_points=binom_fit.m_used)
-    assert contributions.shape == (binom_fit.data.n_clusters,)
-    np.testing.assert_allclose(contributions.sum(), binom_fit.loglik,
-                               rtol=1e-12)
+def test_llcont_sums_to_loglik(binom_fit, poisson_fit, slope_fit):
+    # at each fit's own point count: M = 7 for q = 1, Laplace for q = 2
+    for fitted in (binom_fit, poisson_fit, slope_fit):
+        contributions = llcont(fitted, n_points=fitted.m_used)
+        assert contributions.shape == (fitted.data.n_clusters,)
+        np.testing.assert_allclose(contributions.sum(), fitted.loglik,
+                                   rtol=1e-12)
 
 
 def test_warm_start_reaches_same_optimum(binom_fit):

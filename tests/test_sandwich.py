@@ -72,3 +72,14 @@ def test_singular_bread_reported():
     singular = np.zeros((3, 3))
     with pytest.raises(SingularityError):
         sandwich_vcov(fitted, neg_hessian=singular)
+
+
+def test_precomputed_inputs_must_match_the_request(binom_fit):
+    theta_scores = estfun(binom_fit, "theta", n_points=7)
+    with pytest.raises(ConfigError, match="scale"):
+        sandwich_vcov(binom_fit, "var", n_points=7, scores=theta_scores)
+    with pytest.raises(ConfigError, match="points"):
+        sandwich_vcov(binom_fit, "theta", n_points=5, scores=theta_scores)
+    with pytest.raises(ConfigError, match="neg_hessian"):
+        sandwich_vcov(binom_fit, "theta", n_points=7, scores=theta_scores,
+                      neg_hessian=np.eye(binom_fit.n_params - 1))
