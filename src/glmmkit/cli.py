@@ -365,6 +365,7 @@ def _cmd_sctest(args) -> int:
 
 
 def _cmd_vuong(args) -> int:
+    from .exceptions import DegenerateError
     from .vuong import vuong_lr_test, vuong_variance_test
 
     config1 = _config_from_args(args, "config1")
@@ -372,27 +373,27 @@ def _cmd_vuong(args) -> int:
     fit1, _, _ = _rehydrate(args, config=config1, fit_attr="fit1")
     fit2, _, _ = _rehydrate(args, config=config2, fit_attr="fit2")
     nagq = args.nagq
-    variance = vuong_variance_test(fit1, fit2, n_points=nagq, seed=args.seed,
-                                   n_sim=args.n_sim)
+    try:
+        result = vuong_lr_test(fit1, fit2, nested=args.nested, n_points=nagq,
+                               seed=args.seed, n_sim=args.n_sim)
+    except DegenerateError:
+        # omega2 is zero: only the variance test is defined
+        result = vuong_variance_test(fit1, fit2, n_points=nagq,
+                                     seed=args.seed, n_sim=args.n_sim)
     payload = {
         "metadata": _metadata(seed=args.seed, nagq=nagq),
-        "omega2": variance.omega2,
-        "variance_p_value": variance.variance_p_value,
-        "weights": variance.weights,
+        "omega2": result.omega2,
+        "variance_p_value": result.variance_p_value,
+        "weights": result.weights,
+        "test": result.test,
+        "statistic": result.statistic,
     }
-    if variance.omega2 > 0.0 or args.nested:
-        ratio = vuong_lr_test(fit1, fit2, nested=args.nested, n_points=nagq,
-                              seed=args.seed, n_sim=args.n_sim)
-        payload["test"] = ratio.test
-        payload["statistic"] = ratio.statistic
-        if args.nested:
-            payload["p_value"] = ratio.p_value
-        else:
-            payload["p_model1_better"] = ratio.p_a
-            payload["p_model2_better"] = ratio.p_b
+    if result.test == "nested":
+        payload["p_value"] = result.p_value
+    elif result.test == "non-nested":
+        payload["p_model1_better"] = result.p_a
+        payload["p_model2_better"] = result.p_b
     else:
-        payload["test"] = "variance"
-        payload["statistic"] = variance.statistic
         payload["note"] = ("models are indistinguishable on this dataset; "
                            "the likelihood-ratio comparison is skipped")
     _write_json(args.out, payload)

@@ -198,7 +198,7 @@ def _theta_from_vector(tail: np.ndarray, q: int, structure: str,
 
 def _gradient_at(vector: np.ndarray, fit: FittedGlmm, parameterization: str,
                  rule: GhRule) -> np.ndarray | None:
-    """Total gradient at a perturbed parameter vector, modes re-solved."""
+    """Total gradient at a perturbed vector, modes re-solved from fit.modes."""
     p = fit.data.n_fixed
     beta = vector[:p]
     if parameterization == "theta":
@@ -212,7 +212,8 @@ def _gradient_at(vector: np.ndarray, fit: FittedGlmm, parameterization: str,
             return None
     lam = cov.theta_to_lambda(theta, fit.data.n_random, fit.structure)
     try:
-        modes, chols = conditional_modes(beta, lam, fit.data, fit.family)
+        modes, chols = conditional_modes(beta, lam, fit.data, fit.family,
+                                         start=fit.modes)
     except (EstimationError, np.linalg.LinAlgError):
         return None
     return _scores(fit, beta, theta, modes, chols, rule,
@@ -230,12 +231,13 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
     """Hessian of the total log-likelihood by central finite differences
     of the analytic gradient.
 
-    Each of the 2(p+k) perturbations re-solves the posterior modes before
-    evaluating the gradient (step ``max(1e-5, 1e-5 |param|)``).  When a
-    perturbation leaves the parameter space (a variance pushed negative, a
-    correlation matrix losing positive definiteness) that column falls
-    back to a one-sided difference and is flagged in ``one_sided``.  The
-    result is symmetrized as ``(H + H') / 2``.
+    Each of the 2(p+k) perturbations re-solves the posterior modes,
+    starting from the fitted modes, before evaluating the gradient (step
+    ``max(1e-5, 1e-5 |param|)``).  When a perturbation leaves the
+    parameter space (a variance pushed negative, a correlation matrix
+    losing positive definiteness) that column falls back to a one-sided
+    difference and is flagged in ``one_sided``.  The result is
+    symmetrized as ``(H + H') / 2``.
     """
     cov.validate_parameterization(parameterization)
     if fit.boundary and parameterization != "theta":

@@ -14,7 +14,9 @@ every cluster at every adapted node; the fit objective, ``llcont``,
 nodes in (N, m) blocks of rows by nodes, with m set so a block holds at
 most ``_BLOCK_ELEMENTS`` entries, and returns the per-cluster
 log-likelihood and, on request, the per-cluster scores from the same
-pass.
+pass.  The mode solver evaluates the same density the same way: eta
+from ``_build_eta`` and ``y kappa - h(kappa) + c(y)`` at the
+family's natural parameter of eta.
 
 The outer maximization over ``(beta, theta)`` is deliberately
 derivative-free: the analytic scores this package produces are a
@@ -115,10 +117,28 @@ class FittedGlmm:
 # conditional modes
 
 
-def _linear_predictor(xbeta: np.ndarray, lam: np.ndarray, u: np.ndarray,
-                      data: GlmmData) -> np.ndarray:
-    b = u @ lam.T
-    return xbeta + np.einsum("nj,nj->n", data.Z, b[data.cluster_index])
+def _build_eta(xbeta: np.ndarray, data: GlmmData,
+               effects: np.ndarray) -> np.ndarray:
+    """eta = X beta + Z Lambda u at m points per cluster, shape (N, m),
+    from the effects Lambda u stored component-major, shape (q, I, m)."""
+    rows = data.cluster_index
+    eta = xbeta[:, None] + data.Z[:, :1] * effects[0][rows]
+    for j in range(1, data.n_random):
+        eta += data.Z[:, j, None] * effects[j][rows]
+    return eta
+
+
+def _penalized_curvature(weight: np.ndarray, lam: np.ndarray,
+                         data: GlmmData) -> np.ndarray:
+    """Lambda' Z_i' diag(weight) Z_i Lambda + I for every cluster i, given
+    the curvature of -log f per unit eta^2 of every row."""
+    q = data.n_random
+    ztwz = data.sum_by_cluster(
+        data.Z[:, :, None] * data.Z[:, None, :] * weight[:, None, None]
+    )
+    hess = np.einsum("ab,ibc,cd->iad", lam.T, ztwz, lam)
+    hess[:, np.arange(q), np.arange(q)] += 1.0
+    return hess
 
 
 def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
@@ -126,7 +146,10 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
     """Per-cluster posterior modes of u and conditional Cholesky factors.
 
     Maximizes ``log f(y_i | u) - 0.5 ||u||^2`` for every cluster at once
-    with Fisher-scoring Newton steps and step halving.  The returned
+    with Fisher-scoring Newton steps and step halving, on the density the
+    quadrature sweep integrates: the sweep's eta builder, then ``y kappa -
+    h(kappa) + c(y)`` at the natural parameter kappa of eta, so under a
+    canonical link step-halving trials compute no mean.  The returned
     factors satisfy ``C_i C_i' = H_i^{-1}`` with ``H_i`` the penalized
     negative Hessian at the mode (observed curvature; expected curvature
     is substituted in the rare case the observed one is not positive
@@ -149,91 +172,72 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
 
     xbeta = data.X @ beta
     y = data.y
-    eye = np.eye(q)
+    log_c = data.sum_by_cluster(family.log_normalizer(y))
 
-    def penalized_parts(u_cur):
-        eta = _linear_predictor(xbeta, lam, u_cur, data)
+    def eta_at(u_cur):
+        return _build_eta(xbeta, data, (lam @ u_cur.T)[:, :, None])[:, 0]
+
+    def objective_at(eta, mu, u_cur):
+        kappa = family._natural_parameter(eta, mu)
+        logf = data.sum_by_cluster(y * kappa - family.cumulant(kappa)) + log_c
+        return logf - 0.5 * np.sum(u_cur * u_cur, axis=1)
+
+    for iteration in range(_MODE_MAX_ITER + 1):
+        eta = eta_at(u)
         mu = family.inverse_link(eta)
-        logf = data.sum_by_cluster(family._log_density(y, mu))
-        return eta, mu, logf - 0.5 * np.sum(u_cur * u_cur, axis=1)
-
-    eta, mu, objective = penalized_parts(u)
-    grad = np.empty_like(u)
-    for _ in range(_MODE_MAX_ITER):
-        dmu = family._dmu_deta(eta)
-        var = family.variance_function(mu)
-        resid = (y - mu) * dmu / var
-        weight = dmu * dmu / var
-        zt_resid = data.sum_by_cluster(data.Z * resid[:, None])
-        grad = zt_resid @ lam - u
-        if np.max(np.abs(grad)) <= _MODE_TOL:
-            break
-        ztwz = data.sum_by_cluster(
-            data.Z[:, :, None] * data.Z[:, None, :] * weight[:, None, None]
-        )
-        hess = np.einsum("ab,ibc,cd->iad", lam.T, ztwz, lam)
-        hess[:, np.arange(q), np.arange(q)] += 1.0
-        direction = np.linalg.solve(hess, grad[..., None])[..., 0]
-
-        scale = np.ones((n_cl, 1))
-        settled = np.zeros(n_cl, dtype=bool)
-        floor = objective - 1e-12 * (1.0 + np.abs(objective))
-        for _halving in range(30):
-            candidate = u + scale * direction
-            eta_c, mu_c, objective_c = penalized_parts(candidate)
-            improved = objective_c >= floor
-            settled |= improved
-            if np.all(settled):
-                break
-            scale[~settled] *= 0.5
-        # clusters that never improved keep a vanishing step; the gradient
-        # check below decides whether that is acceptable
-        scale[~settled] = 0.0
-        u = u + scale * direction
-        eta, mu, objective = penalized_parts(u)
-    else:
         dmu = family._dmu_deta(eta)
         var = family.variance_function(mu)
         resid = (y - mu) * dmu / var
         grad = data.sum_by_cluster(data.Z * resid[:, None]) @ lam - u
-        worst = int(np.argmax(np.max(np.abs(grad), axis=1)))
-        if np.max(np.abs(grad)) > 1e-8:
+        # after the last step a looser gradient is still accepted
+        if np.max(np.abs(grad)) <= (_MODE_TOL if iteration < _MODE_MAX_ITER
+                                    else 1e-8):
+            break
+        if iteration == _MODE_MAX_ITER:
+            worst = int(np.argmax(np.max(np.abs(grad), axis=1)))
             raise EstimationError(
                 "conditional mode search did not converge for cluster "
                 f"{data.cluster_ids[worst]!r}"
             )
+        hess = _penalized_curvature(dmu * dmu / var, lam, data)
+        direction = np.linalg.solve(hess, grad[..., None])[..., 0]
 
-    cond_chol = _conditional_cholesky(eta, mu, lam, data, family)
+        objective = objective_at(eta, mu, u)
+        floor = objective - 1e-12 * (1.0 + np.abs(objective))
+        scale = np.ones((n_cl, 1))
+        settled = np.zeros(n_cl, dtype=bool)
+        for _halving in range(30):
+            candidate = u + scale * direction
+            eta_c = eta_at(candidate)
+            mu_c = None if family.canonical else family.inverse_link(eta_c)
+            settled |= objective_at(eta_c, mu_c, candidate) >= floor
+            if np.all(settled):
+                break
+            scale[~settled] *= 0.5
+        # clusters that never improved keep a vanishing step; the next
+        # gradient check decides whether that is acceptable
+        scale[~settled] = 0.0
+        u = u + scale * direction
+
+    cond_chol = _conditional_cholesky(eta, mu, dmu, var, lam, data, family)
     return u, cond_chol
 
 
-def _conditional_cholesky(eta, mu, lam, data: GlmmData, family: FamilySpec):
+def _conditional_cholesky(eta, mu, dmu, var, lam, data: GlmmData,
+                          family: FamilySpec):
     """Cholesky factor of the inverse penalized negative Hessian at the mode."""
-    q = data.n_random
-    dmu = family._dmu_deta(eta)
     d2mu = family._d2mu_deta2(eta)
-    var = family.variance_function(mu)
     dvar = family._dvar_dmu(mu)
-    # observed curvature of -log f per unit eta^2
-    m_obs = (dmu * dmu / var
-             - (data.y - mu) * (d2mu / var - dmu * dmu * dvar / var ** 2))
     m_exp = dmu * dmu / var
-
-    def penalized_neg_hessian(m):
-        ztmz = data.sum_by_cluster(
-            data.Z[:, :, None] * data.Z[:, None, :] * m[:, None, None]
-        )
-        h = np.einsum("ab,ibc,cd->iad", lam.T, ztmz, lam)
-        h[:, np.arange(q), np.arange(q)] += 1.0
-        return h
-
-    hess = penalized_neg_hessian(m_obs)
+    # observed curvature of -log f per unit eta^2
+    m_obs = (m_exp
+             - (data.y - mu) * (d2mu / var - dmu * dmu * dvar / var ** 2))
     try:
-        chol_h = np.linalg.cholesky(hess)
+        chol_h = np.linalg.cholesky(_penalized_curvature(m_obs, lam, data))
     except np.linalg.LinAlgError:
         # non-canonical links can produce an indefinite observed curvature
         # on pathological clusters; fall back to the expected curvature
-        chol_h = np.linalg.cholesky(penalized_neg_hessian(m_exp))
+        chol_h = np.linalg.cholesky(_penalized_curvature(m_exp, lam, data))
     inv = np.linalg.inv(chol_h)
     cov_u = np.einsum("iba,ibc->iac", inv, inv)  # (L^-1)' L^-1 = H^-1
     return np.linalg.cholesky(cov_u)
@@ -262,7 +266,7 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     V(mu)``, which a canonical link reduces to ``y - mu``.
     """
     log_w, locations = _adapted_grid(rule, modes, chols)
-    y, rows, n_nodes, p = data.y, data.cluster_index, rule.size, data.n_fixed
+    y, n_nodes, p = data.y, rule.size, data.n_fixed
     xbeta = data.X @ np.asarray(beta, dtype=float)
     effects = np.tensordot(lam, locations, axes=1)  # Lambda u, (q, I, M)
     joint = log_w + data.sum_by_cluster(family.log_normalizer(y))[:, None]
@@ -274,9 +278,7 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     per_block = max(1, _BLOCK_ELEMENTS // data.n_obs)
     for start in range(0, n_nodes, per_block):
         block = slice(start, start + per_block)
-        eta = xbeta[:, None] + data.Z[:, :1] * effects[0][:, block][rows]
-        for j in range(1, data.n_random):
-            eta += data.Z[:, j, None] * effects[j][:, block][rows]
+        eta = _build_eta(xbeta, data, effects[:, :, block])
         mu = (family.inverse_link(eta) if scores or not family.canonical
               else None)
         kappa = family._natural_parameter(eta, mu)
@@ -307,6 +309,7 @@ def marginal_loglik(beta, relcov, data: GlmmData, family: FamilySpec,
     """Sum over clusters of the log marginal density of the responses,
     each cluster integral computed on a freshly adapted rule."""
     family = as_family_spec(family)
+    family.validate_support(data.y)
     rule = gh_rule(n_points, data.n_random)
     lam = _as_lambda(relcov, data)
     modes, chols = conditional_modes(beta, lam, data, family)
@@ -363,6 +366,7 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     """
     control = control or FitControl()
     family = as_family_spec(family)
+    family.validate_support(data.y)
     p, q = data.n_fixed, data.n_random
     if data.n_clusters <= q:
         raise ConfigError("need more clusters than random-effect dimensions")
@@ -446,6 +450,7 @@ def load_fitted(beta, theta, data: GlmmData, family: FamilySpec,
     estimated models get the full post-estimation machinery.
     """
     family = as_family_spec(family)
+    family.validate_support(data.y)
     beta = np.asarray(beta, dtype=float).ravel()
     theta = np.asarray(theta, dtype=float).ravel()
     q = data.n_random

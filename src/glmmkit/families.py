@@ -146,8 +146,8 @@ class FamilySpec:
         """
         y = _asarray(y)
         self.validate_support(y)
-        mu = self._clamp(_asarray(mu))
-        out = self._log_density(y, mu)
+        kappa = self.canonical_parameter(mu)
+        out = y * kappa - self.cumulant(kappa) + self.log_normalizer(y)
         return out[()] if out.ndim == 0 else out
 
     def validate_support(self, y: np.ndarray) -> None:
@@ -184,10 +184,6 @@ class FamilySpec:
         return out[()] if out.ndim == 0 else out
 
     # -- internal fast paths (inputs already validated/clamped) ----------
-
-    def _log_density(self, y: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        kappa = self.canonical_parameter(mu)
-        return y * kappa - self.cumulant(kappa) + self.log_normalizer(y)
 
     def _natural_parameter(self, eta: np.ndarray, mu=None) -> np.ndarray:
         """kappa at a linear predictor, given its mean from

@@ -79,8 +79,20 @@ def _check_same_clustering(fit1: FittedGlmm, fit2: FittedGlmm) -> None:
         )
 
 
-def _comparison_weights(fit1, fit2, n_points, parameterization="var"):
-    """Eigenvalue weights of the chi-square mixture null.
+def _differences(fit1, fit2, n_points, seed, caller):
+    """Per-cluster log-likelihood differences and their variance omega2."""
+    if seed is None:
+        raise ConfigError(f"{caller} requires a seed for the p-value simulation")
+    _check_same_clustering(fit1, fit2)
+    diff = llcont(fit1, n_points) - llcont(fit2, n_points)
+    return diff, float(np.var(diff))
+
+
+def _variance_null(fit1, fit2, n_points, parameterization, statistic, seed,
+                   n_sim):
+    """Eigenvalue weights of the chi-square mixture null, the seeded
+    generator, and the variance test's p-value, which is always the
+    generator's first draws.
 
     Assembles W = [[B1 A1^-1, B12 A2^-1], [-B21 A1^-1, -B2 A2^-1]] with
     A the negative Hessians and B the score outer-product sums (the scale
@@ -100,7 +112,10 @@ def _comparison_weights(fit1, fit2, n_points, parameterization="var"):
     top = np.hstack([b1 @ a1_inv, b12 @ a2_inv])
     bottom = np.hstack([-b12.T @ a1_inv, -b2 @ a2_inv])
     lam = np.linalg.eigvals(np.vstack([top, bottom])).real
-    return lam[np.abs(lam) >= _EIG_TOL]
+    weights = lam[np.abs(lam) >= _EIG_TOL]
+    rng = np.random.default_rng(seed)
+    p_value = float(_mixture_tail(np.square(weights), statistic, rng, n_sim))
+    return weights, rng, p_value
 
 
 def _mixture_tail(weights, value, rng, n_sim):
@@ -147,18 +162,12 @@ def vuong_variance_test(fit1: FittedGlmm, fit2: FittedGlmm,
     VuongResult
         With ``test="variance"``, ``statistic = I * omega2``.
     """
-    if seed is None:
-        raise ConfigError(
-            "vuong_variance_test requires a seed for the p-value simulation"
-        )
-    _check_same_clustering(fit1, fit2)
-    diff = llcont(fit1, n_points) - llcont(fit2, n_points)
-    n_clusters = diff.shape[0]
-    omega2 = float(np.var(diff))
-    statistic = n_clusters * omega2
-    weights = _comparison_weights(fit1, fit2, n_points, parameterization)
-    rng = np.random.default_rng(seed)
-    p_value = float(_mixture_tail(np.square(weights), statistic, rng, n_sim))
+    diff, omega2 = _differences(fit1, fit2, n_points, seed,
+                                "vuong_variance_test")
+    statistic = diff.size * omega2
+    weights, _, p_value = _variance_null(fit1, fit2, n_points,
+                                         parameterization, statistic, seed,
+                                         n_sim)
     return VuongResult(
         test="variance",
         omega2=omega2,
@@ -192,49 +201,32 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
         In non-nested mode when omega_hat is zero; the variance test is
         the informative comparison in that case.
     """
-    if seed is None:
-        raise ConfigError(
-            "vuong_lr_test requires a seed for the p-value simulation"
-        )
-    _check_same_clustering(fit1, fit2)
-    diff = llcont(fit1, n_points) - llcont(fit2, n_points)
-    n_clusters = diff.shape[0]
-    omega2 = float(np.var(diff))
-    weights = _comparison_weights(fit1, fit2, n_points, parameterization)
-    rng = np.random.default_rng(seed)
-    variance_p = float(_mixture_tail(
-        np.square(weights), n_clusters * omega2, rng, n_sim))
-    total = float(diff.sum())
-    if nested:
-        statistic = 2.0 * total
-        p_value = float(_mixture_tail(weights, statistic, rng, n_sim))
-        return VuongResult(
-            test="nested",
-            omega2=omega2,
-            variance_p_value=variance_p,
-            statistic=statistic,
-            p_value=p_value,
-            p_a=None,
-            p_b=None,
-            weights=weights,
-            n_sim=n_sim,
-            seed=int(seed),
-        )
-    if omega2 == 0.0:
+    diff, omega2 = _differences(fit1, fit2, n_points, seed, "vuong_lr_test")
+    if not nested and omega2 == 0.0:
         raise DegenerateError(
             "per-cluster log-likelihood differences have zero variance; "
             "the non-nested z statistic is undefined. Run "
             "vuong_variance_test: the models are indistinguishable here."
         )
-    z = total / np.sqrt(n_clusters * omega2)
-    p_a = float(sps.norm.sf(z))
-    p_b = float(sps.norm.cdf(z))
+    weights, rng, variance_p = _variance_null(fit1, fit2, n_points,
+                                              parameterization,
+                                              diff.size * omega2, seed, n_sim)
+    total = float(diff.sum())
+    p_value = p_a = p_b = None
+    if nested:
+        test, statistic = "nested", 2.0 * total
+        p_value = float(_mixture_tail(weights, statistic, rng, n_sim))
+    else:
+        test = "non-nested"
+        statistic = float(total / np.sqrt(diff.size * omega2))
+        p_a = float(sps.norm.sf(statistic))
+        p_b = float(sps.norm.cdf(statistic))
     return VuongResult(
-        test="non-nested",
+        test=test,
         omega2=omega2,
         variance_p_value=variance_p,
-        statistic=float(z),
-        p_value=None,
+        statistic=statistic,
+        p_value=p_value,
         p_a=p_a,
         p_b=p_b,
         weights=weights,

@@ -223,6 +223,33 @@ def fd_gradient(func, x0, h=1e-6):
     return grad
 
 
+def raw_fd_hessian(fitted, n_points):
+    """Unsymmetrized central-difference Hessian over (beta, theta), each
+    column from two fits rehydrated with cold-started modes."""
+    beta, theta = fitted.beta, fitted.theta
+    p, k = beta.size, theta.size
+    columns = []
+    for j in range(p + k):
+        hi_b, lo_b = beta.copy(), beta.copy()
+        hi_t, lo_t = theta.copy(), theta.copy()
+        x0 = beta[j] if j < p else theta[j - p]
+        h = max(1e-5, 1e-5 * abs(x0))
+        if j < p:
+            hi_b[j] += h
+            lo_b[j] -= h
+        else:
+            hi_t[j - p] += h
+            lo_t[j - p] -= h
+        g_hi = glmmkit.gradient(glmmkit.load_fitted(
+            hi_b, hi_t, fitted.data, fitted.family, n_points=n_points),
+            "theta", n_points)
+        g_lo = glmmkit.gradient(glmmkit.load_fitted(
+            lo_b, lo_t, fitted.data, fitted.family, n_points=n_points),
+            "theta", n_points)
+        columns.append((g_hi - g_lo) / (2.0 * h))
+    return np.column_stack(columns)
+
+
 # ---------------------------------------------------------------------------
 # direct item-response-theory Rasch oracle
 

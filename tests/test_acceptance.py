@@ -62,7 +62,8 @@ from glmmkit import (
     vuong_lr_test,
     vuong_variance_test,
 )
-from oracles import fd_scores_fixed_anchor, irt_rasch, simpson_cluster
+from oracles import (fd_scores_fixed_anchor, irt_rasch, raw_fd_hessian,
+                     simpson_cluster)
 
 TESTBEDS = [
     ("binomial", "logit", "intercept", 700),
@@ -381,30 +382,6 @@ def test_08_vuong_degeneracy_and_nested_power(binom_fit, capsys):
               f"{elapsed:.1f} s")
 
 
-def _raw_fd_hessian(fitted, n_points):
-    """Unsymmetrized central-difference Hessian over (beta, theta)."""
-    beta, theta = fitted.beta, fitted.theta
-    p, k = beta.size, theta.size
-    columns = []
-    for j in range(p + k):
-        hi_b, lo_b = beta.copy(), beta.copy()
-        hi_t, lo_t = theta.copy(), theta.copy()
-        x0 = beta[j] if j < p else theta[j - p]
-        h = max(1e-5, 1e-5 * abs(x0))
-        if j < p:
-            hi_b[j] += h
-            lo_b[j] -= h
-        else:
-            hi_t[j - p] += h
-            lo_t[j - p] -= h
-        g_hi = gradient(load_fitted(hi_b, hi_t, fitted.data, fitted.family,
-                                    n_points=n_points), "theta", n_points)
-        g_lo = gradient(load_fitted(lo_b, lo_t, fitted.data, fitted.family,
-                                    n_points=n_points), "theta", n_points)
-        columns.append((g_hi - g_lo) / (2.0 * h))
-    return np.column_stack(columns)
-
-
 def test_09_hessian_glm_slice_symmetry_definiteness(testbed_fits, capsys):
     """Hessian gates: GLM slice, symmetry, negative definiteness.
 
@@ -430,7 +407,7 @@ def test_09_hessian_glm_slice_symmetry_definiteness(testbed_fits, capsys):
     worst_asym = 0.0
     largest_eig = -np.inf
     for name, fitted in fits:
-        raw = _raw_fd_hessian(fitted, 7)
+        raw = raw_fd_hessian(fitted, 7)
         asym = np.max(np.abs(raw - raw.T)) / np.max(np.abs(raw))
         assert asym <= 1e-3, f"{name}: relative asymmetry {asym:.3e}"
         worst_asym = max(worst_asym, asym)

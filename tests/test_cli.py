@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import glmmkit.vuong
 from glmmkit import make_glmm_data
 from glmmkit.cli import _cluster_level, _parse_parm, main
 from glmmkit.exceptions import ConfigError
@@ -238,6 +239,64 @@ def test_vuong_non_nested_reports_directional_p(workdir, capsys):
     assert (payload["p_model1_better"] + payload["p_model2_better"]
             == pytest.approx(1.0))
     assert payload["p_model1_better"] < 0.05
+
+
+def test_vuong_identical_models_reports_indistinguishable(workdir, capsys):
+    code, payload = _run_json(
+        ["vuong", "--data", str(workdir / "data.csv"),
+         "--fit1", str(workdir / "fit.json"),
+         "--config1", str(workdir / "config.json"),
+         "--fit2", str(workdir / "fit.json"),
+         "--config2", str(workdir / "config.json"),
+         "--seed", "7", "--n-sim", "20000"], capsys)
+    assert code == 0
+    _validate(payload, "vuong")
+    assert payload["test"] == "variance"
+    assert payload["omega2"] == 0.0
+    assert payload["statistic"] == 0.0
+    assert "indistinguishable" in payload["note"]
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_vuong_computes_one_hessian_per_model(workdir, capsys, monkeypatch,
+                                              nested):
+    seen = []
+    original = glmmkit.vuong.hessian
+
+    def counting(fit, *args, **kwargs):
+        seen.append(fit)
+        return original(fit, *args, **kwargs)
+
+    monkeypatch.setattr(glmmkit.vuong, "hessian", counting)
+    argv = ["vuong", "--data", str(workdir / "data.csv"),
+            "--fit1", str(workdir / "fit.json"),
+            "--config1", str(workdir / "config.json"),
+            "--fit2", str(workdir / "fit_reduced.json"),
+            "--config2", str(workdir / "reduced.json"),
+            "--seed", "7", "--n-sim", "2000"]
+    code, payload = _run_json(argv + ["--nested"] * nested, capsys)
+    assert code == 0
+    assert payload["test"] == ("nested" if nested else "non-nested")
+    assert len(seen) == 2
+    assert seen[0] is not seen[1]
+    assert [f.beta.size for f in seen] == [2, 1]
+
+
+def test_fit_rejects_responses_outside_the_support(workdir, capsys,
+                                                   tmp_path):
+    rows = (workdir / "data.csv").read_text().splitlines()
+    y, rest = rows[1].split(",", 1)
+    assert y in ("0", "1")
+    rows[1] = "2," + rest
+    bad_path = tmp_path / "bad.csv"
+    bad_path.write_text("\n".join(rows) + "\n")
+    code, payload = _run_json(
+        ["fit", "--data", str(bad_path),
+         "--config", str(workdir / "config.json")], capsys)
+    assert code == 1
+    _validate(payload, "error")
+    assert payload["error"]["category"] == "config"
+    assert "0/1" in payload["error"]["message"]
 
 
 def test_missing_data_column_gives_error_json(workdir, capsys, tmp_path):

@@ -4,14 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import glmmkit.covariance as cov
-from glmmkit import (ConfigError, EstimationError, FitControl, GlmmData,
-                     ShapeError, conditional_modes, family_spec, fit,
-                     llcont, load_fitted, make_glmm_data, marginal_loglik)
+from glmmkit import (ConfigError, DomainError, EstimationError, FitControl,
+                     GlmmData, ShapeError, conditional_modes, family_spec,
+                     fit, llcont, load_fitted, make_glmm_data,
+                     marginal_loglik)
 from glmmkit.estimation import default_points
-from oracles import simpson_cluster
+from oracles import _dmu_deta, _inverse_link, _variance, simpson_cluster
 
 
 def test_default_points():
@@ -51,6 +54,56 @@ def test_modes_are_stationary_points():
                  / family.variance_function(mu))
         grad = lam.T @ (data.Z[rows].T @ resid) - modes[i]
         assert np.max(np.abs(grad)) < 1e-8
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("family,link", [
+    ("binomial", "logit"), ("binomial", "probit"), ("binomial", "cloglog"),
+    ("poisson", "log")])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000), spread=st.floats(0.1, 2.0))
+def test_warm_and_cold_mode_solves_agree_at_a_stationary_point(
+        family, link, q, seed, spread):
+    sim = make_glmm_data(family, link=link, n_clusters=10, cluster_size=6,
+                         random="intercept" if q == 1 else "slope", seed=seed)
+    data, spec = sim.data, family_spec(family, link)
+    lam = cov.theta_to_lambda(sim.theta, q)
+    cold, _ = conditional_modes(sim.beta, lam, data, spec)
+    start = cold + spread * np.random.default_rng(seed).standard_normal(
+        cold.shape)
+    warm, _ = conditional_modes(sim.beta, lam, data, spec, start=start)
+    np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-8)
+    for modes in (cold, warm):
+        # penalized gradient Lam' Z' r - u from the oracle's primitives,
+        # with the package's mean clamp (a cloglog mean rounds to 1)
+        b = (modes @ lam.T)[data.cluster_index]
+        eta = data.X @ sim.beta + np.sum(data.Z * b, axis=1)
+        mu = _inverse_link(link, eta)
+        if family == "binomial":
+            mu = np.clip(mu, 1e-10, 1.0 - 1e-10)
+        resid = (data.y - mu) * _dmu_deta(link, eta) / _variance(family, mu)
+        grad = data.sum_by_cluster(data.Z * resid[:, None]) @ lam - modes
+        assert np.max(np.abs(grad)) <= 1e-8
+
+
+@pytest.mark.parametrize("family,bad", [("binomial", 2.0), ("binomial", 0.5),
+                                        ("poisson", -1.0), ("poisson", 0.5)])
+@pytest.mark.parametrize("entry", ["fit", "load_fitted", "marginal_loglik"])
+def test_responses_outside_the_support_are_a_domain_error(entry, family, bad):
+    sim = make_glmm_data(family, n_clusters=30, cluster_size=5, seed=5)
+    d = sim.data
+    y = d.y.copy()
+    y[7] = bad
+    data = GlmmData.from_arrays(y, d.X, d.Z, d.cluster_index)
+    lam = cov.theta_to_lambda(sim.theta, 1)
+    calls = {
+        "fit": lambda: fit(data, family),
+        "load_fitted": lambda: load_fitted(sim.beta, sim.theta, data, family),
+        "marginal_loglik": lambda: marginal_loglik(sim.beta, lam, data,
+                                                   family, n_points=5),
+    }
+    with pytest.raises(DomainError, match="responses must be"):
+        calls[entry]()
 
 
 def test_marginal_loglik_matches_simpson_oracle():
