@@ -366,7 +366,7 @@ def _cmd_sctest(args) -> int:
 
 def _cmd_vuong(args) -> int:
     from .exceptions import DegenerateError
-    from .vuong import vuong_lr_test, vuong_variance_test
+    from .vuong import _variance_result, vuong_lr_test
 
     config1 = _config_from_args(args, "config1")
     config2 = _config_from_args(args, "config2")
@@ -376,10 +376,11 @@ def _cmd_vuong(args) -> int:
     try:
         result = vuong_lr_test(fit1, fit2, nested=args.nested, n_points=nagq,
                                seed=args.seed, n_sim=args.n_sim)
-    except DegenerateError:
-        # omega2 is zero: only the variance test is defined
-        result = vuong_variance_test(fit1, fit2, n_points=nagq,
-                                     seed=args.seed, n_sim=args.n_sim)
+    except DegenerateError as exc:
+        # omega2 is zero: only the variance test is defined, on the same
+        # per-cluster differences
+        result = _variance_result(fit1, fit2, *exc.differences, nagq,
+                                  args.seed, args.n_sim, "var")
     payload = {
         "metadata": _metadata(seed=args.seed, nagq=nagq),
         "omega2": result.omega2,

@@ -1,5 +1,5 @@
 """Model fitting: penalized conditional modes, the adaptive-quadrature
-marginal log-likelihood, and a derivative-free outer optimizer.
+marginal log-likelihood, and a gradient-based outer optimizer.
 
 The marginal likelihood integrates the conditional density over spherical
 random effects ``u ~ N(0, I_q)`` that enter the linear predictor as
@@ -18,10 +18,16 @@ pass.  The mode solver evaluates the same density the same way: eta
 from ``_build_eta`` and ``y kappa - h(kappa) + c(y)`` at the
 family's natural parameter of eta.
 
-The outer maximization over ``(beta, theta)`` is deliberately
-derivative-free: the analytic scores this package produces are a
-post-estimation product, so validating them against the fit stays an
-independent check rather than a circular one.
+The outer maximization over ``(beta, theta)`` is L-BFGS-B on the exact
+gradient of that objective.  The paper's casewise scores hold the
+quadrature anchors fixed; the fit objective moves its anchors with the
+parameters, so the sweep adds the derivative through the mode (implicit
+differentiation of the penalized score) and through the conditional
+factor (differentiated through its Cholesky).  The scores themselves
+stay independently checked: acceptance gates 1 and 2 test the
+fixed-anchor scores against finite differences and brute-force
+integration, and a test checks the exact gradient against finite
+differences of the re-anchored log-likelihood.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from scipy.optimize import minimize
 
 from . import covariance as cov
 from .design import GlmmData
-from .exceptions import ConfigError, EstimationError, ShapeError
+from .exceptions import ConfigError, DomainError, EstimationError, ShapeError
 from .families import FamilySpec, as_family_spec
 from .quadrature import GhRule, _adapted_grid, gh_rule
 
@@ -43,6 +49,10 @@ __all__ = ["FitControl", "FittedGlmm", "conditional_modes", "marginal_loglik",
 _MODE_TOL = 1e-10
 _MODE_MAX_ITER = 200
 _BOUNDARY_TOL = 1e-6
+# L-BFGS-B stopping tolerances: relative reduction of the objective and
+# largest entry of the projected gradient
+_FTOL = 1e-12
+_GTOL = 1e-6
 # (row, node) entries per block of the quadrature sweep: many nodes per
 # block save numpy call overhead on small data; from 16,384 rows on each
 # block is one node, which measured faster at 20,000 and 50,000 rows.
@@ -63,13 +73,16 @@ def default_points(q: int, stage: str = "estimation") -> int:
 
 @dataclass(frozen=True)
 class FitControl:
-    """Optimizer and quadrature controls for :func:`fit`."""
+    """Optimizer and quadrature controls for :func:`fit`.
+
+    ``max_fev`` caps objective evaluations exactly; ``restarts`` reruns
+    L-BFGS-B from where it stopped.  The stopping tolerances are the
+    module constants ``_FTOL`` and ``_GTOL``.
+    """
 
     n_points: int | None = None
     max_fev: int = 10_000
     restarts: int = 3
-    xatol: float = 1e-6
-    fatol: float = 1e-9
     beta_start: np.ndarray | None = None
     theta_start: np.ndarray | None = None
 
@@ -226,21 +239,52 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
 def _conditional_cholesky(eta, mu, dmu, var, lam, data: GlmmData,
                           family: FamilySpec):
     """Cholesky factor of the inverse penalized negative Hessian at the mode."""
-    d2mu = family._d2mu_deta2(eta)
-    dvar = family._dvar_dmu(mu)
-    m_exp = dmu * dmu / var
-    # observed curvature of -log f per unit eta^2
-    m_obs = (m_exp
-             - (data.y - mu) * (d2mu / var - dmu * dmu * dvar / var ** 2))
-    try:
-        chol_h = np.linalg.cholesky(_penalized_curvature(m_obs, lam, data))
-    except np.linalg.LinAlgError:
-        # non-canonical links can produce an indefinite observed curvature
-        # on pathological clusters; fall back to the expected curvature
-        chol_h = np.linalg.cholesky(_penalized_curvature(m_exp, lam, data))
+    m_obs, m_exp = _curvatures(eta, mu, dmu, var, data.y, family)
+    chol_h, _ = _factor_curvature(m_obs, m_exp, lam, data)
     inv = np.linalg.inv(chol_h)
     cov_u = np.einsum("iba,ibc->iac", inv, inv)  # (L^-1)' L^-1 = H^-1
     return np.linalg.cholesky(cov_u)
+
+
+def _curvatures(eta, mu, dmu, var, y, family: FamilySpec,
+                slopes: bool = False):
+    """Curvature of -log f(y | eta) per unit eta^2 of every row, observed
+    and expected; with ``slopes``, also their derivatives in eta.
+
+    With A = mu'/V, the eta-derivatives of log f are l1 = (y - mu) A,
+    l2 = -mu' A + (y - mu) A' and l3 = -mu'' A - 2 mu' A' + (y - mu) A''.
+    The observed curvature is -l2, the expected one mu' A.
+    """
+    d2mu = family._d2mu_deta2(eta)
+    dvar = family._dvar_dmu(mu)
+    m_exp = dmu * dmu / var
+    ratio_1 = d2mu / var - dmu * dmu * dvar / var ** 2      # A'
+    m_obs = m_exp - (y - mu) * ratio_1
+    if not slopes:
+        return m_obs, m_exp
+    ratio = dmu / var
+    ratio_2 = (family._d3mu_deta3(eta) / var                # A''
+               - 3.0 * ratio * d2mu * dvar / var
+               + ratio * ratio * dmu * (2.0 * dvar * dvar / var
+                                        - family._d2var_dmu2()))
+    slope_exp = d2mu * ratio + dmu * ratio_1
+    slope_obs = slope_exp + dmu * ratio_1 - (y - mu) * ratio_2
+    return m_obs, m_exp, slope_obs, slope_exp
+
+
+def _factor_curvature(m_obs, m_exp, lam, data: GlmmData):
+    """Cholesky factor of the penalized curvature behind the conditional
+    factor, and whether it is the observed one.
+
+    Non-canonical links can produce an indefinite observed curvature on
+    pathological clusters; the expected curvature then stands in for
+    every cluster.
+    """
+    try:
+        chol = np.linalg.cholesky(_penalized_curvature(m_obs, lam, data))
+    except np.linalg.LinAlgError:
+        return np.linalg.cholesky(_penalized_curvature(m_exp, lam, data)), False
+    return chol, True
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +293,7 @@ def _conditional_cholesky(eta, mu, dmu, var, lam, data: GlmmData,
 
 def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
                       modes, chols, rule: GhRule, positions=None,
-                      general: bool | None = None):
+                      general: bool | None = None, exact: bool = False):
     """The conditional density of every cluster at every adapted node.
 
     Anchors ``rule`` at each cluster's mode and conditional factor, then
@@ -264,6 +308,12 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     the nodes of ``X' r`` and of ``(Z' r)_a u_b``, with ``r = d log f / d
     eta``.  ``general`` forces the residual form ``(y - mu) mu'(eta) /
     V(mu)``, which a canonical link reduces to ``y - mu``.
+
+    These scores hold the anchors (modes and factors) fixed.  ``exact``
+    adds the derivative through the anchors (see ``_anchor_terms``), so
+    the scores become the exact gradient of the returned log-likelihood
+    with the modes and factors re-solved at every parameter value: the
+    gradient of the fit objective.
     """
     log_w, locations = _adapted_grid(rule, modes, chols)
     y, n_nodes, p = data.y, rule.size, data.n_fixed
@@ -300,8 +350,79 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     rho = dens / mass[:, None]  # normalized node weights per cluster
     s_theta = [np.einsum("im,im,im->i", rho, kernel[p + a], locations[b])
                for a, b in positions]
-    return ell, np.column_stack([np.einsum("im,kim->ik", rho, kernel[:p]),
-                                 *s_theta])
+    scores = np.column_stack([np.einsum("im,kim->ik", rho, kernel[:p]),
+                              *s_theta])
+    if exact:
+        # grad g = Lambda' Z' r - u at every node, then its moments
+        grad_g = np.tensordot(lam.T, kernel[p:], axes=1) - locations
+        scores += _anchor_terms(
+            beta, lam, data, family, modes, chols, positions,
+            np.einsum("im,jim->ij", rho, grad_g),
+            np.einsum("im,jim,mc->ijc", rho, grad_g, rule.nodes))
+    return ell, scores
+
+
+def _anchor_terms(beta, lam, data: GlmmData, family: FamilySpec, modes,
+                  chols, positions, grad_mean, grad_outer):
+    """The part of the exact per-cluster gradient that fixed-anchor scores
+    leave out: the derivative through the mode and the conditional factor.
+
+    ``grad_mean`` (I, q) and ``grad_outer`` (I, q, q) are the node-weighted
+    moments E[grad g] and E[grad g z'] of g(u) = log f(y | u) - ||u||^2 / 2,
+    z the base nodes.  The nodes sit at u = a + C z, so the missing terms
+    are E[grad g]' da + <tril E[grad g z'] + diag(1 / C_jj), dC>.  The mode
+    moves by da = H^-1 d(grad g)(a), from implicit differentiation of
+    grad g(a) = 0, with H the observed penalized curvature; the factor by
+    dC = C Phi(C^-1 dS C^-T) with dS = -S dH S, S = C C' and Phi keeping
+    the lower triangle with the diagonal halved.  Phi is self-adjoint, so
+    the factor term is -<B, dH> with B = C Phi(C' G) C', G the matrix
+    above.  dH needs the eta-slope of the curvature behind C, and both
+    terms come back to per-row weights, so every parameter costs one
+    segment sum.  Returns shape (I, p + k).
+    """
+    rows, y = data.cluster_index, data.y
+    q = data.n_random
+    eta = _build_eta(data.X @ np.asarray(beta, dtype=float), data,
+                     (lam @ modes.T)[:, :, None])[:, 0]
+    mu = family.inverse_link(eta)
+    dmu = family._dmu_deta(eta)
+    var = family.variance_function(mu)
+    m_obs, m_exp, slope_obs, slope_exp = _curvatures(eta, mu, dmu, var, y,
+                                                     family, slopes=True)
+    _, observed = _factor_curvature(m_obs, m_exp, lam, data)
+    weight, slope = (m_obs, slope_obs) if observed else (m_exp, slope_exp)
+
+    diag = np.arange(q)
+    chol_t = np.swapaxes(chols, 1, 2)
+    g = np.tril(grad_outer)
+    g[:, diag, diag] += 1.0 / chols[:, diag, diag]
+    inner = np.tril(chol_t @ g)
+    inner[:, diag, diag] *= 0.5
+    b_mat = chols @ inner @ chol_t
+    b_mat = 0.5 * (b_mat + np.swapaxes(b_mat, 1, 2))
+    zl = data.Z @ lam                                   # rows of Z Lambda
+    zlb = np.einsum("nj,njk->nk", zl, b_mat[rows])
+    # dH = Lambda' Z' diag(slope deta) Z Lambda + the direct dLambda terms
+    slope_b = slope * np.sum(zlb * zl, axis=1)
+
+    # the mode term and the factor term's share through deta = Z Lambda da
+    # meet in one vector per cluster, pulled back through H^-1
+    pull = grad_mean - data.sum_by_cluster(zl * slope_b[:, None])
+    if observed:
+        nu = np.einsum("ijk,ilk,il->ij", chols, chols, pull)  # C C' pull
+    else:
+        nu = np.linalg.solve(_penalized_curvature(m_obs, lam, data),
+                             pull[..., None])[..., 0]
+    row_weight = m_obs * np.sum(zl * nu[rows], axis=1) + slope_b
+    zr = data.sum_by_cluster(data.Z * ((y - mu) * dmu / var)[:, None])
+    zw = data.sum_by_cluster(data.Z * row_weight[:, None])
+    zwb = data.sum_by_cluster((data.Z * weight[:, None])[:, :, None]
+                              * zlb[:, None, :])
+    s_theta = [nu[:, b] * zr[:, a] - modes[:, b] * zw[:, a]
+               - 2.0 * zwb[:, a, b] for a, b in positions]
+    return np.column_stack([-data.sum_by_cluster(data.X
+                                                 * row_weight[:, None]),
+                            *s_theta])
 
 
 def marginal_loglik(beta, relcov, data: GlmmData, family: FamilySpec,
@@ -329,6 +450,11 @@ def _as_lambda(relcov, data: GlmmData) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # outer optimization
+
+
+class _BudgetSpent(Exception):
+    """Raised by the fit objective once ``max_fev`` evaluations are spent;
+    L-BFGS-B's own ``maxfun`` can be overrun inside a line search."""
 
 
 def _glm_start(data: GlmmData, family: FamilySpec) -> np.ndarray:
@@ -359,10 +485,17 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         control: FitControl | None = None) -> FittedGlmm:
     """Maximize the marginal log-likelihood over (beta, theta).
 
-    Nelder-Mead with restart-on-stagnation; diagonal theta entries are kept
-    nonnegative by reflection at zero.  Raises
-    :class:`~glmmkit.exceptions.EstimationError` (with the best-so-far fit
-    attached as ``.best``) if the evaluation budget is exhausted first.
+    L-BFGS-B on the exact gradient of the adaptive-quadrature objective:
+    every evaluation re-solves the modes warm from the previous one, and
+    one quadrature sweep returns the log-likelihood and its gradient with
+    the anchors differentiated too (``_quadrature_sweep(exact=True)``).
+    The diagonal theta entries are bounded below by zero, so a
+    ``theta_start`` with a negative diagonal entry is a ``DomainError``.
+    A restart reruns from where the previous run stopped, and the loop
+    stops once a restart gains less than 1e-6.  Raises
+    :class:`~glmmkit.exceptions.EstimationError` (with the best fit so far
+    attached as ``.best``) if ``max_fev`` evaluations run out first or the
+    last run stops without converging.
     """
     control = control or FitControl()
     family = as_family_spec(family)
@@ -372,68 +505,101 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         raise ConfigError("need more clusters than random-effect dimensions")
     n_points = control.n_points
     rule = gh_rule(default_points(q) if n_points is None else n_points, q)
-    k = cov.theta_length(q, structure)
-    diag_pos = [idx for idx, (i, j) in enumerate(cov.free_positions(q, structure))
-                if i == j]
+    positions = cov.free_positions(q, structure)
+    k = len(positions)
+    bounds = [(None, None)] * p + [(0.0, None) if i == j else (None, None)
+                                   for i, j in positions]
 
     beta0 = (np.asarray(control.beta_start, dtype=float)
              if control.beta_start is not None else _glm_start(data, family))
     if beta0.size != p:
         raise ShapeError("beta_start has the wrong length")
-    theta0 = np.zeros(k)
-    theta0[diag_pos] = 1.0
+    theta0 = np.array([1.0 if i == j else 0.0 for i, j in positions])
     if control.theta_start is not None:
         theta0 = np.asarray(control.theta_start, dtype=float).copy()
         if theta0.size != k:
             raise ShapeError("theta_start has the wrong length")
+        if any(theta0[t] < 0.0 for t, (i, j) in enumerate(positions)
+               if i == j):
+            raise DomainError("theta_start must have a nonnegative diagonal")
 
+    # the last evaluation, where a restart begins, and the lowest one,
+    # which stands when the budget runs out
+    last = {"x": None, "f": np.inf, "g": None}
+    best = {"x": None, "f": np.inf}
     warm: dict = {"u": None}
     n_eval = [0]
 
-    def fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        beta = x[:p]
-        theta = x[p:].copy()
-        theta[diag_pos] = np.abs(theta[diag_pos])
-        return beta, theta
-
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray):
+        if np.array_equal(x, last["x"]):
+            return last["f"], last["g"]
+        if n_eval[0] >= control.max_fev:
+            raise _BudgetSpent
         n_eval[0] += 1
-        beta, theta = fold(x)
+        f, grad = np.inf, np.zeros_like(x)
+        beta, theta = x[:p], x[p:]
         lam = cov.theta_to_lambda(theta, q, structure)
         try:
             modes, chols = conditional_modes(beta, lam, data, family,
                                              start=warm["u"])
         except EstimationError:
             warm["u"] = None
-            return np.inf
-        warm["u"] = modes
-        ll = float(np.sum(_quadrature_sweep(beta, lam, data, family,
-                                            modes, chols, rule)))
-        return -ll if np.isfinite(ll) else np.inf
+        else:
+            warm["u"] = modes
+            ell, scores = _quadrature_sweep(beta, lam, data, family, modes,
+                                            chols, rule, positions,
+                                            exact=True)
+            total = float(np.sum(ell))
+            if np.isfinite(total):
+                f, grad = -total, -scores.sum(axis=0)
+        if np.isfinite(f):
+            if f < best["f"]:
+                best.update(x=x.copy(), f=f)
+        elif best["x"] is not None:
+            # L-BFGS-B takes an infinite value for convergence; a bowl
+            # around the best point makes its line search step back instead
+            gap = x - best["x"]
+            scale = 1.0 + abs(best["f"])
+            f, grad = best["f"] + scale * (gap @ gap), 2.0 * scale * gap
+        last.update(x=x.copy(), f=f, g=grad)
+        return f, grad
 
-    x_best = np.concatenate([beta0, theta0])
-    f_best = objective(x_best)
-    success = False
+    x_hat = np.concatenate([beta0, theta0])
+    f_hat = np.inf
+    success, message = False, "no evaluation budget"
     for attempt in range(control.restarts + 1):
         remaining = control.max_fev - n_eval[0]
         if remaining <= 0:
             break
-        result = minimize(objective, x_best, method="Nelder-Mead",
-                          options={"maxfev": remaining, "xatol": control.xatol,
-                                   "fatol": control.fatol, "adaptive": x_best.size > 4})
-        improvement = f_best - result.fun
-        if result.fun < f_best:
-            x_best, f_best = result.x.copy(), float(result.fun)
-        success = bool(result.success)
+        try:
+            result = minimize(objective, x_hat, jac=True, method="L-BFGS-B",
+                              bounds=bounds,
+                              options={"maxfun": remaining, "ftol": _FTOL,
+                                       "gtol": _GTOL})
+        except _BudgetSpent:
+            if best["x"] is not None:
+                x_hat = best["x"]
+            success = False
+            break
+        improvement = f_hat - result.fun
+        x_hat, f_hat = result.x, float(result.fun)
+        # a restart from a converged point may end in a failed line search
+        # at the round-off floor; without a real gain the fit stays converged
+        finite = bool(np.isfinite(f_hat))
+        success = finite and (bool(result.success)
+                              or (success and improvement < 1e-6))
+        message = (result.message if finite
+                   else "the objective is not finite there")
         if success and attempt > 0 and improvement < 1e-6:
             break
 
-    beta_hat, theta_hat = fold(x_best)
-    fitted = _finalize(beta_hat, theta_hat, structure, data, family,
-                       rule, converged=success, n_fev=n_eval[0])
+    fitted = _finalize(x_hat[:p], x_hat[p:], structure, data, family, rule,
+                       converged=success, n_fev=n_eval[0], start=warm["u"])
     if not success:
         err = EstimationError(
             f"optimizer did not converge within {control.max_fev} evaluations"
+            if n_eval[0] >= control.max_fev
+            else f"optimizer stopped without converging: {message}"
         )
         err.best = fitted
         raise err
@@ -467,14 +633,15 @@ def load_fitted(beta, theta, data: GlmmData, family: FamilySpec,
 
 
 def _finalize(beta, theta, structure, data, family, rule, converged,
-              n_fev) -> FittedGlmm:
+              n_fev, start=None) -> FittedGlmm:
     q = data.n_random
     lam = cov.theta_to_lambda(theta, q, structure)
-    modes, chols = conditional_modes(beta, lam, data, family)
+    modes, chols = conditional_modes(beta, lam, data, family, start=start)
     grad_norm = None
     if converged and n_fev > 0:
-        ell, scores = _quadrature_sweep(beta, lam, data, family, modes, chols,
-                                        rule, cov.free_positions(q, structure))
+        ell, scores = _quadrature_sweep(
+            beta, lam, data, family, modes, chols, rule,
+            cov.free_positions(q, structure), exact=True)
         grad_norm = float(np.linalg.norm(scores.sum(axis=0)))
     else:
         ell = _quadrature_sweep(beta, lam, data, family, modes, chols, rule)

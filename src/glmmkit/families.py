@@ -237,10 +237,28 @@ class FamilySpec:
         e = np.exp(np.minimum(eta, _ETA_MAX))
         return e * np.exp(-e) * (1.0 - e)
 
+    def _d3mu_deta3(self, eta: np.ndarray) -> np.ndarray:
+        """Third derivative of mu with respect to eta."""
+        if self.family == "poisson":
+            return np.exp(np.minimum(eta, _ETA_MAX))
+        if self.link == "logit":
+            p = special.expit(eta)
+            return p * (1.0 - p) * (1.0 - 6.0 * p * (1.0 - p))
+        if self.link == "probit":
+            return (eta * eta - 1.0) * _norm_pdf(eta)
+        e = np.exp(np.minimum(eta, _ETA_MAX))
+        dmu = e * np.exp(-e)
+        # dmu * e * e, not dmu * (e * e): e * e overflows where dmu is 0
+        return dmu * (1.0 - 3.0 * e) + dmu * e * e
+
     def _dvar_dmu(self, mu: np.ndarray) -> np.ndarray:
         if self.family == "binomial":
             return 1.0 - 2.0 * mu
         return np.ones_like(mu)
+
+    def _d2var_dmu2(self) -> float:
+        """V''(mu), a constant for both families."""
+        return -2.0 if self.family == "binomial" else 0.0
 
 
 def _norm_pdf(x: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ _CONFIG_KEYS = {
     "response", "fixed", "random", "cluster", "family", "link",
     "categorical", "nagq", "seed", "structure", "optimizer",
 }
-_OPTIMIZER_KEYS = {"max_fev", "restarts", "xatol", "fatol"}
+_OPTIMIZER_KEYS = {"max_fev", "restarts"}
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class ModelConfig:
     structure : str
         Random-effect covariance structure.
     optimizer : dict
-        Optional :class:`~glmmkit.estimation.FitControl` overrides
-        (max_fev, restarts, xatol, fatol).
+        Optional :class:`~glmmkit.estimation.FitControl` overrides:
+        max_fev (evaluation budget) and restarts.
     """
 
     response: str

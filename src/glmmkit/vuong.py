@@ -22,6 +22,11 @@ from .exceptions import ConfigError, DegenerateError
 __all__ = ["VuongResult", "vuong_variance_test", "vuong_lr_test"]
 
 _EIG_TOL = 1e-10
+# Weights below this share of the comparison matrix's norm are dropped.  A
+# zero eigenvalue of a defective matrix (identical fits give a nilpotent
+# one) comes back from the eigensolver as noise of order sqrt(eps) times
+# the norm, about 1.5e-8 of it; genuine weights this small move no tail.
+_EIG_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,9 @@ class VuongResult:
         Non-nested directional p-values: small p_a favors model 1, small
         p_b favors model 2.  They sum to one.
     weights : ndarray
-        Eigenvalues of the comparison matrix, truncated at 1e-10, that
-        weight the chi-square mixture (squared for the variance null).
+        Eigenvalues of the comparison matrix that weight the chi-square
+        mixture (squared for the variance null); eigenvalues below 1e-6
+        of the matrix's Frobenius norm are eigensolver noise and dropped.
     """
 
     test: str
@@ -111,8 +117,9 @@ def _variance_null(fit1, fit2, n_points, parameterization, statistic, seed,
     a2_inv = np.linalg.inv(a2)
     top = np.hstack([b1 @ a1_inv, b12 @ a2_inv])
     bottom = np.hstack([-b12.T @ a1_inv, -b2 @ a2_inv])
-    lam = np.linalg.eigvals(np.vstack([top, bottom])).real
-    weights = lam[np.abs(lam) >= _EIG_TOL]
+    comparison = np.vstack([top, bottom])
+    lam = np.linalg.eigvals(comparison).real
+    weights = lam[np.abs(lam) >= _EIG_REL_TOL * np.linalg.norm(comparison)]
     rng = np.random.default_rng(seed)
     p_value = float(_mixture_tail(np.square(weights), statistic, rng, n_sim))
     return weights, rng, p_value
@@ -164,6 +171,13 @@ def vuong_variance_test(fit1: FittedGlmm, fit2: FittedGlmm,
     """
     diff, omega2 = _differences(fit1, fit2, n_points, seed,
                                 "vuong_variance_test")
+    return _variance_result(fit1, fit2, diff, omega2, n_points, seed, n_sim,
+                            parameterization)
+
+
+def _variance_result(fit1, fit2, diff, omega2, n_points, seed, n_sim,
+                     parameterization):
+    """The variance test on precomputed per-cluster differences."""
     statistic = diff.size * omega2
     weights, _, p_value = _variance_null(fit1, fit2, n_points,
                                          parameterization, statistic, seed,
@@ -199,15 +213,18 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
     ------
     DegenerateError
         In non-nested mode when omega_hat is zero; the variance test is
-        the informative comparison in that case.
+        the informative comparison in that case.  The differences and
+        omega2 are attached as ``.differences``.
     """
     diff, omega2 = _differences(fit1, fit2, n_points, seed, "vuong_lr_test")
     if not nested and omega2 == 0.0:
-        raise DegenerateError(
+        err = DegenerateError(
             "per-cluster log-likelihood differences have zero variance; "
             "the non-nested z statistic is undefined. Run "
             "vuong_variance_test: the models are indistinguishable here."
         )
+        err.differences = (diff, omega2)
+        raise err
     weights, rng, variance_p = _variance_null(fit1, fit2, n_points,
                                               parameterization,
                                               diff.size * omega2, seed, n_sim)

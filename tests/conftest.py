@@ -1,6 +1,6 @@
 """Shared fixtures: a few fitted models reused across test modules.
 
-Session scope keeps the expensive Nelder-Mead fits to one run each.
+Session scope runs each fit once for the whole test session.
 """
 
 import pytest

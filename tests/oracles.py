@@ -11,6 +11,7 @@ import dataclasses
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.optimize import minimize
 from scipy.special import gammaln, ndtr
 from scipy.stats import norm
 
@@ -248,6 +249,47 @@ def raw_fd_hessian(fitted, n_points):
             "theta", n_points)
         columns.append((g_hi - g_lo) / (2.0 * h))
     return np.column_stack(columns)
+
+
+# ---------------------------------------------------------------------------
+# reference optimizer
+
+
+def nelder_mead_loglik(data, family, n_points, structure="unstructured",
+                       restarts=1):
+    """Largest marginal log-likelihood Nelder-Mead finds, derivative-free.
+
+    Maximizes ``glmmkit.marginal_loglik`` (modes re-solved cold at every
+    point) from beta = 0 and the identity factor, folding the diagonal of
+    theta to its absolute value, and restarts from the best point.
+    """
+    p, q = data.n_fixed, data.n_random
+    if structure == "diagonal":
+        positions = [(a, a) for a in range(q)]
+    else:   # column-major lower triangle
+        positions = [(a, b) for b in range(q) for a in range(b, q)]
+    diag = [k for k, (a, b) in enumerate(positions) if a == b]
+
+    def negative_loglik(x):
+        lam = np.zeros((q, q))
+        for value, (a, b) in zip(x[p:], positions):
+            lam[a, b] = value
+        lam[np.diag_indices(q)] = np.abs(np.diag(lam))
+        try:
+            return -glmmkit.marginal_loglik(x[:p], lam, data, family,
+                                            n_points)
+        except glmmkit.GlmmKitError:
+            return np.inf
+
+    x = np.concatenate([np.zeros(p), np.isin(np.arange(len(positions)),
+                                             diag).astype(float)])
+    best = np.inf
+    for _ in range(restarts + 1):
+        result = minimize(negative_loglik, x, method="Nelder-Mead",
+                          options={"xatol": 1e-8, "fatol": 1e-10,
+                                   "maxfev": 20_000, "adaptive": True})
+        x, best = result.x, min(best, result.fun)
+    return -best
 
 
 # ---------------------------------------------------------------------------

@@ -257,29 +257,43 @@ def test_vuong_identical_models_reports_indistinguishable(workdir, capsys):
     assert "indistinguishable" in payload["note"]
 
 
-@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("nested,fit2,config2", [
+    (False, "fit_reduced.json", "reduced.json"),
+    (True, "fit_reduced.json", "reduced.json"),
+    (False, "fit.json", "config.json"),
+], ids=["False", "True", "identical"])
 def test_vuong_computes_one_hessian_per_model(workdir, capsys, monkeypatch,
-                                              nested):
+                                              nested, fit2, config2):
     seen = []
+    llcont_calls = []
     original = glmmkit.vuong.hessian
+    original_llcont = glmmkit.vuong.llcont
 
     def counting(fit, *args, **kwargs):
         seen.append(fit)
         return original(fit, *args, **kwargs)
 
+    def counting_llcont(fit, *args, **kwargs):
+        llcont_calls.append(fit)
+        return original_llcont(fit, *args, **kwargs)
+
     monkeypatch.setattr(glmmkit.vuong, "hessian", counting)
+    monkeypatch.setattr(glmmkit.vuong, "llcont", counting_llcont)
     argv = ["vuong", "--data", str(workdir / "data.csv"),
             "--fit1", str(workdir / "fit.json"),
             "--config1", str(workdir / "config.json"),
-            "--fit2", str(workdir / "fit_reduced.json"),
-            "--config2", str(workdir / "reduced.json"),
+            "--fit2", str(workdir / fit2),
+            "--config2", str(workdir / config2),
             "--seed", "7", "--n-sim", "2000"]
     code, payload = _run_json(argv + ["--nested"] * nested, capsys)
     assert code == 0
-    assert payload["test"] == ("nested" if nested else "non-nested")
+    identical = fit2 == "fit.json"
+    assert payload["test"] == ("variance" if identical
+                               else "nested" if nested else "non-nested")
     assert len(seen) == 2
     assert seen[0] is not seen[1]
-    assert [f.beta.size for f in seen] == [2, 1]
+    assert [f.beta.size for f in seen] == ([2, 2] if identical else [2, 1])
+    assert len(llcont_calls) == 2
 
 
 def test_fit_rejects_responses_outside_the_support(workdir, capsys,

@@ -52,8 +52,10 @@ def test_config_value_validation():
         config(fixed=[])
     with pytest.raises(ConfigError, match="random"):
         config(random=[])
-    with pytest.raises(ConfigError, match="optimizer"):
-        config(optimizer={"maxiter": 10})
+    # maxiter never existed; xatol and fatol were Nelder-Mead tolerances
+    for key in ("maxiter", "xatol", "fatol"):
+        with pytest.raises(ConfigError, match="unknown optimizer settings"):
+            config(optimizer={key: 10})
 
 
 def test_config_from_json_file(tmp_path):

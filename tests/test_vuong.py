@@ -38,6 +38,19 @@ def test_identical_models_are_exactly_indistinguishable(model_pair):
     assert result.variance_p_value == 1.0
 
 
+@pytest.mark.parametrize("parameterization", ["var", "theta"])
+def test_identical_models_have_no_mixture_weights(model_pair,
+                                                  parameterization):
+    # W = [[B A^-1, B A^-1], [-B A^-1, -B A^-1]] is nilpotent, so its exact
+    # spectrum is zero; the eigensolver returns noise near 1e-8, above an
+    # absolute 1e-10 cut but far below the matrix's scale
+    full, _, _ = model_pair
+    result = vuong_variance_test(full, full, seed=2, n_sim=1000,
+                                 parameterization=parameterization)
+    assert result.weights.size == 0
+    assert result.p_value == 1.0
+
+
 def test_variance_test_separates_distinct_models(model_pair):
     full, reduced, _ = model_pair
     result = vuong_variance_test(full, reduced, seed=1, n_sim=100000)
