@@ -353,6 +353,7 @@ def _cmd_sctest(args) -> int:
         "functional": result.functional,
         "statistic": result.statistic,
         "p_value": result.p_value,
+        "p_value_se": result.p_value_se,
         "critical_value_05": result.critical_value,
         "parm": list(result.parm),
         "labels": list(result.labels),

@@ -2,6 +2,9 @@
 
 Each generator returns the drawn dataset together with the generating
 parameters so simulation studies can compare estimates against truth.
+The module also holds the settings shared by the simulated nulls of
+:func:`~glmmkit.sctest` and the Vuong tests: the check on their seed and
+draw count, and the chunk size their draws are made in.
 """
 
 from __future__ import annotations
@@ -21,6 +24,36 @@ __all__ = [
     "make_rasch_data",
     "make_counts_data",
 ]
+
+# Doubles per Monte-Carlo chunk: 2**16 of them (512 KB) keep a chunk of
+# draws, and what is computed from it in place, inside a core's L2 cache.
+# Chunks split only the draw axis, so the generator emits the same stream,
+# bit for bit, whatever this size is.
+_CHUNK_ELEMENTS = 2 ** 16
+
+
+def _is_integer(value) -> bool:
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
+def _check_monte_carlo(seed, n_sim, caller: str) -> tuple[int, int]:
+    """Validate the seed and draw count of a simulated null.
+
+    Returns both as Python ints.  Raises ConfigError when the seed is
+    missing, not an integer or negative, or when ``n_sim`` is not a
+    positive integer.
+    """
+    if seed is None:
+        raise ConfigError(f"{caller} requires a seed for the p-value "
+                          "simulation")
+    if not _is_integer(seed) or seed < 0:
+        raise ConfigError(f"{caller} seed must be a non-negative integer, "
+                          f"got {seed!r}")
+    if not _is_integer(n_sim) or n_sim < 1:
+        raise ConfigError(f"{caller} n_sim must be a positive integer, "
+                          f"got {n_sim!r}")
+    return int(seed), int(n_sim)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ simulated bridge paths on the same time grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .derivatives import ScoreMatrix, estfun
 from .estimation import FittedGlmm
 from .exceptions import ConfigError, DegenerateError, SingularityError
+from .simulate import _CHUNK_ELEMENTS, _check_monte_carlo
 
 __all__ = [
     "FluctuationPath",
@@ -33,9 +35,13 @@ _FUNCTIONALS = {
     "maxlm-ordinal": "maxLM-ordinal",
 }
 
-# grid points per simulation chunk, sized to keep the scratch array near
-# 128 MB regardless of problem dimensions
-_CHUNK_BUDGET = 2 ** 24
+# Rows of the simulated null, one per functional.
+_NULL_ROWS = ("DM", "CvM", "maxLM", "maxLM-ordinal")
+
+# Nulls kept by _bridge_null.  Calls that share a grid, dimension, cluster
+# count, n_sim, seed and trimming window (the functionals of one test, or
+# parm subsets of one size) reuse an entry of 4 * n_sim floats.
+_NULL_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,7 @@ class ScoreTestResult:
 
     statistic: float
     p_value: float
+    p_value_se: float        # Monte-Carlo standard error of p_value
     functional: str
     path: FluctuationPath
     parm: tuple[int, ...]
@@ -191,65 +198,68 @@ def _resolve_parm(parm, labels):
     return tuple(dict.fromkeys(resolved))
 
 
-def _functional_grid(name, t_interior, trim):
-    """Boolean mask over interior grid points the functional looks at."""
-    if name == "maxLM":
-        mask = (t_interior >= trim[0]) & (t_interior <= trim[1]) \
-            & (t_interior < 1.0)
-        if not mask.any():
-            raise DegenerateError(
-                f"no ordering points fall inside the maxLM trimming "
-                f"window [{trim[0]}, {trim[1]}]"
-            )
-        return mask
-    if name == "maxLM-ordinal":
-        mask = t_interior < 1.0
-        if not mask.any():
-            raise DegenerateError(
-                "maxLM-ordinal needs at least two distinct ordering values"
-            )
-        return mask
-    return np.ones(t_interior.shape, dtype=bool)
+def _lm_window(t_interior, trim):
+    """Slice of the grid points below t=1 that lie in the maxLM trimming
+    window; the grid is increasing, so they are contiguous."""
+    lo = int(np.searchsorted(t_interior, trim[0], side="left"))
+    hi = int(np.searchsorted(t_interior, trim[1], side="right"))
+    return slice(lo, max(lo, min(hi, t_interior.shape[0] - 1)))
 
 
-def _apply_functional(name, path_block, t_interior, mask, n_clusters):
-    """Evaluate a functional on one path (2-d) or a batch (3-d).
+def _statistics(block, scale, window, n_clusters):
+    """DM, CvM, maxLM and maxLM-ordinal of each path in a block.
 
-    ``path_block`` has shape (..., m, d) where m matches ``t_interior``.
-    Returns the statistic(s) plus, for pointwise functionals on a single
-    path, the per-grid-point values.
+    ``block`` has shape (n, m, d), one path per row over the interior grid
+    points, and is overwritten.  ``scale`` is t(1 - t) at the first m - 1
+    points, where t < 1.  Returns a (4, n) array in ``_NULL_ROWS`` order;
+    the maxLM row is NaN when ``window`` is empty.
     """
-    if name == "DM":
-        pointwise = np.abs(path_block).max(axis=-1)
-        return pointwise.max(axis=-1), pointwise
-    sq = np.square(path_block).sum(axis=-1)
-    if name == "CvM":
-        return sq.sum(axis=-1) / n_clusters, None
-    scale = t_interior * (1.0 - t_interior)
-    pointwise = np.where(mask, np.divide(
-        sq, scale, out=np.zeros_like(sq), where=scale > 0.0), 0.0)
-    return pointwise.max(axis=-1), pointwise
-
-
-def _simulate_bridge_stats(name, t_interior, mask, dim, n_clusters,
-                           n_sim, rng):
-    """Functional values of ``n_sim`` Brownian bridges on the same grid."""
-    m = t_interior.shape[0]
-    dt = np.diff(np.concatenate(([0.0], t_interior)))
-    chunk = max(1, int(_CHUNK_BUDGET // max(m * dim, 1)))
-    out = np.empty(n_sim)
-    done = 0
-    while done < n_sim:
-        size = min(chunk, n_sim - done)
-        incr = rng.standard_normal((size, m, dim))
-        incr *= np.sqrt(dt)[None, :, None]
-        walk = np.cumsum(incr, axis=1)
-        bridge = walk - t_interior[None, :, None] * walk[:, -1:, :]
-        stats, _ = _apply_functional(name, bridge, t_interior, mask,
-                                     n_clusters)
-        out[done:done + size] = stats
-        done += size
+    n = block.shape[0]
+    flat = block.reshape(n, -1)
+    out = np.empty((4, n))
+    np.maximum(flat.max(axis=1), -flat.min(axis=1), out=out[0])
+    sq = np.square(block, out=block).sum(axis=-1)
+    np.divide(sq.sum(axis=-1), n_clusters, out=out[1])
+    lm = np.divide(sq[:, :-1], scale, out=sq[:, :-1])
+    if window.start < window.stop:
+        lm[:, window].max(axis=1, out=out[2])
+    else:
+        out[2] = np.nan
+    lm.max(axis=1, out=out[3])
     return out
+
+
+@functools.lru_cache(maxsize=_NULL_CACHE_SIZE)
+def _bridge_null(grid, dim, n_clusters, n_sim, seed, trim):
+    """Every functional of ``n_sim`` Brownian bridges on one grid.
+
+    ``grid`` is the interior time grid as the bytes of a float64 array.
+    One pass draws the bridges chunk by chunk, each chunk small enough to
+    stay in cache, and takes all four statistics from it.  Returns a
+    read-only (4, n_sim) array in ``_NULL_ROWS`` order.
+    """
+    t_interior = np.frombuffer(grid)
+    m = t_interior.shape[0]
+    sqrt_dt = np.sqrt(np.diff(np.concatenate(([0.0], t_interior))))[:, None]
+    scale = t_interior[:-1] * (1.0 - t_interior[:-1])
+    window = _lm_window(t_interior, trim)
+    rows = min(n_sim, max(1, _CHUNK_ELEMENTS // (m * dim)))
+    draws = np.empty((rows, m, dim))
+    pin = np.empty_like(draws)
+    null = np.empty((4, n_sim))
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_sim, rows):
+        size = min(rows, n_sim - start)
+        walk, shift = draws[:size], pin[:size]
+        rng.standard_normal(out=walk)
+        walk *= sqrt_dt
+        np.cumsum(walk, axis=1, out=walk)
+        np.multiply(t_interior[:, None], walk[:, -1:, :], out=shift)
+        walk -= shift
+        null[:, start:start + size] = _statistics(walk, scale, window,
+                                                  n_clusters)
+    null.flags.writeable = False
+    return null
 
 
 def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
@@ -275,9 +285,10 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
     n_points : int, optional
         Quadrature points for the scores (default 5).
     seed : int
-        Required; drives the Brownian-bridge null simulation.
+        Required, a non-negative integer; drives the Brownian-bridge null
+        simulation.
     n_sim : int
-        Number of simulated bridge paths.
+        Number of simulated bridge paths, at least 1.
     trim : (float, float)
         maxLM trimming window on the time axis.
     parameterization : {"var", "theta", "sd"}
@@ -287,9 +298,19 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
     Returns
     -------
     ScoreTestResult
-        Statistic, simulated p-value, the path for plotting, and the grid
+        Statistic, simulated p-value and its Monte-Carlo standard error
+        ``sqrt(p (1 - p) / n_sim)``, the path for plotting, and the grid
         locations where the pointwise statistic exceeds the simulated 5%
         critical value (empty for CvM, which has no pointwise form).
+
+    Notes
+    -----
+    One simulation yields the null of all four functionals, and the last
+    few nulls are kept in memory.  Calls on the same grid with the same
+    number of tested columns, cluster count, ``n_sim``, ``seed`` and
+    ``trim`` share it: another functional, or another ``parm`` subset of
+    the same size, costs no new draws.  A shared null is bit-identical to
+    a fresh simulation with the same settings.
     """
     try:
         name = _FUNCTIONALS[str(functional).lower()]
@@ -298,8 +319,7 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
             f"unknown functional {functional!r}; expected one of "
             "DM, CvM, maxLM, maxLMo"
         ) from None
-    if seed is None:
-        raise ConfigError("sctest requires a seed for the p-value simulation")
+    seed, n_sim = _check_monte_carlo(seed, n_sim, "sctest")
     if not (0.0 <= trim[0] < trim[1] <= 1.0):
         raise ConfigError(f"invalid trimming window {trim}")
     if scores is None:
@@ -344,24 +364,35 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
         )
 
     t_interior = path.t[1:]
-    mask = _functional_grid(name, t_interior, trim)
-    statistic, pointwise = _apply_functional(
-        name, path.values[1:], t_interior, mask, n_clusters)
-    statistic = float(statistic)
+    window = _lm_window(t_interior, trim)
+    if name == "maxLM" and window.start == window.stop:
+        raise DegenerateError(
+            f"no ordering points fall inside the maxLM trimming "
+            f"window [{trim[0]}, {trim[1]}]"
+        )
+    scale = t_interior[:-1] * (1.0 - t_interior[:-1])
+    row = _NULL_ROWS.index(name)
+    observed = path.values[1:]
+    statistic = float(_statistics(observed[None].copy(), scale, window,
+                                  n_clusters)[row, 0])
 
-    rng = np.random.default_rng(seed)
-    sim = _simulate_bridge_stats(name, t_interior, mask, dim, n_clusters,
-                                 n_sim, rng)
+    sim = _bridge_null(t_interior.tobytes(), dim, n_clusters, n_sim, seed,
+                       (float(trim[0]), float(trim[1])))[row]
     p_value = float(np.mean(sim >= statistic))
     critical = float(np.quantile(sim, 0.95))
-    if pointwise is None:
+    if name == "DM":
+        crossings = t_interior[np.abs(observed).max(axis=1) > critical]
+    elif name == "CvM":
         crossings = np.empty(0)
     else:
-        over = np.asarray(pointwise > critical) & mask
-        crossings = t_interior[over]
+        # the pointwise LM statistic, only where the functional looks
+        cols = window if name == "maxLM" else slice(0, scale.shape[0])
+        lm = np.square(observed[cols]).sum(axis=1) / scale[cols]
+        crossings = t_interior[cols][lm > critical]
     return ScoreTestResult(
         statistic=statistic,
         p_value=p_value,
+        p_value_se=float(np.sqrt(p_value * (1.0 - p_value) / n_sim)),
         functional=name,
         path=path,
         parm=parm_idx,
@@ -369,5 +400,5 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
         critical_value=critical,
         crossings=crossings,
         n_sim=n_sim,
-        seed=int(seed),
+        seed=seed,
     )

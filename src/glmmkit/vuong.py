@@ -18,6 +18,7 @@ from scipy import stats as sps
 from .derivatives import estfun, hessian, llcont
 from .estimation import FittedGlmm
 from .exceptions import ConfigError, DegenerateError
+from .simulate import _CHUNK_ELEMENTS, _check_monte_carlo
 
 __all__ = ["VuongResult", "vuong_variance_test", "vuong_lr_test"]
 
@@ -85,10 +86,9 @@ def _check_same_clustering(fit1: FittedGlmm, fit2: FittedGlmm) -> None:
         )
 
 
-def _differences(fit1, fit2, n_points, seed, caller):
+def _differences(fit1, fit2, n_points, seed, n_sim, caller):
     """Per-cluster log-likelihood differences and their variance omega2."""
-    if seed is None:
-        raise ConfigError(f"{caller} requires a seed for the p-value simulation")
+    _check_monte_carlo(seed, n_sim, caller)
     _check_same_clustering(fit1, fit2)
     diff = llcont(fit1, n_points) - llcont(fit2, n_points)
     return diff, float(np.var(diff))
@@ -130,15 +130,14 @@ def _mixture_tail(weights, value, rng, n_sim):
     k = weights.shape[0]
     if k == 0:
         return 1.0 if value <= _EIG_TOL else 0.0
-    chunk = max(1, int(2 ** 23 // k))
+    rows = min(n_sim, max(1, _CHUNK_ELEMENTS // k))
+    buffer = np.empty((rows, k))
     count = 0
-    done = 0
-    while done < n_sim:
-        size = min(chunk, n_sim - done)
-        draws = rng.standard_normal((size, k))
-        sims = np.square(draws) @ weights
+    for start in range(0, n_sim, rows):
+        draws = buffer[:min(rows, n_sim - start)]
+        rng.standard_normal(out=draws)
+        sims = np.square(draws, out=draws) @ weights
         count += int(np.count_nonzero(sims >= value))
-        done += size
     return count / n_sim
 
 
@@ -160,16 +159,17 @@ def vuong_variance_test(fit1: FittedGlmm, fit2: FittedGlmm,
     n_points : int, optional
         Quadrature points for log-likelihood and score evaluation.
     seed : int
-        Required; drives the chi-square mixture simulation.
+        Required, a non-negative integer; drives the chi-square mixture
+        simulation.
     n_sim : int
-        Simulation draws for the p-value.
+        Simulation draws for the p-value, at least 1.
 
     Returns
     -------
     VuongResult
         With ``test="variance"``, ``statistic = I * omega2``.
     """
-    diff, omega2 = _differences(fit1, fit2, n_points, seed,
+    diff, omega2 = _differences(fit1, fit2, n_points, seed, n_sim,
                                 "vuong_variance_test")
     return _variance_result(fit1, fit2, diff, omega2, n_points, seed, n_sim,
                             parameterization)
@@ -216,7 +216,8 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
         the informative comparison in that case.  The differences and
         omega2 are attached as ``.differences``.
     """
-    diff, omega2 = _differences(fit1, fit2, n_points, seed, "vuong_lr_test")
+    diff, omega2 = _differences(fit1, fit2, n_points, seed, n_sim,
+                                "vuong_lr_test")
     if not nested and omega2 == 0.0:
         err = DegenerateError(
             "per-cluster log-likelihood differences have zero variance; "

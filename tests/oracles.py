@@ -332,3 +332,75 @@ def irt_rasch(y_matrix, item_effects, sd, n_points=61):
     kernel = (y[:, None, :] - p[None, :, :]).sum(axis=2) * u[None, :]
     score_sd = (post * kernel).sum(axis=1)
     return loglik, score_beta, score_sd
+
+
+# ---------------------------------------------------------------------------
+# simulated nulls, one functional per simulation
+
+
+def _functional_mask(name, t_interior, trim):
+    if name == "maxLM":
+        return (t_interior >= trim[0]) & (t_interior <= trim[1]) \
+            & (t_interior < 1.0)
+    if name == "maxLM-ordinal":
+        return t_interior < 1.0
+    return np.ones(t_interior.shape, dtype=bool)
+
+
+def _functional_values(name, paths, t_interior, mask, n_clusters):
+    """One functional of each path in a (n, m, d) batch."""
+    if name == "DM":
+        return np.abs(paths).max(axis=-1).max(axis=-1)
+    sq = np.square(paths).sum(axis=-1)
+    if name == "CvM":
+        return sq.sum(axis=-1) / n_clusters
+    scale = t_interior * (1.0 - t_interior)
+    pointwise = np.where(mask, np.divide(
+        sq, scale, out=np.zeros_like(sq), where=scale > 0.0), 0.0)
+    return pointwise.max(axis=-1)
+
+
+def bridge_null_reference(name, t_interior, dim, n_clusters, n_sim, seed,
+                          trim=(0.1, 0.9), chunk_budget=2 ** 24):
+    """Values of one functional on ``n_sim`` simulated Brownian bridges.
+
+    Draws its own bridges from ``default_rng(seed)`` in chunks of whole
+    paths of about ``chunk_budget`` grid values, as one array each for
+    the increments, the walk and the bridge, and evaluates the named
+    functional ("DM", "CvM", "maxLM" or "maxLM-ordinal") on them.
+    """
+    rng = np.random.default_rng(seed)
+    mask = _functional_mask(name, t_interior, trim)
+    m = t_interior.shape[0]
+    dt = np.diff(np.concatenate(([0.0], t_interior)))
+    chunk = max(1, int(chunk_budget // max(m * dim, 1)))
+    out = np.empty(n_sim)
+    done = 0
+    while done < n_sim:
+        size = min(chunk, n_sim - done)
+        incr = rng.standard_normal((size, m, dim))
+        incr *= np.sqrt(dt)[None, :, None]
+        walk = np.cumsum(incr, axis=1)
+        bridge = walk - t_interior[None, :, None] * walk[:, -1:, :]
+        out[done:done + size] = _functional_values(name, bridge, t_interior,
+                                                   mask, n_clusters)
+        done += size
+    return out
+
+
+def mixture_tail_reference(weights, value, rng, n_sim):
+    """P(sum of weighted chi-square(1) >= value) from ``n_sim`` draws of
+    ``rng``, made in chunks of about 2**23 normals."""
+    k = weights.shape[0]
+    if k == 0:
+        return 1.0 if value <= 1e-10 else 0.0
+    chunk = max(1, int(2 ** 23 // k))
+    count = 0
+    done = 0
+    while done < n_sim:
+        size = min(chunk, n_sim - done)
+        draws = rng.standard_normal((size, k))
+        sims = np.square(draws) @ weights
+        count += int(np.count_nonzero(sims >= value))
+        done += size
+    return count / n_sim

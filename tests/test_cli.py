@@ -146,6 +146,9 @@ def test_sctest_schema_and_path_csv(workdir, capsys, tmp_path):
     _validate(payload, "sctest")
     assert payload["functional"] == "DM"
     assert 0.0 <= payload["p_value"] <= 1.0
+    p = payload["p_value"]
+    assert payload["p_value_se"] == pytest.approx(
+        np.sqrt(p * (1.0 - p) / 2000), rel=1e-15)
     assert payload["path_file"] == str(path_out)
     with open(path_out, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -194,6 +197,27 @@ def test_nagq_zero_is_a_config_error(workdir, capsys, command):
     assert code == 1
     assert payload["error"]["category"] == "config"
     _validate(payload, "error")
+
+
+@pytest.mark.parametrize("command", ["sctest", "vuong"])
+def test_nonpositive_n_sim_is_a_config_error(workdir, capsys, command):
+    if command == "sctest":
+        argv = ["sctest", "--data", str(workdir / "data.csv"),
+                "--config", str(workdir / "config.json"),
+                "--fit", str(workdir / "fit.json"), "--order-by", "age"]
+    else:
+        argv = ["vuong", "--data", str(workdir / "data.csv"),
+                "--fit1", str(workdir / "fit.json"),
+                "--config1", str(workdir / "config.json"),
+                "--fit2", str(workdir / "fit_reduced.json"),
+                "--config2", str(workdir / "reduced.json"), "--nested"]
+    for n_sim in ("0", "-5"):
+        code, payload = _run_json(argv + ["--seed", "1", "--n-sim", n_sim],
+                                  capsys)
+        assert code == 1
+        _validate(payload, "error")
+        assert payload["error"]["category"] == "config"
+        assert "n_sim" in payload["error"]["message"]
 
 
 def test_cluster_level_values_and_first_varying_cluster():

@@ -5,11 +5,15 @@ and B the outer product of the centered columns, the path visits
 B^{-1/2} times the partial sums, pinned to zero at both ends.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from glmmkit import (ConfigError, DegenerateError, SingularityError, estfun,
                      cumulative_score_process, sctest)
+from glmmkit.stability import _NULL_ROWS, _bridge_null, _ordering_groups
+from oracles import bridge_null_reference
 
 
 def test_two_cluster_hand_example():
@@ -203,3 +207,159 @@ def test_sctest_crossings_when_unstable(binom_fit, ordering_40):
     assert result.p_value < 0.01
     assert result.crossings.size > 0
     assert np.all((result.crossings > 0.0) & (result.crossings < 1.0))
+
+
+def test_sctest_reports_the_monte_carlo_error_of_p(binom_fit, ordering_40):
+    result = sctest(binom_fit, ordering_40, seed=5, n_sim=4000)
+    p = result.p_value
+    assert 0.0 < p < 1.0
+    assert result.p_value_se == np.sqrt(p * (1.0 - p) / 4000)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_sim": 0}, {"n_sim": -5}, {"n_sim": 2.5}, {"seed": 1.7},
+    {"seed": -1}, {"seed": "3"},
+])
+def test_sctest_monte_carlo_settings_are_config_errors(binom_fit, ordering_40,
+                                                        kwargs):
+    settings = {"seed": 3, "n_sim": 100} | kwargs
+    with pytest.raises(ConfigError):
+        sctest(binom_fit, ordering_40, **settings)
+
+
+# ---------------------------------------------------------------------------
+# the shared one-pass null
+
+
+def _interior_grid(n_clusters, ties, seed=0):
+    ordering = np.random.default_rng(seed).standard_normal(n_clusters)
+    if ties:
+        ordering = np.round(ordering, 1)
+    _, _, ends = _ordering_groups(ordering)
+    return (ends + 1.0) / n_clusters
+
+
+# n_sim is never a multiple of the paths per chunk; the last case has five
+# paths per chunk and a remainder of two
+@pytest.mark.parametrize("n_clusters,dim,n_sim,ties", [
+    (40, 5, 1000, False),
+    (60, 1, 2500, True),
+    (25, 2, 333, True),
+    (30, 3, 777, False),
+    (50, 4, 1500, True),
+    (3000, 4, 7, False),
+])
+def test_one_pass_null_equals_the_per_functional_simulation(
+        n_clusters, dim, n_sim, ties):
+    t_interior = _interior_grid(n_clusters, ties)
+    assert (t_interior.shape[0] < n_clusters) == ties
+    null = _bridge_null(t_interior.tobytes(), dim, n_clusters, n_sim, 9,
+                        (0.1, 0.9))
+    assert null.shape == (4, n_sim)
+    for row, name in enumerate(_NULL_ROWS):
+        reference = bridge_null_reference(name, t_interior, dim, n_clusters,
+                                          n_sim, 9)
+        assert np.array_equal(null[row], reference), name
+
+
+def _assert_same_result(a, b):
+    for field in ("statistic", "p_value", "p_value_se", "critical_value",
+                  "functional", "parm", "labels", "n_sim", "seed"):
+        assert getattr(a, field) == getattr(b, field), field
+    np.testing.assert_array_equal(a.crossings, b.crossings)
+    np.testing.assert_array_equal(a.path.values, b.path.values)
+    np.testing.assert_array_equal(a.path.t, b.path.t)
+
+
+@pytest.mark.parametrize("functional", ["DM", "CvM", "maxLM", "maxLMo"])
+def test_cached_null_gives_the_same_result_as_a_fresh_one(
+        binom_fit, ordering_40, functional):
+    _bridge_null.cache_clear()
+    fresh = sctest(binom_fit, ordering_40, functional=functional, seed=21,
+                   n_sim=1500)
+    assert _bridge_null.cache_info().misses == 1
+    cached = sctest(binom_fit, ordering_40, functional=functional, seed=21,
+                    n_sim=1500)
+    assert _bridge_null.cache_info().hits == 1
+    _assert_same_result(fresh, cached)
+    # the result equals a p-value taken from the per-functional simulation
+    name = fresh.functional
+    reference = bridge_null_reference(name, fresh.path.t[1:], 3, 40, 1500,
+                                      21)
+    assert fresh.p_value == np.mean(reference >= fresh.statistic)
+    assert fresh.critical_value == np.quantile(reference, 0.95)
+
+
+def test_cached_null_is_read_only(binom_fit, ordering_40):
+    t_interior = sctest(binom_fit, ordering_40, seed=22,
+                        n_sim=300).path.t[1:]
+    null = _bridge_null(t_interior.tobytes(), 3, 40, 300, 22, (0.1, 0.9))
+    assert not null.flags.writeable
+    assert not null[0].flags.writeable
+    with pytest.raises(ValueError):
+        null[0, 0] = 0.0
+
+
+def test_functionals_and_parm_subsets_of_one_size_share_a_null(
+        binom_fit, ordering_40):
+    _bridge_null.cache_clear()
+    for functional in ("DM", "CvM", "maxLM", "maxLMo"):
+        sctest(binom_fit, ordering_40, functional=functional, seed=23,
+               n_sim=400)
+    sctest(binom_fit, ordering_40, parm=[0, 1], seed=23, n_sim=400)
+    sctest(binom_fit, ordering_40, parm=[1, 2], functional="cvm", seed=23,
+           n_sim=400)
+    info = _bridge_null.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+
+
+def test_different_settings_never_share_a_null(binom_fit, ordering_40):
+    base = {"seed": 24, "n_sim": 400, "trim": (0.1, 0.9)}
+    tied = np.round(ordering_40, 0)
+    variants = [
+        (ordering_40, base),
+        (ordering_40, base | {"trim": (0.2, 0.8)}),
+        (ordering_40, base | {"seed": 25}),
+        (ordering_40, base | {"n_sim": 401}),
+        (tied, base),
+    ]
+    _bridge_null.cache_clear()
+    for count, (ordering, kwargs) in enumerate(variants, start=1):
+        result = sctest(binom_fit, ordering, functional="maxLM", **kwargs)
+        info = _bridge_null.cache_info()
+        assert (info.misses, info.hits) == (count, 0)
+        t_interior = result.path.t[1:]
+        reference = bridge_null_reference(
+            "maxLM", t_interior, 3, 40, kwargs["n_sim"], kwargs["seed"],
+            kwargs["trim"])
+        assert result.p_value == np.mean(reference >= result.statistic)
+    assert tied.shape[0] == 40 and np.unique(tied).shape[0] < 40
+
+
+def test_empty_trim_window_fails_only_for_maxlm(binom_fit, ordering_40):
+    # no interior point of the 40-point grid k/40 lies in [0.9601, 0.9701]
+    window = (0.9601, 0.9701)
+    for functional in ("DM", "CvM", "maxLMo"):
+        result = sctest(binom_fit, ordering_40, functional=functional,
+                        seed=26, n_sim=300, trim=window)
+        assert np.isfinite(result.statistic)
+        assert np.isfinite(result.critical_value)
+    with pytest.raises(DegenerateError):
+        sctest(binom_fit, ordering_40, functional="maxlm", seed=26,
+               n_sim=300, trim=window)
+
+
+def test_large_grid_null_stays_small_in_memory(binom_fit):
+    # a 5000-point grid in 4 dimensions: the per-functional simulation
+    # allocated one chunk of every path at once, a peak of 130 MB at
+    # n_sim=200; the one-pass null measured 1.6 MB
+    scores = np.random.default_rng(0).standard_normal((5000, 4))
+    _bridge_null.cache_clear()
+    tracemalloc.start()
+    try:
+        sctest(binom_fit, np.arange(5000.0), scores=scores, seed=27,
+               n_sim=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20

@@ -7,6 +7,8 @@ from scipy import stats as sps
 from glmmkit import (ConfigError, DegenerateError, FitControl, GlmmData,
                      family_spec, fit, llcont, load_fitted, make_glmm_data,
                      vuong_lr_test, vuong_variance_test)
+from glmmkit.vuong import _mixture_tail
+from oracles import mixture_tail_reference
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +99,34 @@ def test_seed_is_required(model_pair):
         vuong_variance_test(full, reduced)
     with pytest.raises(ConfigError):
         vuong_lr_test(full, reduced, nested=True)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_sim": 0}, {"n_sim": -3}, {"n_sim": 1.5}, {"seed": 1.7},
+    {"seed": -2},
+])
+@pytest.mark.parametrize("test", ["variance", "nested", "non-nested"])
+def test_monte_carlo_settings_are_config_errors(model_pair, kwargs, test):
+    full, reduced, _ = model_pair
+    settings = {"seed": 3, "n_sim": 100} | kwargs
+    with pytest.raises(ConfigError):
+        if test == "variance":
+            vuong_variance_test(full, reduced, **settings)
+        else:
+            vuong_lr_test(full, reduced, nested=test == "nested", **settings)
+
+
+@pytest.mark.parametrize("k,n_sim", [(1, 70_001), (3, 2000), (7, 50_001),
+                                     (40, 3333)])
+def test_mixture_tail_matches_the_reference_draw_for_draw(k, n_sim):
+    # the variance tail and then the LR tail draw from one generator, so
+    # both p-values also check that each call consumes n_sim * k normals
+    weights = np.random.default_rng(k).standard_normal(k)
+    for value in (0.5, 3.0, 9.0):
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        for w in (np.square(weights), weights):
+            assert (_mixture_tail(w, value, ours, n_sim)
+                    == mixture_tail_reference(w, value, theirs, n_sim))
 
 
 def test_mismatched_clustering_rejected(model_pair, binom_fit):
