@@ -49,13 +49,16 @@ class GlmmData:
     z_names: tuple[str, ...]
 
     @classmethod
-    def from_arrays(cls, y, X, Z, cluster, x_names=None, z_names=None) -> "GlmmData":
+    def from_arrays(cls, y, X, Z, cluster, x_names=None, z_names=None,
+                    *, _coding=None) -> "GlmmData":
         """Build a :class:`GlmmData` from raw arrays.
 
         ``cluster`` may hold arbitrary hashable labels; clusters are coded
         in order of first appearance and rows are stably regrouped so each
         cluster is contiguous.  Shapes are validated and X is required to
-        have full column rank.
+        have full column rank.  ``_coding`` is the package-internal
+        ``_codes_by_first_appearance(cluster)``, for a caller that needs
+        the codes too.
         """
         y = np.asarray(y, dtype=float).ravel()
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -76,7 +79,7 @@ class GlmmData:
         if np.linalg.matrix_rank(X) < X.shape[1]:
             raise ShapeError("fixed-effect design X is rank deficient")
 
-        ids, codes = _codes_by_first_appearance(cluster)
+        ids, codes = _coding or _codes_by_first_appearance(cluster)
         order = np.argsort(codes, kind="stable")
         codes = codes[order]
         counts = np.bincount(codes, minlength=len(ids))
@@ -137,16 +140,16 @@ class GlmmData:
 
 
 def _codes_by_first_appearance(values: np.ndarray) -> tuple[list, np.ndarray]:
-    """Integer codes 0..I-1 assigned in order of first appearance."""
-    seen: dict = {}
-    codes = np.empty(values.size, dtype=np.intp)
-    for row, v in enumerate(values.tolist()):
-        code = seen.get(v)
-        if code is None:
-            code = len(seen)
-            seen[v] = code
-        codes[row] = code
-    return list(seen.keys()), codes
+    """Integer codes 0..I-1 assigned in order of first appearance.
+
+    Equal labels share the first one's code and key (``1``, ``1.0`` and
+    ``True`` are one cluster); a NaN matches only itself.
+    """
+    items = values.tolist()
+    index = {v: code for code, v in enumerate(dict.fromkeys(items))}
+    codes = np.fromiter(map(index.__getitem__, items), dtype=np.intp,
+                        count=len(items))
+    return list(index), codes
 
 
 def grouping_permutation(cluster) -> np.ndarray:

@@ -6,17 +6,32 @@ Turns an RFC-4180 CSV file plus a :class:`ModelConfig` into a
 in both main effects); categorical columns expand to dummy indicators.
 Rows with missing values in any referenced column are dropped and
 counted.
+
+The file is read once and decoded as UTF-8 (a leading byte-order mark is
+dropped).  Parsing then works column by column.  When the text has no
+``"`` and no lone ``\r`` once ``\r\n`` is read as ``\n``, no cell can be
+quoted or span lines, so a fast path splits the text into lines, checks
+each line's comma count, splits the body once on commas and takes every
+column as a stride slice.  Any other file goes through ``csv.reader``.
+Both paths give the same header and columns (a blank line has 0 fields,
+as ``csv.reader`` counts it) and share everything after: the
+missing-value mask, one ``float`` pass per numeric column, and one
+first-appearance coding of the clusters.  Per-cell work and line numbers
+are needed only on the error paths.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 import numpy as np
 
-from .design import GlmmData, grouping_permutation
+from .design import GlmmData, _codes_by_first_appearance
 from .exceptions import ConfigError, IngestionError
 
 __all__ = ["ModelConfig", "IngestResult", "ingest_csv"]
@@ -155,45 +170,109 @@ def _split_term(term: str) -> list[str]:
     return parts
 
 
-def _read_rows(path):
+def _ragged(lineno, width, found):
+    return IngestionError(
+        f"line {lineno}: expected {width} fields, found {found}"
+    )
+
+
+def _read_text(path):
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            rows = list(reader)
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise IngestionError(f"cannot read data file {path}: {exc}") from exc
+    bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    try:
+        return raw[bom:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(
+            f"data file {path} is not UTF-8: byte offset {bom + exc.start} "
+            f"({exc.reason})"
+        ) from exc
+
+
+def _split_lines(lines, width):
+    """Columns of unquoted lines: count commas per line, split once.
+
+    Empties ``lines`` once they are joined, so the line strings are freed
+    before the cells are made.
+    """
+    commas = list(map(str.count, lines, repeat(",")))
+    if "" in lines or commas.count(width - 1) != len(lines):
+        for lineno, line in enumerate(lines, start=2):
+            found = line.count(",") + 1 if line else 0
+            if found != width:
+                raise _ragged(lineno, width, found)
+    if not lines:
+        return [[] for _ in range(width)]
+    joined = ",".join(lines)
+    lines.clear()
+    flat = joined.split(",")
+    del joined
+    return [flat[j::width] for j in range(width)]
+
+
+def _split_rows(rows, width):
+    """Columns of rows that ``csv.reader`` produced."""
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise _ragged(lineno, width, len(row))
+    return [[row[j] for row in rows] for j in range(width)]
+
+
+def _csv_rows(path, text):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise IngestionError(
+            f"data file {path} is not valid CSV near line "
+            f"{reader.line_num}: {exc}"
+        ) from exc
+
+
+def _read_table(path):
+    """Header and raw columns of a CSV file with a rectangular body."""
+    text = _read_text(path)
+    unix = text.replace("\r\n", "\n")
+    fast = '"' not in unix and "\r" not in unix
+    rows = unix.split("\n") if fast else _csv_rows(path, text)
+    del text, unix
+    if fast and rows[-1] == "":
+        rows.pop()
     if not rows:
         raise IngestionError(f"{path} is empty; a header row is required")
-    header = [h.strip() for h in rows[0]]
+    first = rows.pop(0)
+    if fast:
+        first = first.split(",") if first else []
+    header = [h.strip() for h in first]
     if len(set(header)) != len(header):
         raise IngestionError(f"{path} has duplicate column names")
-    width = len(header)
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise IngestionError(
-                f"line {lineno}: expected {width} fields, found {len(row)}"
-            )
-    return header, rows[1:]
+    split = _split_lines if fast else _split_rows
+    return header, split(rows, len(header))
 
 
-def _classify(name, values, lines, declared_categorical):
-    """Return ("numeric", float-array) or ("categorical", str-array)."""
+def _classify(name, values, rows, declared_categorical):
+    """Return ("numeric", float-array) or ("categorical", str-array).
+
+    ``rows`` holds the 0-based body row of each value, for error messages.
+    """
     if name in declared_categorical:
         return "categorical", np.asarray(values, dtype=object)
-    parsed = np.empty(len(values))
+    try:
+        return "numeric", np.array(list(map(float, values)))
+    except ValueError:
+        pass
     bad: list[int] = []
-    ok = 0
     for idx, value in enumerate(values):
         try:
-            parsed[idx] = float(value)
-            ok += 1
+            float(value)
         except ValueError:
-            bad.append(lines[idx])
-    if not bad:
-        return "numeric", parsed
-    if ok == 0:
+            bad.append(idx)
+    if len(bad) == len(values):
         return "categorical", np.asarray(values, dtype=object)
-    shown = ", ".join(str(b) for b in bad[:5])
+    shown = ", ".join(str(rows[b] + 2) for b in bad[:5])
     more = "" if len(bad) <= 5 else f" (+{len(bad) - 5} more)"
     raise IngestionError(
         f"column {name!r} mixes numeric and non-numeric values; "
@@ -233,7 +312,7 @@ def ingest_csv(path, config: ModelConfig, extra_columns=()) -> IngestResult:
         Unknown columns, unparseable numeric values (with line numbers),
         or no rows left after dropping missing values.
     """
-    header, body = _read_rows(path)
+    header, columns = _read_table(path)
     col_of = {name: j for j, name in enumerate(header)}
     if (config.cluster == config.response
             or config.cluster in config.term_columns()):
@@ -251,35 +330,37 @@ def ingest_csv(path, config: ModelConfig, extra_columns=()) -> IngestResult:
                 f"column {name!r} not found; available: {', '.join(header)}"
             )
 
-    kept_lines: list[int] = []
-    dropped: list[int] = []
-    raw: dict[str, list[str]] = {name: [] for name in referenced}
-    for lineno, row in enumerate(body, start=2):
-        cells = {name: row[col_of[name]].strip() for name in referenced}
-        if any(cells[name] in _MISSING for name in referenced):
-            dropped.append(lineno)
-            continue
-        kept_lines.append(lineno)
-        for name in referenced:
-            raw[name].append(cells[name])
-    if not kept_lines:
+    raw = {name: list(map(str.strip, columns[col_of[name]]))
+           for name in referenced}
+    n_rows = len(raw[config.response])
+    missing = np.zeros(n_rows, dtype=bool)
+    for cells in raw.values():
+        if not _MISSING.isdisjoint(cells):
+            missing |= np.array([cell in _MISSING for cell in cells],
+                                dtype=bool)
+    kept = np.flatnonzero(~missing)
+    dropped = (np.flatnonzero(missing) + 2).tolist()
+    if not kept.size:
         raise IngestionError(
             "no rows left after dropping missing values "
             f"({len(dropped)} dropped)"
         )
+    if dropped:
+        keep = (~missing).tolist()
+        raw = {name: list(compress(cells, keep)) for name, cells in raw.items()}
 
     declared = set(config.categorical)
     kinds: dict[str, tuple[str, np.ndarray]] = {}
     for name in referenced:
         if name == config.cluster:
             continue
-        kinds[name] = _classify(name, raw[name], kept_lines, declared)
+        kinds[name] = _classify(name, raw[name], kept, declared)
     if config.response in kinds and kinds[config.response][0] != "numeric":
         raise IngestionError(
             f"response column {config.response!r} must be numeric"
         )
 
-    n_kept = len(kept_lines)
+    n_kept = kept.size
     has_intercept = "1" in config.fixed
     x_blocks: list[np.ndarray] = []
     x_names: list[str] = []
@@ -340,16 +421,17 @@ def ingest_csv(path, config: ModelConfig, extra_columns=()) -> IngestResult:
     x = np.hstack(x_blocks)
     z = np.hstack(z_blocks)
     cluster = np.asarray(raw[config.cluster], dtype=object)
-    data = GlmmData.from_arrays(y, x, z, cluster,
-                                x_names=x_names, z_names=z_names)
+    coding = _codes_by_first_appearance(cluster)
+    data = GlmmData.from_arrays(y, x, z, cluster, x_names=x_names,
+                                z_names=z_names, _coding=coding)
 
-    order = grouping_permutation(cluster)
+    order = np.argsort(coding[1], kind="stable")
     extra: dict[str, np.ndarray] = {}
     for name in extra_columns:
         if name in kinds:
             extra[name] = kinds[name][1][order]
         else:   # the cluster column itself was requested
-            extra[name] = np.asarray(raw[name], dtype=object)[order]
+            extra[name] = cluster[order]
     return IngestResult(
         data=data,
         n_dropped=len(dropped),

@@ -262,6 +262,18 @@ def _bridge_null(grid, dim, n_clusters, n_sim, seed, trim):
     return null
 
 
+def _p_value_se(p_value, n_sim):
+    """Monte-Carlo standard error of a simulated p-value.
+
+    At p = 0 or 1 the binomial formula reads 0, which claims an exact
+    answer; report the simulation's resolution ``min(3 / n_sim, 0.5)``
+    instead (3 / n_sim bounds a 95% interval for a zero count).
+    """
+    if p_value in (0.0, 1.0):
+        return min(3.0 / n_sim, 0.5)
+    return float(np.sqrt(p_value * (1.0 - p_value) / n_sim))
+
+
 def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
            n_points: int | None = None, seed: int | None = None,
            n_sim: int = 50000, trim: tuple[float, float] = (0.1, 0.9),
@@ -299,7 +311,9 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
     -------
     ScoreTestResult
         Statistic, simulated p-value and its Monte-Carlo standard error
-        ``sqrt(p (1 - p) / n_sim)``, the path for plotting, and the grid
+        ``sqrt(p (1 - p) / n_sim)`` (``min(3 / n_sim, 0.5)`` when no or
+        every simulated statistic reaches the observed one, so the
+        formula would read 0), the path for plotting, and the grid
         locations where the pointwise statistic exceeds the simulated 5%
         critical value (empty for CvM, which has no pointwise form).
 
@@ -392,7 +406,7 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
     return ScoreTestResult(
         statistic=statistic,
         p_value=p_value,
-        p_value_se=float(np.sqrt(p_value * (1.0 - p_value) / n_sim)),
+        p_value_se=_p_value_se(p_value, n_sim),
         functional=name,
         path=path,
         parm=parm_idx,

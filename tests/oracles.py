@@ -404,3 +404,20 @@ def mixture_tail_reference(weights, value, rng, n_sim):
         count += int(np.count_nonzero(sims >= value))
         done += size
     return count / n_sim
+
+
+# ---------------------------------------------------------------------------
+# cluster coding, one dictionary probe per row
+
+
+def codes_by_first_appearance(values):
+    """First-appearance cluster codes by an explicit per-row dict loop."""
+    seen: dict = {}
+    codes = np.empty(values.size, dtype=np.intp)
+    for row, v in enumerate(values.tolist()):
+        code = seen.get(v)
+        if code is None:
+            code = len(seen)
+            seen[v] = code
+        codes[row] = code
+    return list(seen.keys()), codes

@@ -351,6 +351,19 @@ def test_missing_data_column_gives_error_json(workdir, capsys, tmp_path):
     assert "nope" in payload["error"]["message"]
 
 
+def test_non_utf8_data_gives_error_json(workdir, capsys, tmp_path):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(
+        "y,x1,id,age\n1,0.5,café,30\n0,0.2,b,40\n".encode("latin-1"))
+    code, payload = _run_json(
+        ["fit", "--data", str(latin1),
+         "--config", str(workdir / "config.json")], capsys)
+    assert code == 1
+    _validate(payload, "error")
+    assert payload["error"]["category"] == "ingestion"
+    assert str(latin1) in payload["error"]["message"]
+
+
 def test_usage_errors_exit_two(workdir):
     with pytest.raises(SystemExit) as err:
         main(["scores", "--data", str(workdir / "data.csv")])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from glmmkit import GlmmData, ShapeError
-from glmmkit.design import grouping_permutation
+from glmmkit.design import _codes_by_first_appearance, grouping_permutation
+from oracles import codes_by_first_appearance
 
 
 def _interleaved():
@@ -101,3 +102,21 @@ def test_integer_cluster_labels():
     data = GlmmData.from_arrays(y, X, Z, np.array([7, 3, 7, 3, 9, 7]))
     assert data.cluster_ids == (7, 3, 9)
     np.testing.assert_array_equal(data.cluster_index, [0, 0, 0, 1, 1, 2])
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([1, 1.0, True, 2, 2.0, 1, False, 0], dtype=object),
+    np.array(["b", "a", "b", "c", "a", "", "b"]),
+    np.array([np.nan, 1.0, np.nan, 1.0, 2.0]),
+    np.array([float("nan"), "x", 3, "x", 3.0], dtype=object),
+    np.array([], dtype=object),
+])
+def test_cluster_coding_matches_the_per_row_loop(labels):
+    ids, codes = _codes_by_first_appearance(labels)
+    ref_ids, ref_codes = codes_by_first_appearance(labels)
+    # type and repr too: which of 1, 1.0 and True became the key matters
+    assert [(type(v), repr(v)) for v in ids] == \
+        [(type(v), repr(v)) for v in ref_ids]
+    assert codes.dtype == ref_codes.dtype
+    np.testing.assert_array_equal(codes, ref_codes)
+

@@ -205,6 +205,9 @@ def test_sctest_crossings_when_unstable(binom_fit, ordering_40):
     result = sctest(binom_fit, np.arange(40.0), seed=19, n_sim=2000,
                     scores=drift)
     assert result.p_value < 0.01
+    # no simulated bridge reaches the path: report the resolution, not 0
+    assert result.p_value == 0.0
+    assert result.p_value_se == 3.0 / 2000
     assert result.crossings.size > 0
     assert np.all((result.crossings > 0.0) & (result.crossings < 1.0))
 
