@@ -386,15 +386,18 @@ def _cmd_vuong(args) -> int:
         "metadata": _metadata(seed=args.seed, nagq=nagq),
         "omega2": result.omega2,
         "variance_p_value": result.variance_p_value,
+        "variance_p_value_se": result.variance_p_value_se,
         "weights": result.weights,
         "test": result.test,
         "statistic": result.statistic,
     }
     if result.test == "nested":
         payload["p_value"] = result.p_value
+        payload["p_value_se"] = result.p_value_se
     elif result.test == "non-nested":
         payload["p_model1_better"] = result.p_a
         payload["p_model2_better"] = result.p_b
+        payload["p_value_se"] = result.p_value_se
     else:
         payload["note"] = ("models are indistinguishable on this dataset; "
                            "the likelihood-ratio comparison is skipped")
@@ -434,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_model_args(p_scores)
     p_scores.add_argument("--ranpar", choices=_RANPAR_CHOICES, default="var")
 
-    p_hess = sub.add_parser("hessian", help="finite-difference Hessian (JSON)")
+    p_hess = sub.add_parser(
+        "hessian", help="analytic Hessian of the log-likelihood (JSON)")
     _add_common_model_args(p_hess)
     p_hess.add_argument("--ranpar", choices=_RANPAR_CHOICES, default="var")
 

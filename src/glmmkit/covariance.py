@@ -137,15 +137,72 @@ def dG_dtheta_jacobian(lam: np.ndarray, structure: str = "unstructured") -> np.n
     return jac
 
 
-def _sd_scale_factors(G: np.ndarray, structure: str) -> np.ndarray:
-    """Diagonal chain-rule factors taking var-scale scores to sd scale:
-    2*sigma_i for variances and sigma_i*sigma_j for covariances."""
+def theta_chain(lam, target: str, structure: str = "unstructured"):
+    """First and second derivatives of theta in the target parameters.
+
+    Returns ``jac`` (k, k) with ``jac[t, s] = d theta_t / d v_s`` and
+    ``second`` (k, k, k) with ``second[t, s, r] = d^2 theta_t / d v_s d
+    v_r``, v the parameters on the ``target`` scale in var-scale order.
+    Scores map as ``s_v = s_theta jac`` and a Hessian as ``H_v = jac' H_theta
+    jac + sum_t s_theta_t second[t]``.
+
+    On the var scale theta = F^-1(g) with g = vech(Lambda Lambda') = F(theta)
+    quadratic, so differentiating F(theta(g)) = g twice gives d^2 theta /
+    dg_s dg_r = -F'^-1 vech(D_s D_r' + D_r D_s'), D_s the factor direction
+    of column s of ``jac``.  On the sd scale g is itself a function of the
+    standard deviations and correlations, G_ii = sigma_i^2 and G_ij = rho_ij
+    sigma_i sigma_j, and the chain rule composes.
+
+    Raises
+    ------
+    SingularityError
+        If a diagonal entry of the factor is not positive; the map has no
+        derivative there.
+    """
+    validate_parameterization(target)
+    lam = np.asarray(lam, dtype=float)
+    q = lam.shape[0]
+    k = theta_length(q, structure)
+    if target == "theta":
+        return np.eye(k), np.zeros((k, k, k))
+    bad = np.flatnonzero(np.diag(lam) <= 0.0)
+    if bad.size:
+        raise SingularityError(
+            "relative covariance factor has zero diagonal entry "
+            f"Lambda[{bad[0]},{bad[0]}]; var/sd scores are undefined there"
+        )
+    try:
+        jac = np.linalg.inv(dG_dtheta_jacobian(lam, structure))
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError(f"singular reparameterization Jacobian: {exc}") from exc
+    rows = var_positions(q, structure)
+    directions = np.zeros((k, q, q))
+    for t, (i, j) in enumerate(free_positions(q, structure)):
+        directions[:, i, j] = jac[t]
+    products = np.einsum("sab,rcb->srac", directions, directions)
+    products += np.swapaxes(products, 0, 1)
+    row_i, row_j = (list(axis) for axis in zip(*rows))
+    second = -np.einsum("tu,sru->tsr", jac, products[:, :, row_i, row_j])
+    if target == "var":
+        return jac, second
+    G = lambda_to_G(lam)
     sd = np.sqrt(np.diag(G))
-    factors = [2.0 * s for s in sd]
-    if structure == "unstructured":
-        q = G.shape[0]
-        factors += [sd[i] * sd[j] for j in range(q) for i in range(j + 1, q)]
-    return np.array(factors)
+    at = {pos: r for r, pos in enumerate(rows)}
+    dg = np.zeros((k, k))       # dg[r, s] = d g_r / d v_s
+    g2 = np.zeros((k, k, k))    # g2[r, s, u] = d^2 g_r / d v_s d v_u
+    for r, (i, j) in enumerate(rows):
+        if i == j:
+            dg[r, r] = 2.0 * sd[i]
+            g2[r, r, r] = 2.0
+            continue
+        a, b = at[(i, i)], at[(j, j)]
+        rho = G[i, j] / (sd[i] * sd[j])
+        dg[r, [a, b, r]] = rho * sd[j], rho * sd[i], sd[i] * sd[j]
+        g2[r, a, b] = g2[r, b, a] = rho
+        g2[r, a, r] = g2[r, r, a] = sd[j]
+        g2[r, b, r] = g2[r, r, b] = sd[i]
+    return jac @ dg, (np.einsum("as,tab,br->tsr", dg, second, dg)
+                      + np.einsum("tu,usr->tsr", jac, g2))
 
 
 def reparameterize_scores(scores_theta, lam, target: str,
@@ -163,7 +220,8 @@ def reparameterize_scores(scores_theta, lam, target: str,
 
     Returns
     -------
-    ndarray of the same shape, columns ordered per the module docstring.
+    ndarray of the same shape, columns ordered per the module docstring:
+    ``scores_theta @ jac`` with ``jac`` from :func:`theta_chain`.
     """
     validate_parameterization(target)
     scores = np.asarray(scores_theta, dtype=float)
@@ -173,25 +231,7 @@ def reparameterize_scores(scores_theta, lam, target: str,
     k = theta_length(lam.shape[0], structure)
     if scores.shape[-1] != k:
         raise ShapeError(f"expected {k} theta columns, got {scores.shape[-1]}")
-    bad = np.flatnonzero(np.diag(lam) <= 0.0)
-    if bad.size:
-        raise SingularityError(
-            "relative covariance factor has zero diagonal entry "
-            f"Lambda[{bad[0]},{bad[0]}]; var/sd scores are undefined there"
-        )
-    jac = dG_dtheta_jacobian(lam, structure)
-    # Chain rule: d l/d theta = (d vech G / d theta)' d l/d G, so var-scale
-    # scores solve jac' x = theta-scale scores.
-    try:
-        if scores.ndim == 2:
-            var_scores = np.linalg.solve(jac.T, scores.T).T
-        else:
-            var_scores = np.linalg.solve(jac.T, scores)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"singular reparameterization Jacobian: {exc}") from exc
-    if target == "var":
-        return var_scores
-    return var_scores * _sd_scale_factors(lambda_to_G(lam), structure)
+    return scores @ theta_chain(lam, target, structure)[0]
 
 
 @dataclass(frozen=True)

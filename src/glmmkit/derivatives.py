@@ -3,8 +3,9 @@
 Everything here is post-estimation: given a :class:`FittedGlmm` (fitted
 internally or rehydrated from external estimates), compute per-cluster log
 likelihood contributions, per-cluster scores for the fixed effects and the
-random-effect hyperparameters on any of the three parameterizations, and a
-finite-difference Hessian of the total log-likelihood.
+random-effect hyperparameters on any of the three parameterizations, and
+the Hessian of the total log-likelihood: the exact derivative of the
+summed scores with the quadrature anchors following the parameters.
 
 Scores are ratios of two integrals sharing one adapted quadrature rule per
 cluster: the numerator integrates the conditional score times the
@@ -13,7 +14,9 @@ come from the same kernel as the fit objective
 (``estimation._quadrature_sweep``), one pass over the nodes in blocks of at
 most ``estimation._BLOCK_ELEMENTS`` (row, node) entries.  The ratio is
 formed in log space with a per-cluster max shift, so small marginal
-densities never produce NaN scores.
+densities never produce NaN scores.  The Hessian comes from one more
+pass of the same kernel, which also sums the observed curvature against
+every product of two design columns.
 """
 
 from __future__ import annotations
@@ -23,15 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
-from .estimation import (FittedGlmm, _quadrature_sweep, conditional_modes,
+from .estimation import (_BOUNDARY_TOL, FittedGlmm, _quadrature_sweep,
                          default_points)
-from .exceptions import EstimationError, SingularityError
+from .exceptions import SingularityError
 from .quadrature import GhRule, gh_rule
 
 __all__ = ["ScoreMatrix", "HessianResult", "llcont", "estfun", "gradient",
            "hessian"]
-
-_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,11 @@ class ScoreMatrix:
 
 @dataclass(frozen=True)
 class HessianResult:
-    """Finite-difference Hessian of the total log-likelihood.
+    """Hessian of the total log-likelihood (see :func:`hessian`).
 
-    ``one_sided`` lists parameter indices where a central difference was
-    infeasible (the perturbation left the parameter space) and a one-sided
-    difference was used instead.
+    ``one_sided`` lists the parameter indices of theta-scale diagonal
+    entries on the bound, where only the derivative from the feasible side
+    exists.
     """
 
     values: np.ndarray
@@ -149,95 +150,24 @@ def gradient(fit: FittedGlmm, parameterization: str = "var",
     return estfun(fit, parameterization, n_points).values.sum(axis=0)
 
 
-# ---------------------------------------------------------------------------
-# parameter vector mapping for finite differences
-
-
-def _parameter_vector(fit: FittedGlmm, parameterization: str) -> np.ndarray:
-    if parameterization == "theta":
-        return np.concatenate([fit.beta, fit.theta])
-    G = fit.relcov.G
-    positions = cov.var_positions(fit.data.n_random, fit.structure)
-    if parameterization == "var":
-        tail = [G[i, j] for i, j in positions]
-    else:
-        sd = np.sqrt(np.diag(G))
-        tail = [sd[i] if i == j else G[i, j] / (sd[i] * sd[j])
-                for i, j in positions]
-    return np.concatenate([fit.beta, tail])
-
-
-def _theta_from_vector(tail: np.ndarray, q: int, structure: str,
-                       parameterization: str) -> np.ndarray | None:
-    """Rebuild theta from a var- or sd-scale tail; None when infeasible."""
-    positions = cov.var_positions(q, structure)
-    G = np.zeros((q, q))
-    if parameterization == "var":
-        for value, (i, j) in zip(tail, positions):
-            G[i, j] = G[j, i] = value
-    else:
-        sd = np.empty(q)
-        for value, (i, j) in zip(tail, positions):
-            if i == j:
-                sd[i] = value
-        if np.any(sd <= 0.0):
-            return None
-        for value, (i, j) in zip(tail, positions):
-            G[i, j] = G[j, i] = sd[i] * sd[j] if i == j else value * sd[i] * sd[j]
-    if structure == "diagonal":
-        diag = np.diag(G)
-        if np.any(diag <= 0.0):
-            return None
-        return np.sqrt(diag)
-    try:
-        lam = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        return None
-    return cov.lambda_to_theta(lam, structure)
-
-
-def _gradient_at(vector: np.ndarray, fit: FittedGlmm, parameterization: str,
-                 rule: GhRule) -> np.ndarray | None:
-    """Total gradient at a perturbed vector, modes re-solved from fit.modes."""
-    p = fit.data.n_fixed
-    beta = vector[:p]
-    if parameterization == "theta":
-        theta = vector[p:]
-        if np.any(theta[_diag_positions(fit)] < 0.0):
-            return None
-    else:
-        theta = _theta_from_vector(vector[p:], fit.data.n_random,
-                                   fit.structure, parameterization)
-        if theta is None:
-            return None
-    lam = cov.theta_to_lambda(theta, fit.data.n_random, fit.structure)
-    try:
-        modes, chols = conditional_modes(beta, lam, fit.data, fit.family,
-                                         start=fit.modes)
-    except (EstimationError, np.linalg.LinAlgError):
-        return None
-    return _scores(fit, beta, theta, modes, chols, rule,
-                   parameterization).sum(axis=0)
-
-
-def _diag_positions(fit: FittedGlmm) -> list[int]:
-    return [idx for idx, (i, j)
-            in enumerate(cov.free_positions(fit.data.n_random, fit.structure))
-            if i == j]
-
-
 def hessian(fit: FittedGlmm, parameterization: str = "var",
             n_points: int | None = None) -> HessianResult:
-    """Hessian of the total log-likelihood by central finite differences
-    of the analytic gradient.
+    """Hessian of the total log-likelihood: the exact Jacobian of the
+    summed casewise scores, with the modes and conditional factors
+    following the parameters.
 
-    Each of the 2(p+k) perturbations re-solves the posterior modes,
-    starting from the fitted modes, before evaluating the gradient (step
-    ``max(1e-5, 1e-5 |param|)``).  When a perturbation leaves the
-    parameter space (a variance pushed negative, a correlation matrix
-    losing positive definiteness) that column falls back to a one-sided
-    difference and is flagged in ``one_sided``.  The result is
-    symmetrized as ``(H + H') / 2``.
+    One quadrature sweep at the fit's anchors gives the Louis identity
+    (posterior mean of the conditional Hessian plus the posterior
+    variance of the conditional score) and, through implicit
+    differentiation of the mode and of the conditional Cholesky factor,
+    the scores' motion with the anchors; see
+    ``estimation._anchored_hessian``.  The var and sd scales apply the
+    second-order chain rule ``H_v = J' H_theta J + sum_t s_theta_t
+    d^2 theta_t / dv dv'`` (``covariance.theta_chain``), whose second term
+    is not zero away from a stationary point.  The result is symmetrized
+    as ``(H + H') / 2``.  ``one_sided`` lists the theta-scale diagonal
+    entries on the bound (below ``estimation._BOUNDARY_TOL``): their
+    columns are derivatives from the feasible side.
     """
     cov.validate_parameterization(parameterization)
     if fit.boundary and parameterization != "theta":
@@ -245,38 +175,24 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
             "fit is on the boundary; request the theta parameterization"
         )
     rule = _derivative_rule(fit, n_points)
-    x0 = _parameter_vector(fit, parameterization)
-    n = x0.size
-    matrix = np.empty((n, n))
-    center = None
-    one_sided: list[int] = []
-    for j in range(n):
-        h = max(_FD_STEP, _FD_STEP * abs(x0[j]))
-        plus = x0.copy()
-        plus[j] += h
-        minus = x0.copy()
-        minus[j] -= h
-        g_plus = _gradient_at(plus, fit, parameterization, rule)
-        g_minus = _gradient_at(minus, fit, parameterization, rule)
-        if g_plus is not None and g_minus is not None:
-            matrix[:, j] = (g_plus - g_minus) / (2.0 * h)
-            continue
-        if g_plus is None and g_minus is None:
-            raise SingularityError(
-                f"both perturbations of parameter {j} left the parameter space"
-            )
-        if center is None:
-            center = _gradient_at(x0, fit, parameterization, rule)
-            if center is None:
-                raise SingularityError("gradient undefined at the fitted value")
-        one_sided.append(j)
-        if g_plus is not None:
-            matrix[:, j] = (g_plus - center) / h
-        else:
-            matrix[:, j] = (center - g_minus) / h
+    p = fit.data.n_fixed
+    lam = fit.lambda_matrix
+    positions = cov.free_positions(fit.data.n_random, fit.structure)
+    _, scores, matrix = _quadrature_sweep(fit.beta, lam, fit.data, fit.family,
+                                          fit.modes, fit.cond_chol, rule,
+                                          positions, second=True)
+    if parameterization != "theta":
+        jac, second = cov.theta_chain(lam, parameterization, fit.structure)
+        matrix[:, p:] = matrix[:, p:] @ jac
+        matrix[p:] = jac.T @ matrix[p:]
+        matrix[p:, p:] += np.einsum("t,tsr->sr", scores[:, p:].sum(axis=0),
+                                    second)
     matrix = 0.5 * (matrix + matrix.T)
+    # only a boundary fit has such entries, and it is refused off theta
+    one_sided = tuple(p + t for t, (i, j) in enumerate(positions)
+                      if i == j and fit.theta[t] < _BOUNDARY_TOL)
     return HessianResult(values=matrix,
                          labels=tuple(fit.parameter_labels(parameterization)),
                          parameterization=parameterization,
                          m_used=rule.points_per_dim,
-                         one_sided=tuple(one_sided))
+                         one_sided=one_sided)

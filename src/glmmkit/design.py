@@ -10,6 +10,7 @@ appearance in the input; row order within a cluster is preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,11 +129,25 @@ class GlmmData:
     def cluster_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    @cached_property
+    def distinct_design(self) -> tuple[list[int], np.ndarray]:
+        """The distinct columns of the joint design [X Z]: their positions
+        in it, and for each of its d columns the position among them of
+        the column equal to it.  Equal columns, such as an intercept in
+        both X and Z, count once."""
+        rows = np.hstack([self.X, self.Z])
+        first = [next(c for c in range(j + 1)
+                      if np.array_equal(rows[:, c], rows[:, j]))
+                 for j in range(rows.shape[1])]
+        distinct = sorted(set(first))
+        return distinct, np.array([distinct.index(c) for c in first])
+
     # -- per-cluster reductions -------------------------------------------
 
-    def sum_by_cluster(self, values: np.ndarray) -> np.ndarray:
-        """Segment-sum an (N,) or (N, ...) array over cluster blocks."""
-        return np.add.reduceat(values, self.offsets[:-1], axis=0)
+    def sum_by_cluster(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Segment-sum an array over cluster blocks along its row axis,
+        ``axis`` (length N)."""
+        return np.add.reduceat(values, self.offsets[:-1], axis=axis)
 
     def rows(self, i: int) -> slice:
         """Row slice of cluster ``i``."""
@@ -150,13 +165,3 @@ def _codes_by_first_appearance(values: np.ndarray) -> tuple[list, np.ndarray]:
     codes = np.fromiter(map(index.__getitem__, items), dtype=np.intp,
                         count=len(items))
     return list(index), codes
-
-
-def grouping_permutation(cluster) -> np.ndarray:
-    """Row permutation applied by :meth:`GlmmData.from_arrays`.
-
-    Apply it to any per-row auxiliary column so its rows line up with the
-    regrouped ``y``, ``X`` and ``Z``.
-    """
-    _, codes = _codes_by_first_appearance(np.asarray(cluster).ravel())
-    return np.argsort(codes, kind="stable")

@@ -10,7 +10,7 @@ scaled by the conditional Cholesky factor.
 
 One kernel, ``_quadrature_sweep``, evaluates the conditional density of
 every cluster at every adapted node; the fit objective, ``llcont``,
-``estfun`` and every Hessian column all call it.  It works through the
+``estfun`` and ``hessian`` all call it.  It works through the
 nodes in (N, m) blocks of rows by nodes, with m set so a block holds at
 most ``_BLOCK_ELEMENTS`` entries, and returns the per-cluster
 log-likelihood and, on request, the per-cluster scores from the same
@@ -27,7 +27,10 @@ factor (differentiated through its Cholesky).  The scores themselves
 stay independently checked: acceptance gates 1 and 2 test the
 fixed-anchor scores against finite differences and brute-force
 integration, and a test checks the exact gradient against finite
-differences of the re-anchored log-likelihood.
+differences of the re-anchored log-likelihood.  The Hessian is the
+derivative of the fixed-anchor scores with the anchors moving, from the
+same implicit derivatives (``_anchored_hessian``); the anchor terms of
+both read the rows' state at the modes from one ``_mode_state``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ _GTOL = 1e-6
 # block save numpy call overhead on small data; from 16,384 rows on each
 # block is one node, which measured faster at 20,000 and 50,000 rows.
 _BLOCK_ELEMENTS = 32_768
+# (cluster, node) entries per slice of the Hessian's cluster-by-node
+# algebra: its temporaries hold a few dozen doubles per entry at q = 1,
+# more at larger q, so slicing bounds its memory whatever the data size
+_CLUSTER_NODES = 4_096
 
 
 def default_points(q: int, stage: str = "estimation") -> int:
@@ -291,9 +298,23 @@ def _factor_curvature(m_obs, m_exp, lam, data: GlmmData):
 # marginal log-likelihood
 
 
+def _design_pairs(col_of):
+    """The pairs (a, b), a <= b, of the distinct design columns, given
+    ``col_of`` from ``GlmmData.distinct_design``, and ``pair_of`` (d, d),
+    the position in that list of each pair of design columns."""
+    n_distinct = int(col_of.max()) + 1
+    products = [(a, b) for a in range(n_distinct)
+                for b in range(a, n_distinct)]
+    position = {pair: k for k, pair in enumerate(products)}
+    pair_of = np.array([[position[tuple(sorted((c, e)))] for e in col_of]
+                        for c in col_of])
+    return products, pair_of
+
+
 def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
                       modes, chols, rule: GhRule, positions=None,
-                      general: bool | None = None, exact: bool = False):
+                      general: bool | None = None, exact: bool = False,
+                      second: bool = False):
     """The conditional density of every cluster at every adapted node.
 
     Anchors ``rule`` at each cluster's mode and conditional factor, then
@@ -313,7 +334,11 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     adds the derivative through the anchors (see ``_anchor_terms``), so
     the scores become the exact gradient of the returned log-likelihood
     with the modes and factors re-solved at every parameter value: the
-    gradient of the fit objective.
+    gradient of the fit objective.  ``second`` also returns the Jacobian
+    of the summed fixed-anchor scores with the anchors following the
+    parameters (see ``_anchored_hessian``), shape (p + k, p + k); it adds
+    one row sum per node for every pair of distinct columns of [X Z],
+    weighted by the observed curvature.
     """
     log_w, locations = _adapted_grid(rule, modes, chols)
     y, n_nodes, p = data.y, rule.size, data.n_fixed
@@ -323,8 +348,18 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     scores = positions is not None
     if scores:
         general = not family.canonical if general is None else general
-        design = np.hstack([data.X, data.Z]).T
-        kernel = np.empty((design.shape[0], data.n_clusters, n_nodes))
+        distinct, col_of = data.distinct_design
+        columns = np.stack([data.X[:, j] if j < p else data.Z[:, j - p]
+                            for j in distinct])
+        kernel = np.empty((len(distinct), data.n_clusters, n_nodes))
+    if second:
+        # the anchors' motion first: the mode-level rows are freed before
+        # the node blocks run
+        products, pair_of = _design_pairs(col_of)
+        motion = _anchor_motion(lam, data, modes, chols, positions,
+                                _mode_state(beta, lam, data, family, modes),
+                                columns, col_of)
+        curvature = np.empty((data.n_clusters, n_nodes, len(products)))
     per_block = max(1, _BLOCK_ELEMENTS // data.n_obs)
     for start in range(0, n_nodes, per_block):
         block = slice(start, start + per_block)
@@ -338,32 +373,103 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
             continue
         resid = y[:, None] - mu
         if general:
-            resid = resid * family._dmu_deta(eta) / family.variance_function(mu)
-        for k, column in enumerate(design):
+            dmu = family._dmu_deta(eta)
+            var = family.variance_function(mu)
+            resid = resid * dmu / var
+        for k, column in enumerate(columns):
             kernel[k, :, block] = data.sum_by_cluster(column[:, None] * resid)
+        if second:
+            # a canonical link has mu' = V, so the observed curvature is V
+            m_obs = (_curvatures(eta, mu, dmu, var, y[:, None], family)[0]
+                     if general else family.variance_function(mu))
+            weighted = columns[:, :, None] * m_obs
+            for k, (a, b) in enumerate(products):
+                curvature[:, block, k] = data.sum_by_cluster(
+                    weighted[a] * columns[b, :, None])
     shift = joint.max(axis=1, keepdims=True)
     dens = np.exp(joint - shift)
     mass = dens.sum(axis=1)
     ell = shift[:, 0] + np.log(mass)
     if not scores:
         return ell
+    kernel = kernel[col_of]     # one row per column of [X Z]
     rho = dens / mass[:, None]  # normalized node weights per cluster
     s_theta = [np.einsum("im,im,im->i", rho, kernel[p + a], locations[b])
                for a, b in positions]
     scores = np.column_stack([np.einsum("im,kim->ik", rho, kernel[:p]),
                               *s_theta])
-    if exact:
-        # grad g = Lambda' Z' r - u at every node, then its moments
+    if exact or second:
+        # grad g = Lambda' Z' r - u at every node
         grad_g = np.tensordot(lam.T, kernel[p:], axes=1) - locations
+    if second:
+        # the row-level arrays are done with: free them before the
+        # cluster-by-node algebra, which would otherwise add to the peak
+        del columns, xbeta, eta, mu, kappa, resid, m_obs, weighted
+        size = max(1, _CLUSTER_NODES // n_nodes)
+        jacobian = sum(
+            _anchored_hessian(p, lam, positions, rule.nodes, rho[part],
+                              kernel[:, part], curvature[part], pair_of,
+                              locations[:, part], grad_g[:, part],
+                              motion[part])
+            for part in map(slice, range(0, data.n_clusters, size),
+                            range(size, data.n_clusters + size, size)))
+    if exact:
         scores += _anchor_terms(
-            beta, lam, data, family, modes, chols, positions,
+            lam, data, modes, chols, positions,
+            _mode_state(beta, lam, data, family, modes),
             np.einsum("im,jim->ij", rho, grad_g),
             np.einsum("im,jim,mc->ijc", rho, grad_g, rule.nodes))
-    return ell, scores
+    return (ell, scores, jacobian) if second else (ell, scores)
 
 
-def _anchor_terms(beta, lam, data: GlmmData, family: FamilySpec, modes,
-                  chols, positions, grad_mean, grad_outer):
+@dataclass(frozen=True)
+class _ModeState:
+    """Every row's state at its cluster's conditional mode: the linear
+    predictor, mean, mu'(eta), variance, d log f / d eta, both curvatures
+    of -log f per unit eta^2 with their eta-slopes, and whether the
+    conditional factor was built on the observed curvature
+    (``_factor_curvature``)."""
+
+    eta: np.ndarray
+    mu: np.ndarray
+    dmu: np.ndarray
+    var: np.ndarray
+    resid: np.ndarray
+    m_obs: np.ndarray
+    m_exp: np.ndarray
+    slope_obs: np.ndarray
+    slope_exp: np.ndarray
+    observed: bool
+
+    @property
+    def weight(self) -> np.ndarray:
+        """The curvature behind the conditional factor."""
+        return self.m_obs if self.observed else self.m_exp
+
+    @property
+    def slope(self) -> np.ndarray:
+        """The eta-slope of ``weight``."""
+        return self.slope_obs if self.observed else self.slope_exp
+
+
+def _mode_state(beta, lam, data: GlmmData, family: FamilySpec,
+                modes) -> _ModeState:
+    """The rows' :class:`_ModeState` at the modes ``modes`` (I, q)."""
+    eta = _build_eta(data.X @ np.asarray(beta, dtype=float), data,
+                     (lam @ modes.T)[:, :, None])[:, 0]
+    mu = family.inverse_link(eta)
+    dmu = family._dmu_deta(eta)
+    var = family.variance_function(mu)
+    m_obs, m_exp, slope_obs, slope_exp = _curvatures(eta, mu, dmu, var,
+                                                     data.y, family,
+                                                     slopes=True)
+    _, observed = _factor_curvature(m_obs, m_exp, lam, data)
+    return _ModeState(eta, mu, dmu, var, (data.y - mu) * dmu / var, m_obs,
+                      m_exp, slope_obs, slope_exp, observed)
+
+
+def _anchor_terms(lam, data: GlmmData, modes, chols, positions,
+                  state: _ModeState, grad_mean, grad_outer):
     """The part of the exact per-cluster gradient that fixed-anchor scores
     leave out: the derivative through the mode and the conditional factor.
 
@@ -378,19 +484,12 @@ def _anchor_terms(beta, lam, data: GlmmData, family: FamilySpec, modes,
     the factor term is -<B, dH> with B = C Phi(C' G) C', G the matrix
     above.  dH needs the eta-slope of the curvature behind C, and both
     terms come back to per-row weights, so every parameter costs one
-    segment sum.  Returns shape (I, p + k).
+    segment sum.  ``state`` holds the rows at the modes.  Returns shape
+    (I, p + k).
     """
-    rows, y = data.cluster_index, data.y
+    rows = data.cluster_index
     q = data.n_random
-    eta = _build_eta(data.X @ np.asarray(beta, dtype=float), data,
-                     (lam @ modes.T)[:, :, None])[:, 0]
-    mu = family.inverse_link(eta)
-    dmu = family._dmu_deta(eta)
-    var = family.variance_function(mu)
-    m_obs, m_exp, slope_obs, slope_exp = _curvatures(eta, mu, dmu, var, y,
-                                                     family, slopes=True)
-    _, observed = _factor_curvature(m_obs, m_exp, lam, data)
-    weight, slope = (m_obs, slope_obs) if observed else (m_exp, slope_exp)
+    weight, slope = state.weight, state.slope
 
     diag = np.arange(q)
     chol_t = np.swapaxes(chols, 1, 2)
@@ -408,13 +507,13 @@ def _anchor_terms(beta, lam, data: GlmmData, family: FamilySpec, modes,
     # the mode term and the factor term's share through deta = Z Lambda da
     # meet in one vector per cluster, pulled back through H^-1
     pull = grad_mean - data.sum_by_cluster(zl * slope_b[:, None])
-    if observed:
+    if state.observed:
         nu = np.einsum("ijk,ilk,il->ij", chols, chols, pull)  # C C' pull
     else:
-        nu = np.linalg.solve(_penalized_curvature(m_obs, lam, data),
+        nu = np.linalg.solve(_penalized_curvature(state.m_obs, lam, data),
                              pull[..., None])[..., 0]
-    row_weight = m_obs * np.sum(zl * nu[rows], axis=1) + slope_b
-    zr = data.sum_by_cluster(data.Z * ((y - mu) * dmu / var)[:, None])
+    row_weight = state.m_obs * np.sum(zl * nu[rows], axis=1) + slope_b
+    zr = data.sum_by_cluster(data.Z * state.resid[:, None])
     zw = data.sum_by_cluster(data.Z * row_weight[:, None])
     zwb = data.sum_by_cluster((data.Z * weight[:, None])[:, :, None]
                               * zlb[:, None, :])
@@ -423,6 +522,149 @@ def _anchor_terms(beta, lam, data: GlmmData, family: FamilySpec, modes,
     return np.column_stack([-data.sum_by_cluster(data.X
                                                  * row_weight[:, None]),
                             *s_theta])
+
+
+def _anchor_motion(lam, data: GlmmData, modes, chols, positions,
+                   state: _ModeState, columns, col_of):
+    """How the nodes u = a + C z move with the parameters: du = da + dC z,
+    returned as ``motion`` (I, q, 1 + q, p + k) with du = sum_e [1, z]_e
+    motion[:, :, e].
+
+    As in ``_anchor_terms``, da = H_obs^-1 d(grad g)(a) from implicit
+    differentiation of grad g(a) = 0, and dC = -C Phi(C' dH C), Phi keeping
+    the lower triangle with the diagonal halved, dH differentiating the
+    curvature behind C with the mode's motion in eta.  That takes the row
+    sums of z d' against the observed curvature and of z z' against the
+    factor's weight at the modes, d the rows of the design [X Z], and of z
+    z' d against the weight's slope; the design comes as its distinct
+    ``columns`` and ``col_of`` (``_design_pairs``).  ``state`` holds the
+    rows at the modes.
+    """
+    p, q = data.n_fixed, data.n_random
+    n_cl = data.n_clusters
+    lifted = np.array([*range(p), *(p + a for a, _ in positions)])
+    factor_of = [b for _, b in positions]
+    Z = data.Z
+
+    def z_sums(weight):
+        """sum over each cluster's rows of z_a weight d, shape (I, q, d)."""
+        return np.stack([data.sum_by_cluster(columns * (weight * Z[:, a]),
+                                             axis=1).T[:, col_of]
+                         for a in range(q)], axis=1)
+
+    zmd = z_sums(state.m_obs)                                 # Z' diag(m) D
+    zr = data.sum_by_cluster(Z * state.resid[:, None])
+    mode_mult = np.hstack([np.ones((n_cl, p)), modes[:, factor_of]])
+    dgrad = -np.einsum("ja,ijt->iat", lam, zmd[..., lifted]
+                       * mode_mult[:, None, :])
+    for t, (a, b) in enumerate(positions):
+        dgrad[:, b, p + t] += zr[:, a]
+    diag = np.arange(q)
+    if state.observed:
+        da = chols @ (np.swapaxes(chols, 1, 2) @ dgrad)       # C C' dgrad
+        zwz = zmd[..., p:]
+    else:
+        h_obs = np.einsum("ja,ijk,kb->iab", lam, zmd[..., p:], lam)
+        h_obs[:, diag, diag] += 1.0
+        da = np.linalg.solve(h_obs, dgrad)
+        zwz = z_sums(state.m_exp)[..., p:]
+    third = np.stack([z_sums(state.slope * Z[:, a]) for a in range(q)],
+                     axis=1)                                  # (I, q, q, d)
+    deta = (third[..., lifted] * mode_mult[:, None, None, :]
+            + np.einsum("iabj,jk,ikt->iabt", third[..., p:], lam, da))
+    dh = np.einsum("ja,ijkt,kb->itab", lam, deta, lam)
+    wl = zwz @ lam
+    for t, (a, b) in enumerate(positions):
+        dh[:, p + t, b, :] += wl[:, a, :]
+        dh[:, p + t, :, b] += wl[:, a, :]
+    inner = np.tril(np.swapaxes(chols, 1, 2)[:, None] @ dh @ chols[:, None])
+    inner[..., diag, diag] *= 0.5
+    dc = -(chols[:, None] @ inner)
+    return np.concatenate([da[:, :, None], np.moveaxis(dc, 1, -1)], axis=2)
+
+
+def _anchored_hessian(p, lam, positions, nodes, rho, kernel, curvature,
+                      pair_of, locations, grad_g, motion):
+    """Jacobian of the summed fixed-anchor scores S(psi; a, C) with the
+    modes a and factors C following psi: the Hessian the casewise
+    machinery uses.
+
+    At a node u of cluster i the score of log f is P(u) K, with K = D' r
+    the node's ``kernel`` (D = [X Z], r = d log f / d eta) and P(u)
+    taking column j of X to beta_j and column a of Z, times u_b, to the
+    factor entry (a, b).  Its parameter Hessian is -P Q P' with Q = D'
+    diag(m) D, m the observed curvature; ``curvature`` (I, M, pairs) holds
+    Q's entries, entry (c, d) in column ``pair_of[c, d]``.  Per cluster,
+    with node weights ``rho``:
+
+    1. the Louis identity at fixed anchors, E[-P Q P'] + Var[P K];
+    2. and 3. the anchors' motion.  A parameter moves every node by du
+       (``_anchor_motion``), and the score by E[(d(P K)/du) du] + Cov(P K,
+       grad g' du), with d(P K)/du = dP K - P Q [0 Lambda]' and g = log f -
+       ||u||^2 / 2 (the log det C term of the node weights is the same at
+       every node and cancels).  du is affine in z, so these need only
+       moments against [1, z].
+
+    Returns the sum over clusters, shape (p + k, p + k), row = score,
+    column = parameter.
+    """
+    n_cl, q = rho.shape[0], lam.shape[0]
+    n = p + len(positions)
+    lifted = np.array([*range(p), *(p + a for a, _ in positions)])
+    factor_of = [b for _, b in positions]
+
+    def contract(left, right):
+        """sum over clusters of left (I, n, J) times right (I, J, n)."""
+        return (np.swapaxes(left, 0, 1).reshape(left.shape[1], -1)
+                @ right.reshape(-1, right.shape[-1]))
+
+    # node moments of Q against the monomials of P and of du: products
+    # of two factors from [1, z, u]
+    u = np.moveaxis(locations, 0, -1)                         # (I, M, q)
+    factors = np.concatenate([np.ones(u.shape[:-1] + (1,)),
+                              np.broadcast_to(nodes, u.shape), u], axis=-1)
+    of_mult = [0] * p + [1 + q + b for b in factor_of]        # factor of P
+    of_base = range(q + 1)                                    # of [1, z]
+    louis_keys = [[tuple(sorted((f, g))) for g in of_mult] for f in of_mult]
+    motion_keys = [[tuple(sorted((f, e))) for e in of_base] for f in of_mult]
+    keys = sorted({key for table in (louis_keys, motion_keys)
+                   for row in table for key in row})
+    slot = {key: k for k, key in enumerate(keys)}
+    left, right = np.array(keys).T
+    q_moments = np.swapaxes(rho[..., None] * factors[..., left]
+                            * factors[..., right], 1, 2) @ curvature
+
+    # the Louis identity at fixed anchors
+    s = np.moveaxis(kernel[lifted], 0, -1) * factors[..., of_mult]
+    weighted = rho[..., None] * s                             # node scores
+    mean_s = weighted.sum(axis=1)
+    total = (weighted.reshape(-1, n).T @ s.reshape(-1, n)
+             - mean_s.T @ mean_s
+             - q_moments.sum(axis=0)[
+                 [[slot[key] for key in row] for row in louis_keys],
+                 pair_of[np.ix_(lifted, lifted)]])
+
+    # E[dP K du] - E[P Q [0 Lambda]' du]
+    base = np.hstack([np.ones((nodes.shape[0], 1)), nodes])
+    flat = motion.reshape(n_cl, -1, n)
+    q_cols = q_moments[:, np.array([[slot[key] for key in row]
+                                    for row in motion_keys])[:, None, :],
+                       pair_of[lifted][:, p:, None]]          # (I, n, q, 1+q)
+    total -= contract(q_cols.reshape(n_cl, n, -1),
+                      np.einsum("jk,iket->ijet", lam, motion).reshape(
+                          n_cl, -1, n))
+    zr_moments = np.einsum("im,aim,me->iae", rho, kernel[p:], base)
+    total[p:] += np.einsum("ire,iret->rt",
+                           zr_moments[:, [a for a, _ in positions]],
+                           motion[:, factor_of])
+    # Cov(P K, grad g' du)
+    g_moments = np.einsum("im,jim,me->ije", rho, grad_g,
+                          base).reshape(n_cl, 1, -1)
+    sg_moments = np.moveaxis(weighted[..., None]
+                             * np.moveaxis(grad_g, 0, -1)[:, :, None], 1, -1)
+    total += (contract((sg_moments @ base).reshape(n_cl, n, -1), flat)
+              - mean_s.T @ (g_moments @ flat)[:, 0])
+    return total
 
 
 def marginal_loglik(beta, relcov, data: GlmmData, family: FamilySpec,

@@ -2,9 +2,10 @@
 
 Each generator returns the drawn dataset together with the generating
 parameters so simulation studies can compare estimates against truth.
-The module also holds the settings shared by the simulated nulls of
-:func:`~glmmkit.sctest` and the Vuong tests: the check on their seed and
-draw count, and the chunk size their draws are made in.
+The module also holds what the simulated nulls of :func:`~glmmkit.sctest`
+and the Vuong tests share: the check on their seed and draw count, the
+chunk size their draws are made in, and the Monte-Carlo standard error
+of a simulated p-value.
 """
 
 from __future__ import annotations
@@ -54,6 +55,18 @@ def _check_monte_carlo(seed, n_sim, caller: str) -> tuple[int, int]:
         raise ConfigError(f"{caller} n_sim must be a positive integer, "
                           f"got {n_sim!r}")
     return int(seed), int(n_sim)
+
+
+def _p_value_se(p_value, n_sim):
+    """Monte-Carlo standard error of a simulated p-value.
+
+    At p = 0 or 1 the binomial formula reads 0, which claims an exact
+    answer; report the simulation's resolution ``min(3 / n_sim, 0.5)``
+    instead (3 / n_sim bounds a 95% interval for a zero count).
+    """
+    if p_value in (0.0, 1.0):
+        return min(3.0 / n_sim, 0.5)
+    return float(np.sqrt(p_value * (1.0 - p_value) / n_sim))
 
 
 @dataclass(frozen=True)

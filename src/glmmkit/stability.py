@@ -18,7 +18,7 @@ import numpy as np
 from .derivatives import ScoreMatrix, estfun
 from .estimation import FittedGlmm
 from .exceptions import ConfigError, DegenerateError, SingularityError
-from .simulate import _CHUNK_ELEMENTS, _check_monte_carlo
+from .simulate import _CHUNK_ELEMENTS, _check_monte_carlo, _p_value_se
 
 __all__ = [
     "FluctuationPath",
@@ -260,18 +260,6 @@ def _bridge_null(grid, dim, n_clusters, n_sim, seed, trim):
                                                   n_clusters)
     null.flags.writeable = False
     return null
-
-
-def _p_value_se(p_value, n_sim):
-    """Monte-Carlo standard error of a simulated p-value.
-
-    At p = 0 or 1 the binomial formula reads 0, which claims an exact
-    answer; report the simulation's resolution ``min(3 / n_sim, 0.5)``
-    instead (3 / n_sim bounds a 95% interval for a zero count).
-    """
-    if p_value in (0.0, 1.0):
-        return min(3.0 / n_sim, 0.5)
-    return float(np.sqrt(p_value * (1.0 - p_value) / n_sim))
 
 
 def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",

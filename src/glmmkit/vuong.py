@@ -18,7 +18,7 @@ from scipy import stats as sps
 from .derivatives import estfun, hessian, llcont
 from .estimation import FittedGlmm
 from .exceptions import ConfigError, DegenerateError
-from .simulate import _CHUNK_ELEMENTS, _check_monte_carlo
+from .simulate import _CHUNK_ELEMENTS, _check_monte_carlo, _p_value_se
 
 __all__ = ["VuongResult", "vuong_variance_test", "vuong_lr_test"]
 
@@ -47,9 +47,16 @@ class VuongResult:
         I*omega2 for the variance test, the z statistic for the
         non-nested test, 2*sum of log-likelihood differences for the
         nested test.
+    variance_p_value_se : float
+        Monte-Carlo standard error of ``variance_p_value``; 0 when the
+        mixture has no weights, where the tail is exact.
     p_value : float or None
         Headline p-value (variance and nested tests); None for the
         non-nested test, which reports the directional pair instead.
+    p_value_se : float
+        Monte-Carlo standard error of the headline p-value: simulated for
+        the variance and nested tests, 0 for the non-nested test, whose
+        normal p-values are exact.
     p_a, p_b : float or None
         Non-nested directional p-values: small p_a favors model 1, small
         p_b favors model 2.  They sum to one.
@@ -62,8 +69,10 @@ class VuongResult:
     test: str
     omega2: float
     variance_p_value: float
+    variance_p_value_se: float
     statistic: float
     p_value: float | None
+    p_value_se: float
     p_a: float | None
     p_b: float | None
     weights: np.ndarray
@@ -98,7 +107,7 @@ def _variance_null(fit1, fit2, n_points, parameterization, statistic, seed,
                    n_sim):
     """Eigenvalue weights of the chi-square mixture null, the seeded
     generator, and the variance test's p-value, which is always the
-    generator's first draws.
+    generator's first draws, with its Monte-Carlo standard error.
 
     Assembles W = [[B1 A1^-1, B12 A2^-1], [-B21 A1^-1, -B2 A2^-1]] with
     A the negative Hessians and B the score outer-product sums (the scale
@@ -122,7 +131,13 @@ def _variance_null(fit1, fit2, n_points, parameterization, statistic, seed,
     weights = lam[np.abs(lam) >= _EIG_REL_TOL * np.linalg.norm(comparison)]
     rng = np.random.default_rng(seed)
     p_value = float(_mixture_tail(np.square(weights), statistic, rng, n_sim))
-    return weights, rng, p_value
+    return weights, rng, p_value, _tail_se(p_value, weights, n_sim)
+
+
+def _tail_se(p_value, weights, n_sim):
+    """Monte-Carlo standard error of a mixture tail: 0 without weights,
+    where ``_mixture_tail`` is exact."""
+    return _p_value_se(p_value, n_sim) if weights.shape[0] else 0.0
 
 
 def _mixture_tail(weights, value, rng, n_sim):
@@ -179,15 +194,16 @@ def _variance_result(fit1, fit2, diff, omega2, n_points, seed, n_sim,
                      parameterization):
     """The variance test on precomputed per-cluster differences."""
     statistic = diff.size * omega2
-    weights, _, p_value = _variance_null(fit1, fit2, n_points,
-                                         parameterization, statistic, seed,
-                                         n_sim)
+    weights, _, p_value, p_value_se = _variance_null(
+        fit1, fit2, n_points, parameterization, statistic, seed, n_sim)
     return VuongResult(
         test="variance",
         omega2=omega2,
         variance_p_value=p_value,
+        variance_p_value_se=p_value_se,
         statistic=statistic,
         p_value=p_value,
+        p_value_se=p_value_se,
         p_a=None,
         p_b=None,
         weights=weights,
@@ -226,14 +242,16 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
         )
         err.differences = (diff, omega2)
         raise err
-    weights, rng, variance_p = _variance_null(fit1, fit2, n_points,
-                                              parameterization,
-                                              diff.size * omega2, seed, n_sim)
+    weights, rng, variance_p, variance_se = _variance_null(
+        fit1, fit2, n_points, parameterization, diff.size * omega2, seed,
+        n_sim)
     total = float(diff.sum())
     p_value = p_a = p_b = None
+    p_value_se = 0.0
     if nested:
         test, statistic = "nested", 2.0 * total
         p_value = float(_mixture_tail(weights, statistic, rng, n_sim))
+        p_value_se = _tail_se(p_value, weights, n_sim)
     else:
         test = "non-nested"
         statistic = float(total / np.sqrt(diff.size * omega2))
@@ -243,8 +261,10 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
         test=test,
         omega2=omega2,
         variance_p_value=variance_p,
+        variance_p_value_se=variance_se,
         statistic=statistic,
         p_value=p_value,
+        p_value_se=p_value_se,
         p_a=p_a,
         p_b=p_b,
         weights=weights,

@@ -16,6 +16,11 @@ from scipy.special import gammaln, ndtr
 from scipy.stats import norm
 
 import glmmkit
+from glmmkit import covariance as cov
+from glmmkit.derivatives import HessianResult, _derivative_rule, _scores
+from glmmkit.estimation import FittedGlmm, conditional_modes
+from glmmkit.exceptions import EstimationError, SingularityError
+from glmmkit.quadrature import GhRule
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +257,142 @@ def raw_fd_hessian(fitted, n_points):
 
 
 # ---------------------------------------------------------------------------
+# the package's former finite-difference Hessian: central differences of
+# the total score, modes re-solved warm at every perturbed point
+
+_FD_STEP = 1e-5
+
+
+def _parameter_vector(fit: FittedGlmm, parameterization: str) -> np.ndarray:
+    if parameterization == "theta":
+        return np.concatenate([fit.beta, fit.theta])
+    G = fit.relcov.G
+    positions = cov.var_positions(fit.data.n_random, fit.structure)
+    if parameterization == "var":
+        tail = [G[i, j] for i, j in positions]
+    else:
+        sd = np.sqrt(np.diag(G))
+        tail = [sd[i] if i == j else G[i, j] / (sd[i] * sd[j])
+                for i, j in positions]
+    return np.concatenate([fit.beta, tail])
+
+
+def _theta_from_vector(tail: np.ndarray, q: int, structure: str,
+                       parameterization: str) -> np.ndarray | None:
+    """Rebuild theta from a var- or sd-scale tail; None when infeasible."""
+    positions = cov.var_positions(q, structure)
+    G = np.zeros((q, q))
+    if parameterization == "var":
+        for value, (i, j) in zip(tail, positions):
+            G[i, j] = G[j, i] = value
+    else:
+        sd = np.empty(q)
+        for value, (i, j) in zip(tail, positions):
+            if i == j:
+                sd[i] = value
+        if np.any(sd <= 0.0):
+            return None
+        for value, (i, j) in zip(tail, positions):
+            G[i, j] = G[j, i] = sd[i] * sd[j] if i == j else value * sd[i] * sd[j]
+    if structure == "diagonal":
+        diag = np.diag(G)
+        if np.any(diag <= 0.0):
+            return None
+        return np.sqrt(diag)
+    try:
+        lam = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    return cov.lambda_to_theta(lam, structure)
+
+
+def _gradient_at(vector: np.ndarray, fit: FittedGlmm, parameterization: str,
+                 rule: GhRule) -> np.ndarray | None:
+    """Total gradient at a perturbed vector, modes re-solved from fit.modes."""
+    p = fit.data.n_fixed
+    beta = vector[:p]
+    if parameterization == "theta":
+        theta = vector[p:]
+        if np.any(theta[_diag_positions(fit)] < 0.0):
+            return None
+    else:
+        theta = _theta_from_vector(vector[p:], fit.data.n_random,
+                                   fit.structure, parameterization)
+        if theta is None:
+            return None
+    lam = cov.theta_to_lambda(theta, fit.data.n_random, fit.structure)
+    try:
+        modes, chols = conditional_modes(beta, lam, fit.data, fit.family,
+                                         start=fit.modes)
+    except (EstimationError, np.linalg.LinAlgError):
+        return None
+    return _scores(fit, beta, theta, modes, chols, rule,
+                   parameterization).sum(axis=0)
+
+
+def _diag_positions(fit: FittedGlmm) -> list[int]:
+    return [idx for idx, (i, j)
+            in enumerate(cov.free_positions(fit.data.n_random, fit.structure))
+            if i == j]
+
+
+def fd_hessian(fit: FittedGlmm, parameterization: str = "var",
+               n_points: int | None = None) -> HessianResult:
+    """Hessian of the total log-likelihood by central finite differences
+    of the analytic gradient.
+
+    Each of the 2(p+k) perturbations re-solves the posterior modes,
+    starting from the fitted modes, before evaluating the gradient (step
+    ``max(1e-5, 1e-5 |param|)``).  When a perturbation leaves the
+    parameter space (a variance pushed negative, a correlation matrix
+    losing positive definiteness) that column falls back to a one-sided
+    difference and is flagged in ``one_sided``.  The result is
+    symmetrized as ``(H + H') / 2``.
+    """
+    cov.validate_parameterization(parameterization)
+    if fit.boundary and parameterization != "theta":
+        raise SingularityError(
+            "fit is on the boundary; request the theta parameterization"
+        )
+    rule = _derivative_rule(fit, n_points)
+    x0 = _parameter_vector(fit, parameterization)
+    n = x0.size
+    matrix = np.empty((n, n))
+    center = None
+    one_sided: list[int] = []
+    for j in range(n):
+        h = max(_FD_STEP, _FD_STEP * abs(x0[j]))
+        plus = x0.copy()
+        plus[j] += h
+        minus = x0.copy()
+        minus[j] -= h
+        g_plus = _gradient_at(plus, fit, parameterization, rule)
+        g_minus = _gradient_at(minus, fit, parameterization, rule)
+        if g_plus is not None and g_minus is not None:
+            matrix[:, j] = (g_plus - g_minus) / (2.0 * h)
+            continue
+        if g_plus is None and g_minus is None:
+            raise SingularityError(
+                f"both perturbations of parameter {j} left the parameter space"
+            )
+        if center is None:
+            center = _gradient_at(x0, fit, parameterization, rule)
+            if center is None:
+                raise SingularityError("gradient undefined at the fitted value")
+        one_sided.append(j)
+        if g_plus is not None:
+            matrix[:, j] = (g_plus - center) / h
+        else:
+            matrix[:, j] = (center - g_minus) / h
+    matrix = 0.5 * (matrix + matrix.T)
+    return HessianResult(values=matrix,
+                         labels=tuple(fit.parameter_labels(parameterization)),
+                         parameterization=parameterization,
+                         m_used=rule.points_per_dim,
+                         one_sided=tuple(one_sided))
+
+
+# ---------------------------------------------------------------------------
 # reference optimizer
 
 
@@ -421,3 +562,14 @@ def codes_by_first_appearance(values):
             seen[v] = code
         codes[row] = code
     return list(seen.keys()), codes
+
+
+def grouping_permutation(cluster):
+    """Row permutation that ``GlmmData.from_arrays`` applies: a stable sort
+    of the rows by first-appearance cluster code.
+
+    Apply it to any per-row auxiliary column so its rows line up with the
+    regrouped ``y``, ``X`` and ``Z``.
+    """
+    _, codes = codes_by_first_appearance(np.asarray(cluster).ravel())
+    return np.argsort(codes, kind="stable")

@@ -247,6 +247,12 @@ def test_vuong_nested(workdir, capsys):
     assert payload["test"] == "nested"
     assert payload["p_value"] < 0.01
     assert payload["omega2"] > 0.0
+    for p, se in ((payload["p_value"], payload["p_value_se"]),
+                  (payload["variance_p_value"],
+                   payload["variance_p_value_se"])):
+        assert se == pytest.approx(
+            min(3.0 / 20000, 0.5) if p in (0.0, 1.0)
+            else np.sqrt(p * (1.0 - p) / 20000), rel=1e-15)
 
 
 def test_vuong_non_nested_reports_directional_p(workdir, capsys):
@@ -263,6 +269,8 @@ def test_vuong_non_nested_reports_directional_p(workdir, capsys):
     assert (payload["p_model1_better"] + payload["p_model2_better"]
             == pytest.approx(1.0))
     assert payload["p_model1_better"] < 0.05
+    assert payload["p_value_se"] == 0.0
+    assert payload["variance_p_value_se"] > 0.0
 
 
 def test_vuong_identical_models_reports_indistinguishable(workdir, capsys):

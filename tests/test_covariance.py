@@ -138,3 +138,65 @@ def test_validate_parameterization():
     cov.validate_parameterization("var")
     with pytest.raises(ConfigError):
         cov.validate_parameterization("variance")
+
+
+def _theta_of(v, q, structure, target):
+    """theta from var- or sd-scale parameters, by a Cholesky of G."""
+    G = np.zeros((q, q))
+    positions = cov.var_positions(q, structure)
+    sd = np.sqrt(v[:q]) if target == "var" else v[:q]
+    G[np.diag_indices(q)] = sd ** 2
+    for value, (i, j) in zip(v[q:], positions[q:]):
+        G[i, j] = G[j, i] = value if target == "var" else value * sd[i] * sd[j]
+    return cov.lambda_to_theta(np.linalg.cholesky(G), structure)
+
+
+@pytest.mark.parametrize("target", ["var", "sd"])
+@pytest.mark.parametrize("theta,structure", [
+    ([0.9, -0.3, 0.5], "unstructured"), ([0.9, 0.5], "diagonal"),
+    ([0.5, 0.1, -0.2, 0.4, 0.05, 0.3], "unstructured")])
+def test_theta_chain_matches_differences_of_the_cholesky_map(theta, structure,
+                                                             target):
+    q = 2 if len(theta) < 6 else 3
+    lam = theta_to_lambda(theta, q, structure)
+    G = lambda_to_G(lam)
+    positions = cov.var_positions(q, structure)
+    sd = np.sqrt(np.diag(G))
+    v0 = np.array([G[i, j] if target == "var" or i == j else
+                   G[i, j] / (sd[i] * sd[j]) for i, j in positions])
+    if target == "sd":
+        v0[:q] = sd
+    def jac_at(v):
+        lam_v = theta_to_lambda(_theta_of(v, q, structure, target), q,
+                                structure)
+        return cov.theta_chain(lam_v, target, structure)[0]
+
+    # jac against differences of the independent map, second against
+    # differences of jac
+    jac, second = cov.theta_chain(lam, target, structure)
+    h = 1e-5
+    steps = np.eye(len(theta)) * h
+    fd_jac = np.stack([(_theta_of(v0 + e, q, structure, target)
+                        - _theta_of(v0 - e, q, structure, target)) / (2 * h)
+                       for e in steps], axis=-1)
+    np.testing.assert_allclose(jac, fd_jac, rtol=1e-8, atol=1e-9)
+    fd_second = np.stack([(jac_at(v0 + e) - jac_at(v0 - e)) / (2 * h)
+                          for e in steps], axis=-1)
+    np.testing.assert_allclose(second, fd_second, rtol=1e-6, atol=1e-8)
+
+
+def test_sd_scale_scores_include_the_correlation_cross_terms():
+    # d G_21 / d sigma_1 = rho sigma_2 is not zero, so the sd-scale score of
+    # sigma_1 takes a share of the covariance score; check s_sd = s_theta J
+    # with J from differences of theta in (sigma_1, sigma_2, rho)
+    lam = theta_to_lambda([0.9, -0.3, 0.5], 2)
+    G = lambda_to_G(lam)
+    sd = np.sqrt(np.diag(G))
+    v0 = np.array([sd[0], sd[1], G[1, 0] / (sd[0] * sd[1])])
+    jac = np.column_stack([
+        fd_gradient(lambda v: _theta_of(v, 2, "unstructured", "sd")[t], v0)
+        for t in range(3)]).T
+    s_theta = np.array([[1.0, 2.0, -3.0]])
+    np.testing.assert_allclose(
+        cov.reparameterize_scores(s_theta, lam, "sd"), s_theta @ jac,
+        rtol=1e-7, atol=1e-10)

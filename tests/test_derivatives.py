@@ -1,22 +1,28 @@
-"""Casewise scores and the finite-difference Hessian.
+"""Casewise scores and the Hessian.
 
 The central oracle: scores returned by estfun are the exact gradient of
 the fixed-anchor quadrature log-likelihood, so central differences of
 llcont with the anchors held at the stored modes must reproduce them to
-finite-difference truncation accuracy (~1e-8 relative at h = 1e-5).
+finite-difference truncation accuracy (~1e-8 relative at h = 1e-5).  The
+analytic Hessian is checked against central differences of the total
+score with the modes re-solved at every perturbed point
+(``oracles.fd_hessian``).
 """
 
 import numpy as np
 import pytest
 
+import oracles
 from glmmkit import (ConfigError, FitControl, SingularityError, estfun,
                      family_spec, fit, gradient, hessian, llcont, load_fitted,
                      make_glmm_data, marginal_loglik, sandwich_vcov, sctest,
                      vuong_lr_test, vuong_variance_test)
+from glmmkit import estimation
 from glmmkit.estimation import _quadrature_sweep
 from glmmkit.quadrature import gh_rule
-from oracles import (fd_scores_fixed_anchor, raw_fd_hessian,
+from oracles import (fd_hessian, fd_scores_fixed_anchor, raw_fd_hessian,
                      score_beta_cluster, score_theta_cluster, simpson_cluster)
+from test_estimation import _gradient_case
 
 
 def _rel_dev(analytic, fd):
@@ -171,10 +177,9 @@ def test_hessian_matches_second_differences_of_loglik(binom_fit):
 
 
 def test_warm_started_hessian_matches_cold_reference(binom_fit, slope_fit):
-    # hessian re-solves the perturbed modes from fit.modes; the reference
-    # rehydrates every perturbed fit from cold modes.  Measured gap:
-    # 6.4e-12 (binom_fit) and 2.5e-12 (slope_fit) relative to the
-    # largest entry, against exactly 0 with cold re-solves.
+    # the reference rehydrates every perturbed fit from cold modes.
+    # Measured gap: 6.5e-11 (binom_fit) and 8.7e-11 (slope_fit) relative
+    # to the largest entry, the reference's own finite-difference error.
     for fitted in (binom_fit, slope_fit):
         raw = raw_fd_hessian(fitted, 5)
         reference = 0.5 * (raw + raw.T)
@@ -193,6 +198,87 @@ def test_hessian_var_scale_consistent_with_sandwich_chain(binom_fit):
     np.testing.assert_allclose(h_var[:-1, :-1], h_theta[:-1, :-1], rtol=1e-7)
     np.testing.assert_allclose(h_var[-1, :-1], h_theta[-1, :-1] / (2 * lam),
                                rtol=1e-5)
+
+
+def _fd_reference(fitted, parameterization, n_points, monkeypatch):
+    """fd_hessian at the step where its own error is smallest: h = 1e-5
+    on the theta scale; 1e-6 on the var and sd scales, where the
+    truncation error at 1e-5 reaches 1.5e-8 for q = 3."""
+    monkeypatch.setattr(oracles, "_FD_STEP",
+                        1e-5 if parameterization == "theta" else 1e-6)
+    return fd_hessian(fitted, parameterization, n_points).values
+
+
+@pytest.mark.parametrize("q,structure", [(1, "unstructured"),
+                                         (2, "unstructured"), (2, "diagonal"),
+                                         (3, "unstructured"), (3, "diagonal")])
+@pytest.mark.parametrize("family,link", [
+    ("binomial", "logit"), ("binomial", "probit"), ("binomial", "cloglog"),
+    ("poisson", "log")])
+def test_analytic_hessian_matches_finite_differences(family, link, q,
+                                                     structure, monkeypatch):
+    # the finite differences re-solve the modes at every perturbed point;
+    # a tight mode tolerance keeps the Fisher-scoring solves of the
+    # non-canonical links from adding tolerance / h (up to 9e-7 at the
+    # default 1e-10) to them.  Measured gap over these 20 cases, relative
+    # to the largest entry: at most 9.3e-10 on the theta scale, 5.0e-9 on
+    # the var scale and 5.1e-10 on the sd scale
+    monkeypatch.setattr(estimation, "_MODE_TOL", 1e-13)
+    data, spec, beta, theta = _gradient_case(family, link, q, structure)
+    for n_points, scales in ((1, ("theta", "var")), (3, ("theta", "sd")),
+                             (5, ("theta", "var")), (7, ("theta", "sd"))):
+        fitted = load_fitted(beta, theta, data, spec, n_points=n_points,
+                             structure=structure)
+        for parameterization in scales:
+            analytic = hessian(fitted, parameterization, n_points)
+            reference = _fd_reference(fitted, parameterization, n_points,
+                                      monkeypatch)
+            gap = (np.max(np.abs(analytic.values - reference))
+                   / np.max(np.abs(reference)))
+            assert gap <= 1e-8, (n_points, parameterization, gap)
+            assert analytic.one_sided == ()
+
+
+@pytest.mark.parametrize("family,link,q", [("binomial", "probit", 2),
+                                           ("binomial", "cloglog", 1)])
+def test_analytic_hessian_follows_the_expected_curvature_branch(
+        family, link, q, monkeypatch):
+    # force the conditional factor onto the expected curvature in the
+    # analytic path and in the reference's mode re-solves alike; at M = 3
+    # the branch moves the Hessian by 2e-3 to 4e-3, and the measured gap
+    # is at most 6e-11
+    monkeypatch.setattr(estimation, "_MODE_TOL", 1e-13)
+
+    def expected_only(m_obs, m_exp, lam, data):
+        return np.linalg.cholesky(
+            estimation._penalized_curvature(m_exp, lam, data)), False
+
+    monkeypatch.setattr(estimation, "_factor_curvature", expected_only)
+    data, spec, beta, theta = _gradient_case(family, link, q, "unstructured")
+    fitted = load_fitted(beta, theta, data, spec, n_points=3)
+    for parameterization in ("theta", "var"):
+        analytic = hessian(fitted, parameterization, 3).values
+        reference = _fd_reference(fitted, parameterization, 3, monkeypatch)
+        gap = np.max(np.abs(analytic - reference)) / np.max(np.abs(reference))
+        assert gap <= 1e-9, (parameterization, gap)
+
+
+def test_hessian_flags_diagonal_entries_on_the_bound(slope_fit):
+    # the reference's column there is a one-sided difference, O(h) off:
+    # measured gap 1.8e-6 of the largest entry
+    theta = slope_fit.theta.copy()
+    theta[2] = 0.0     # the second diagonal entry of the factor
+    at_bound = load_fitted(slope_fit.beta, theta, slope_fit.data, "binomial",
+                           n_points=3)
+    result = hessian(at_bound, "theta", n_points=3)
+    reference = fd_hessian(at_bound, "theta", n_points=3)
+    assert result.one_sided == reference.one_sided == (
+        slope_fit.data.n_fixed + 2,)
+    gap = (np.max(np.abs(result.values - reference.values))
+           / np.max(np.abs(reference.values)))
+    assert gap <= 1e-5
+    with pytest.raises(SingularityError):
+        hessian(at_bound, "var", n_points=3)
 
 
 ZERO_POINT_CALLS = {

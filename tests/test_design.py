@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from glmmkit import GlmmData, ShapeError
-from glmmkit.design import _codes_by_first_appearance, grouping_permutation
-from oracles import codes_by_first_appearance
+from glmmkit.design import _codes_by_first_appearance
+from oracles import codes_by_first_appearance, grouping_permutation
 
 
 def _interleaved():

@@ -7,6 +7,7 @@ from scipy import stats as sps
 from glmmkit import (ConfigError, DegenerateError, FitControl, GlmmData,
                      family_spec, fit, llcont, load_fitted, make_glmm_data,
                      vuong_lr_test, vuong_variance_test)
+from glmmkit.simulate import _p_value_se
 from glmmkit.vuong import _mixture_tail
 from oracles import mixture_tail_reference
 
@@ -155,3 +156,35 @@ def test_seeded_reproducibility(model_pair):
     assert a.p_value == b.p_value
     assert a.variance_p_value == b.variance_p_value
     np.testing.assert_array_equal(a.weights, b.weights)
+
+
+def test_p_values_report_their_monte_carlo_error(model_pair):
+    full, reduced, rival = model_pair
+    variance = vuong_variance_test(full, reduced, seed=1, n_sim=4000)
+    assert variance.variance_p_value_se == variance.p_value_se == _p_value_se(
+        variance.p_value, 4000)
+    # the normal p-values of the non-nested test are exact
+    non_nested = vuong_lr_test(full, rival, seed=1, n_sim=4000)
+    assert non_nested.p_value_se == 0.0
+    assert non_nested.variance_p_value_se == _p_value_se(
+        non_nested.variance_p_value, 4000)
+    # so is the tail of a mixture with no weights
+    identical = vuong_variance_test(full, full, seed=2, n_sim=1000)
+    assert identical.weights.size == 0
+    assert identical.variance_p_value_se == identical.p_value_se == 0.0
+
+
+def test_nested_p_value_of_zero_reports_the_resolution():
+    # a strong omitted covariate on 300 clusters of 10 rows, both models
+    # rehydrated at the generating values: no draw reaches the statistic
+    sim = make_glmm_data("binomial", beta=(0.3, 0.8, -0.4), n_clusters=300,
+                         cluster_size=10, seed=5)
+    d = sim.data
+    reduced = GlmmData.from_arrays(d.y, d.X[:, :2], d.Z, d.cluster_index,
+                                   x_names=d.x_names[:2])
+    full_fit = load_fitted(sim.beta, sim.theta, d, "binomial")
+    reduced_fit = load_fitted(sim.beta[:2], sim.theta, reduced, "binomial")
+    result = vuong_lr_test(full_fit, reduced_fit, nested=True, seed=3,
+                           n_sim=2000)
+    assert result.p_value == 0.0
+    assert result.p_value_se == min(3.0 / 2000, 0.5)
