@@ -455,8 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="0-based column subset, e.g. '0-4' or '0,2,7'")
     p_sct.add_argument("--functional", choices=_FUNCTIONAL_CHOICES,
                        default="dm")
-    p_sct.add_argument("--seed", type=int, required=True)
-    p_sct.add_argument("--n-sim", type=int, default=50000, dest="n_sim")
+    p_sct.add_argument("--seed", type=int, required=True,
+                       help="seed of the simulated null; used by cvm, "
+                            "maxlm and maxlmo (dm is exact)")
+    p_sct.add_argument("--n-sim", type=int, default=50000, dest="n_sim",
+                       help="simulated bridge paths for cvm, maxlm and "
+                            "maxlmo (dm is exact)")
     p_sct.add_argument("--path-out", default=None, dest="path_out",
                        help="write the fluctuation path as CSV here")
 
@@ -467,8 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_vg.add_argument("--config2", required=True)
     p_vg.add_argument("--data", required=True)
     p_vg.add_argument("--nested", action="store_true")
-    p_vg.add_argument("--seed", type=int, required=True)
-    p_vg.add_argument("--n-sim", type=int, default=10 ** 6, dest="n_sim")
+    p_vg.add_argument("--seed", type=int, required=True,
+                      help="kept for compatibility; the chi-square "
+                           "mixture tails are exact and draw nothing")
+    p_vg.add_argument("--n-sim", type=int, default=10 ** 6, dest="n_sim",
+                      help="kept for compatibility, like --seed")
     p_vg.add_argument("--nagq", type=int, default=None)
     p_vg.add_argument("--out", default=None)
     p_vg.add_argument("--threads", type=int, default=None)

@@ -5,7 +5,10 @@ a variance (distinguishability) test, a non-nested likelihood-ratio test
 with a standard normal null, and a nested likelihood-ratio test whose
 null is a weighted sum of chi-square variables.  The weights come from
 the eigenvalues of a block matrix assembled from both models' score
-covariance, cross-covariance, and negative Hessians.
+covariance, cross-covariance, and negative Hessians.  The tails of both
+chi-square mixtures are computed exactly, to an absolute error of 1e-9,
+by :func:`~glmmkit.simulate._chisq_mixture_tail`; the ``seed`` and
+``n_sim`` arguments are validated and reported, and drive no simulation.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from scipy import stats as sps
 from .derivatives import estfun, hessian, llcont
 from .estimation import FittedGlmm
 from .exceptions import ConfigError, DegenerateError
-from .simulate import _CHUNK_ELEMENTS, _check_monte_carlo, _p_value_se
+from .simulate import _TAIL_EPS, _check_monte_carlo, _chisq_mixture_tail
 
 __all__ = ["VuongResult", "vuong_variance_test", "vuong_lr_test"]
 
-_EIG_TOL = 1e-10
 # Weights below this share of the comparison matrix's norm are dropped.  A
 # zero eigenvalue of a defective matrix (identical fits give a nilpotent
 # one) comes back from the eigensolver as noise of order sqrt(eps) times
@@ -48,15 +50,16 @@ class VuongResult:
         non-nested test, 2*sum of log-likelihood differences for the
         nested test.
     variance_p_value_se : float
-        Monte-Carlo standard error of ``variance_p_value``; 0 when the
-        mixture has no weights, where the tail is exact.
+        Absolute error bound of ``variance_p_value``: 1e-9 for the exact
+        chi-square mixture tail, 0 when the mixture has no weights and
+        the null is a point mass at zero.
     p_value : float or None
         Headline p-value (variance and nested tests); None for the
         non-nested test, which reports the directional pair instead.
     p_value_se : float
-        Monte-Carlo standard error of the headline p-value: simulated for
-        the variance and nested tests, 0 for the non-nested test, whose
-        normal p-values are exact.
+        Absolute error bound of the headline p-value, as for
+        ``variance_p_value_se``; 0 for the non-nested test, whose normal
+        p-values are exact to rounding.
     p_a, p_b : float or None
         Non-nested directional p-values: small p_a favors model 1, small
         p_b favors model 2.  They sum to one.
@@ -64,6 +67,9 @@ class VuongResult:
         Eigenvalues of the comparison matrix that weight the chi-square
         mixture (squared for the variance null); eigenvalues below 1e-6
         of the matrix's Frobenius norm are eigensolver noise and dropped.
+    n_sim, seed : int
+        The validated arguments, kept for compatibility; the tails are
+        not simulated.
     """
 
     test: str
@@ -103,11 +109,9 @@ def _differences(fit1, fit2, n_points, seed, n_sim, caller):
     return diff, float(np.var(diff))
 
 
-def _variance_null(fit1, fit2, n_points, parameterization, statistic, seed,
-                   n_sim):
-    """Eigenvalue weights of the chi-square mixture null, the seeded
-    generator, and the variance test's p-value, which is always the
-    generator's first draws, with its Monte-Carlo standard error.
+def _variance_null(fit1, fit2, n_points, parameterization, statistic):
+    """Eigenvalue weights of the chi-square mixture null, and the variance
+    test's p-value with its error bound.
 
     Assembles W = [[B1 A1^-1, B12 A2^-1], [-B21 A1^-1, -B2 A2^-1]] with
     A the negative Hessians and B the score outer-product sums (the scale
@@ -129,31 +133,14 @@ def _variance_null(fit1, fit2, n_points, parameterization, statistic, seed,
     comparison = np.vstack([top, bottom])
     lam = np.linalg.eigvals(comparison).real
     weights = lam[np.abs(lam) >= _EIG_REL_TOL * np.linalg.norm(comparison)]
-    rng = np.random.default_rng(seed)
-    p_value = float(_mixture_tail(np.square(weights), statistic, rng, n_sim))
-    return weights, rng, p_value, _tail_se(p_value, weights, n_sim)
+    p_value = _chisq_mixture_tail(np.square(weights), statistic)
+    return weights, p_value, _tail_error(weights)
 
 
-def _tail_se(p_value, weights, n_sim):
-    """Monte-Carlo standard error of a mixture tail: 0 without weights,
-    where ``_mixture_tail`` is exact."""
-    return _p_value_se(p_value, n_sim) if weights.shape[0] else 0.0
-
-
-def _mixture_tail(weights, value, rng, n_sim):
-    """P(sum of weighted chi-square(1) >= value), by simulation."""
-    k = weights.shape[0]
-    if k == 0:
-        return 1.0 if value <= _EIG_TOL else 0.0
-    rows = min(n_sim, max(1, _CHUNK_ELEMENTS // k))
-    buffer = np.empty((rows, k))
-    count = 0
-    for start in range(0, n_sim, rows):
-        draws = buffer[:min(rows, n_sim - start)]
-        rng.standard_normal(out=draws)
-        sims = np.square(draws, out=draws) @ weights
-        count += int(np.count_nonzero(sims >= value))
-    return count / n_sim
+def _tail_error(weights):
+    """Error bound of a mixture tail: 0 without weights, where the null is
+    a point mass at zero."""
+    return _TAIL_EPS if weights.shape[0] else 0.0
 
 
 def vuong_variance_test(fit1: FittedGlmm, fit2: FittedGlmm,
@@ -174,10 +161,10 @@ def vuong_variance_test(fit1: FittedGlmm, fit2: FittedGlmm,
     n_points : int, optional
         Quadrature points for log-likelihood and score evaluation.
     seed : int
-        Required, a non-negative integer; drives the chi-square mixture
-        simulation.
+        Required, a non-negative integer.  Kept for compatibility: the
+        chi-square mixture tail is exact and draws nothing.
     n_sim : int
-        Simulation draws for the p-value, at least 1.
+        At least 1; kept for compatibility, like ``seed``.
 
     Returns
     -------
@@ -194,8 +181,8 @@ def _variance_result(fit1, fit2, diff, omega2, n_points, seed, n_sim,
                      parameterization):
     """The variance test on precomputed per-cluster differences."""
     statistic = diff.size * omega2
-    weights, _, p_value, p_value_se = _variance_null(
-        fit1, fit2, n_points, parameterization, statistic, seed, n_sim)
+    weights, p_value, p_value_se = _variance_null(
+        fit1, fit2, n_points, parameterization, statistic)
     return VuongResult(
         test="variance",
         omega2=omega2,
@@ -222,6 +209,8 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
     by sqrt(I)*omega_hat, with directional normal p-values (small p_a
     favors model 1).  Nested: LR = 2 * sum of differences against the
     weighted chi-square null; model 2 must be the reduction of model 1.
+    ``seed`` and ``n_sim`` are validated as in :func:`vuong_variance_test`
+    and draw nothing: both mixture tails are exact.
 
     The variance test runs first and its p-value is reported alongside.
 
@@ -242,16 +231,15 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
         )
         err.differences = (diff, omega2)
         raise err
-    weights, rng, variance_p, variance_se = _variance_null(
-        fit1, fit2, n_points, parameterization, diff.size * omega2, seed,
-        n_sim)
+    weights, variance_p, variance_se = _variance_null(
+        fit1, fit2, n_points, parameterization, diff.size * omega2)
     total = float(diff.sum())
     p_value = p_a = p_b = None
     p_value_se = 0.0
     if nested:
         test, statistic = "nested", 2.0 * total
-        p_value = float(_mixture_tail(weights, statistic, rng, n_sim))
-        p_value_se = _tail_se(p_value, weights, n_sim)
+        p_value = _chisq_mixture_tail(weights, statistic)
+        p_value_se = _tail_error(weights)
     else:
         test = "non-nested"
         statistic = float(total / np.sqrt(diff.size * omega2))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 from scipy.optimize import minimize
 from scipy.special import gammaln, ndtr
 from scipy.stats import norm
@@ -476,7 +476,8 @@ def irt_rasch(y_matrix, item_effects, sd, n_points=61):
 
 
 # ---------------------------------------------------------------------------
-# simulated nulls, one functional per simulation
+# simulated nulls, one functional per simulation, and chi-square mixture
+# tails
 
 
 def _functional_mask(name, t_interior, trim):
@@ -527,6 +528,65 @@ def bridge_null_reference(name, t_interior, dim, n_clusters, n_sim, seed,
                                                    mask, n_clusters)
         done += size
     return out
+
+
+def mixture_tail_simulated(weights, value, rng, n_sim,
+                           chunk_elements=2 ** 16):
+    """P(sum of weighted chi-square(1) >= value), by simulation in chunks
+    of about ``chunk_elements`` normals written into one reused buffer.
+
+    A simulated counterpart of ``simulate._chisq_mixture_tail``; it
+    consumes the same stream as ``mixture_tail_reference``.
+    """
+    k = weights.shape[0]
+    if k == 0:
+        return 1.0 if value <= 1e-10 else 0.0
+    rows = min(n_sim, max(1, chunk_elements // k))
+    buffer = np.empty((rows, k))
+    count = 0
+    for start in range(0, n_sim, rows):
+        draws = buffer[:min(rows, n_sim - start)]
+        rng.standard_normal(out=draws)
+        sims = np.square(draws, out=draws) @ weights
+        count += int(np.count_nonzero(sims >= value))
+    return count / n_sim
+
+
+def two_weight_tail(weights, value):
+    """P(w1 Z1^2 + w2 Z2^2 >= value) by one-dimensional quadrature.
+
+    In polar coordinates (Z1, Z2) = R (cos a, sin a) with R^2 ~ chi2(2),
+    i.e. P(R^2 > r) = exp(-r / 2), independent of the uniform angle a, so
+    the tail is the average over a in (0, pi) of exp(-value / (2 g(a)))
+    where g(a) = w1 cos^2 a + w2 sin^2 a has the sign that reaches value.
+    """
+    w1, w2 = (float(w) for w in weights)
+    x = float(value)
+
+    def g(a):
+        return w1 * np.cos(a) ** 2 + w2 * np.sin(a) ** 2
+
+    if x == 0.0:
+        return float(quad(lambda a: float(g(a) >= 0.0), 0.0, np.pi,
+                          limit=200, points=_sign_changes(w1, w2))[0]
+                     / np.pi)
+    sign = 1.0 if x > 0.0 else -1.0
+
+    def reach(a):
+        ga = sign * g(a)
+        return np.exp(-abs(x) / (2.0 * ga)) if ga > 0.0 else 0.0
+
+    part = quad(reach, 0.0, np.pi, limit=200, epsabs=1e-14, epsrel=1e-13,
+                points=_sign_changes(w1, w2))[0] / np.pi
+    return part if x > 0.0 else 1.0 - part
+
+
+def _sign_changes(w1, w2):
+    """Angles in (0, pi) where w1 cos^2 a + w2 sin^2 a changes sign."""
+    if w1 * w2 >= 0.0:
+        return None
+    root = np.arctan(np.sqrt(-w1 / w2))
+    return [root, np.pi - root]
 
 
 def mixture_tail_reference(weights, value, rng, n_sim):

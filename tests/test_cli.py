@@ -12,6 +12,8 @@ import glmmkit.vuong
 from glmmkit import make_glmm_data
 from glmmkit.cli import _cluster_level, _parse_parm, main
 from glmmkit.exceptions import ConfigError
+from glmmkit.simulate import _TAIL_EPS
+from glmmkit.stability import _DM_TOL
 
 
 def _schema(name):
@@ -146,9 +148,9 @@ def test_sctest_schema_and_path_csv(workdir, capsys, tmp_path):
     _validate(payload, "sctest")
     assert payload["functional"] == "DM"
     assert 0.0 <= payload["p_value"] <= 1.0
-    p = payload["p_value"]
-    assert payload["p_value_se"] == pytest.approx(
-        np.sqrt(p * (1.0 - p) / 2000), rel=1e-15)
+    # DM is exact: the error bound of its 3 coordinates, not a draw count
+    assert payload["p_value_se"] == 3 * _DM_TOL
+    assert payload["n_sim"] == 2000
     assert payload["path_file"] == str(path_out)
     with open(path_out, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -247,12 +249,8 @@ def test_vuong_nested(workdir, capsys):
     assert payload["test"] == "nested"
     assert payload["p_value"] < 0.01
     assert payload["omega2"] > 0.0
-    for p, se in ((payload["p_value"], payload["p_value_se"]),
-                  (payload["variance_p_value"],
-                   payload["variance_p_value_se"])):
-        assert se == pytest.approx(
-            min(3.0 / 20000, 0.5) if p in (0.0, 1.0)
-            else np.sqrt(p * (1.0 - p) / 20000), rel=1e-15)
+    # both mixture tails are exact, to their error bound
+    assert payload["p_value_se"] == payload["variance_p_value_se"] == _TAIL_EPS
 
 
 def test_vuong_non_nested_reports_directional_p(workdir, capsys):
@@ -270,7 +268,7 @@ def test_vuong_non_nested_reports_directional_p(workdir, capsys):
             == pytest.approx(1.0))
     assert payload["p_model1_better"] < 0.05
     assert payload["p_value_se"] == 0.0
-    assert payload["variance_p_value_se"] > 0.0
+    assert payload["variance_p_value_se"] == _TAIL_EPS
 
 
 def test_vuong_identical_models_reports_indistinguishable(workdir, capsys):

@@ -1,0 +1,200 @@
+"""The exact nulls: the weighted chi-square tail of the Vuong tests and the
+finite-grid double-max (DM) null of the stability test.
+
+Each is checked against closed forms where they exist (chi-square, the
+polar form of two weights), against the Monte-Carlo simulators in
+``oracles.py``, and for the invariants a tail must keep.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sps
+
+from glmmkit.simulate import _TAIL_EPS, _chisq_mixture_tail
+from glmmkit.stability import (_DM_TOL, _dm_critical_value, _dm_p_value,
+                               _node_count, _ordering_groups,
+                               _stay_probability)
+from oracles import (bridge_null_reference, mixture_tail_simulated,
+                     two_weight_tail)
+
+# weights of a simstudy nested replicate (seed 1, round 0) and of the
+# cli_postest nested comparison (seed 1), as the Vuong tests build them
+SIMSTUDY_WEIGHTS = np.array([-0.44650827, -0.27523352, 0.29098284,
+                             0.48436451, 0.6752189])
+CLI_WEIGHTS = np.array([0.96763833, -0.11840792, -0.18869678, -0.17445407,
+                        0.17806773, 0.15917461, 0.13486635])
+
+signed_weights = st.lists(
+    st.floats(0.05, 5.0).flatmap(
+        lambda size: st.sampled_from([size, -size])),
+    min_size=1, max_size=6).map(np.array)
+
+
+def _tail_sd(weights):
+    return math.sqrt(2.0 * float(np.sum(np.square(weights))))
+
+
+# ---------------------------------------------------------------------------
+# the weighted chi-square tail
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+def test_equal_weights_are_a_chi_square(k):
+    for x in np.concatenate(([0.0, 1e-6, 0.01], np.linspace(0.1, 4 * k + 30,
+                                                             23))):
+        for scale in (1.0, 0.3):
+            p = _chisq_mixture_tail(np.full(k, scale), scale * x)
+            assert abs(p - sps.chi2.sf(x, k)) <= 1e-10, (k, x, scale)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.2), (2.0, -0.5), (-0.3, 1.7),
+                                     (-1.0, -2.0), (0.7, -0.7)])
+def test_two_weights_match_the_polar_quadrature(weights):
+    w = np.array(weights)
+    for x in (-6.0, -1.0, -0.01, 0.0, 0.01, 0.5, 2.0, 7.0):
+        assert abs(_chisq_mixture_tail(w, x) - two_weight_tail(w, x)) <= 1e-11
+
+
+@pytest.mark.parametrize("weights", [SIMSTUDY_WEIGHTS, CLI_WEIGHTS,
+                                     np.square(CLI_WEIGHTS)])
+def test_tail_agrees_with_a_million_draws(weights):
+    mean, sd = float(np.sum(weights)), _tail_sd(weights)
+    for shift in (-0.5, 2.0):
+        x = mean + shift * sd
+        simulated = mixture_tail_simulated(weights, x,
+                                           np.random.default_rng(17), 10 ** 6)
+        se = math.sqrt(simulated * (1.0 - simulated) / 10 ** 6)
+        assert abs(_chisq_mixture_tail(weights, x) - simulated) <= 3.0 * se
+
+
+@settings(max_examples=10, deadline=None)
+@given(weights=signed_weights, shift=st.floats(-1.5, 3.0))
+def test_drawn_weights_agree_with_a_million_draws(weights, shift):
+    x = float(np.sum(weights)) + shift * _tail_sd(weights)
+    simulated = mixture_tail_simulated(weights, x, np.random.default_rng(3),
+                                       10 ** 6)
+    se = max(math.sqrt(simulated * (1.0 - simulated) / 10 ** 6), 3e-6)
+    assert abs(_chisq_mixture_tail(weights, x) - simulated) <= 3.0 * se
+
+
+@settings(max_examples=20, deadline=None)
+@given(weights=signed_weights, shift=st.floats(-4.0, 8.0),
+       step=st.floats(0.0, 2.0), scale=st.floats(0.01, 100.0))
+def test_tail_invariants(weights, shift, step, scale):
+    x = float(np.sum(weights)) + shift * _tail_sd(weights)
+    p = _chisq_mixture_tail(weights, x)
+    assert 0.0 <= p <= 1.0
+    # the tail does not increase in x
+    assert _chisq_mixture_tail(weights, x + step) <= p + 2.0 * _TAIL_EPS
+    # P(Q >= x) + P(-Q >= -x) = 1: Q is continuous
+    assert abs(p + _chisq_mixture_tail(-weights, -x) - 1.0) <= 2.0 * _TAIL_EPS
+    # scale invariance
+    assert abs(_chisq_mixture_tail(scale * weights, scale * x) - p) \
+        <= 2.0 * _TAIL_EPS
+
+
+def test_one_sign_and_no_weights():
+    positive = np.array([0.5, 1.0, 2.0])
+    assert _chisq_mixture_tail(positive, 0.0) == 1.0
+    assert _chisq_mixture_tail(-positive, 0.0) == 0.0
+    assert _chisq_mixture_tail(-positive, 1e-3) == 0.0
+    # no weights: a point mass at zero, reached up to rounding
+    assert _chisq_mixture_tail(np.empty(0), 0.0) == 1.0
+    assert _chisq_mixture_tail(np.empty(0), 1e-11) == 1.0
+    assert _chisq_mixture_tail(np.empty(0), 1e-9) == 0.0
+
+
+def test_chernoff_tails_end_without_the_integral():
+    # the cli_postest statistics: far beyond any weight, so exactly 0,
+    # and a bound the largest weight alone confirms
+    for weights, x in ((CLI_WEIGHTS, 1454.03), (np.square(CLI_WEIGHTS),
+                                                1387.10)):
+        assert _chisq_mixture_tail(weights, x) == 0.0
+        assert sps.chi2.sf(x / weights.max(), weights.size) < _TAIL_EPS
+        assert _chisq_mixture_tail(weights, -x) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the exact DM null
+
+
+def _grid_steps(n_clusters, ties, seed=0):
+    ordering = np.random.default_rng(seed).standard_normal(n_clusters)
+    if ties:
+        ordering = np.round(ordering, 1)
+    _, _, ends = _ordering_groups(ordering)
+    return np.diff(np.concatenate(([0], ends + 1))) / n_clusters
+
+
+@pytest.mark.parametrize("n_clusters,dim,ties", [(40, 3, False),
+                                                 (50, 5, False),
+                                                 (40, 3, True)])
+def test_dm_p_value_agrees_with_the_simulated_bridges(n_clusters, dim, ties):
+    steps = _grid_steps(n_clusters, ties)
+    assert (steps.size < n_clusters) == ties
+    t_interior = np.cumsum(steps)
+    # 4 * 10^4 draws keep this quick; CHANGES.md records the same check
+    # at 10^6
+    null = bridge_null_reference("DM", t_interior, dim, n_clusters,
+                                 4 * 10 ** 4, 31, chunk_budget=2 ** 20)
+    for x in (1.0, 1.25, 1.5, 1.75):
+        simulated = float(np.mean(null >= x))
+        se = math.sqrt(simulated * (1.0 - simulated) / null.size)
+        assert abs(_dm_p_value(x, steps, dim) - simulated) <= 3.0 * se
+
+
+def test_stay_probability_converges_in_the_nodes():
+    # the cli_postest grid and statistic: doubling the nodes moves P(stay)
+    # by far less than the error bound
+    steps = np.full(5000, 1 / 5000)
+    nodes = _node_count(0.9380087848146345, steps)
+    p = _stay_probability(0.9380087848146345, steps, nodes)
+    assert abs(_stay_probability(0.9380087848146345, steps, 2 * nodes) - p) \
+        <= _DM_TOL
+    # the recorded answer of the seed-1 benchmark statistic
+    assert _dm_p_value(0.9380087848146345, steps, 4) == pytest.approx(
+        0.80102, abs=1e-5)
+
+
+def test_too_few_nodes_double_instead_of_overflowing():
+    # 8 nodes over a band 66 step deviations wide put mass outside the
+    # kernel: the top eigenvalue exceeds one, and 8 doubles until it
+    # does not (a RuntimeWarning from an overflow would fail here).  The
+    # guard stops at 128 nodes, below the rule's 160, so the answer is
+    # close but not within the rule's bound
+    steps = np.full(5000, 1 / 5000)
+    reference = _stay_probability(0.94, steps, _node_count(0.94, steps))
+    assert abs(_stay_probability(0.94, steps, 8) - reference) <= 1e-9
+
+
+@pytest.mark.parametrize("n_clusters,dim,ties", [(5000, 4, False),
+                                                 (40, 3, False),
+                                                 (50, 5, False),
+                                                 (40, 3, True)])
+def test_critical_value_has_the_level(n_clusters, dim, ties):
+    steps = _grid_steps(n_clusters, ties)
+    c = _dm_critical_value(steps, dim)
+    stay = _stay_probability(c, steps, _node_count(c, steps))
+    assert abs(stay ** dim - 0.95) <= 1e-10
+    assert abs(_dm_p_value(c, steps, dim) - 0.05) <= 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_clusters=st.integers(2, 60), ties=st.booleans(),
+       low=st.floats(0.05, 2.0), step=st.floats(0.0, 1.0))
+def test_stay_probability_does_not_decrease_in_the_band(n_clusters, ties,
+                                                        low, step):
+    steps = _grid_steps(n_clusters, ties, seed=n_clusters)
+    nodes = _node_count(low + step, steps)
+    p_low = _stay_probability(low, steps, nodes)
+    p_high = _stay_probability(low + step, steps, nodes)
+    assert 0.0 <= p_low <= p_high + _DM_TOL
+    assert p_high <= 1.0 + _DM_TOL
+
+
+def test_zero_statistic_has_p_one():
+    assert _dm_p_value(0.0, np.full(10, 0.1), 3) == 1.0

@@ -9,10 +9,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import kolmogorov
 
 from glmmkit import (ConfigError, DegenerateError, SingularityError, estfun,
                      cumulative_score_process, sctest)
-from glmmkit.stability import _NULL_ROWS, _bridge_null, _ordering_groups
+from glmmkit.stability import (_DM_TOL, _NULL_ROWS, _bridge_null,
+                               _ordering_groups)
 from oracles import bridge_null_reference
 
 
@@ -204,19 +206,29 @@ def test_sctest_crossings_when_unstable(binom_fit, ordering_40):
     drift += np.random.default_rng(0).standard_normal((40, 1)) * 0.05
     result = sctest(binom_fit, np.arange(40.0), seed=19, n_sim=2000,
                     scores=drift)
-    assert result.p_value < 0.01
-    # no simulated bridge reaches the path: report the resolution, not 0
-    assert result.p_value == 0.0
-    assert result.p_value_se == 3.0 / 2000
+    # the exact DM tail, below the continuous bridge's Kolmogorov tail
+    assert 0.0 <= result.p_value <= kolmogorov(result.statistic) < 1e-8
+    assert result.p_value_se == _DM_TOL
     assert result.crossings.size > 0
     assert np.all((result.crossings > 0.0) & (result.crossings < 1.0))
+    # no simulated bridge reaches the maxLM path: report the resolution
+    lm = sctest(binom_fit, np.arange(40.0), functional="maxLM", seed=19,
+                n_sim=2000, scores=drift)
+    assert lm.p_value == 0.0
+    assert lm.p_value_se == 3.0 / 2000
+    assert lm.crossings.size > 0
 
 
 def test_sctest_reports_the_monte_carlo_error_of_p(binom_fit, ordering_40):
-    result = sctest(binom_fit, ordering_40, seed=5, n_sim=4000)
+    result = sctest(binom_fit, ordering_40, functional="maxLM", seed=5,
+                    n_sim=4000)
     p = result.p_value
     assert 0.0 < p < 1.0
     assert result.p_value_se == np.sqrt(p * (1.0 - p) / 4000)
+    # the exact DM p-value reports its error bound, one per coordinate
+    dm = sctest(binom_fit, ordering_40, seed=5, n_sim=4000)
+    assert 0.0 < dm.p_value < 1.0
+    assert dm.p_value_se == 3 * _DM_TOL
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -258,7 +270,7 @@ def test_one_pass_null_equals_the_per_functional_simulation(
     assert (t_interior.shape[0] < n_clusters) == ties
     null = _bridge_null(t_interior.tobytes(), dim, n_clusters, n_sim, 9,
                         (0.1, 0.9))
-    assert null.shape == (4, n_sim)
+    assert null.shape == (len(_NULL_ROWS), n_sim)
     for row, name in enumerate(_NULL_ROWS):
         reference = bridge_null_reference(name, t_interior, dim, n_clusters,
                                           n_sim, 9)
@@ -274,7 +286,7 @@ def _assert_same_result(a, b):
     np.testing.assert_array_equal(a.path.t, b.path.t)
 
 
-@pytest.mark.parametrize("functional", ["DM", "CvM", "maxLM", "maxLMo"])
+@pytest.mark.parametrize("functional", ["CvM", "maxLM", "maxLMo"])
 def test_cached_null_gives_the_same_result_as_a_fresh_one(
         binom_fit, ordering_40, functional):
     _bridge_null.cache_clear()
@@ -291,6 +303,18 @@ def test_cached_null_gives_the_same_result_as_a_fresh_one(
                                       21)
     assert fresh.p_value == np.mean(reference >= fresh.statistic)
     assert fresh.critical_value == np.quantile(reference, 0.95)
+
+
+def test_exact_dm_draws_nothing_and_ignores_the_seed(binom_fit, ordering_40):
+    _bridge_null.cache_clear()
+    a = sctest(binom_fit, ordering_40, seed=21, n_sim=1500)
+    b = sctest(binom_fit, ordering_40, seed=22, n_sim=10)
+    info = _bridge_null.cache_info()
+    assert (info.misses, info.hits) == (0, 0)
+    for field in ("statistic", "p_value", "p_value_se", "critical_value"):
+        assert getattr(a, field) == getattr(b, field), field
+    np.testing.assert_array_equal(a.crossings, b.crossings)
+    assert (a.n_sim, a.seed, b.n_sim, b.seed) == (1500, 21, 10, 22)
 
 
 def test_cached_null_is_read_only(binom_fit, ordering_40):
@@ -312,8 +336,9 @@ def test_functionals_and_parm_subsets_of_one_size_share_a_null(
     sctest(binom_fit, ordering_40, parm=[0, 1], seed=23, n_sim=400)
     sctest(binom_fit, ordering_40, parm=[1, 2], functional="cvm", seed=23,
            n_sim=400)
+    # the two DM calls are exact and never touch the cache
     info = _bridge_null.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_different_settings_never_share_a_null(binom_fit, ordering_40):

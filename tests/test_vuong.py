@@ -7,9 +7,8 @@ from scipy import stats as sps
 from glmmkit import (ConfigError, DegenerateError, FitControl, GlmmData,
                      family_spec, fit, llcont, load_fitted, make_glmm_data,
                      vuong_lr_test, vuong_variance_test)
-from glmmkit.simulate import _p_value_se
-from glmmkit.vuong import _mixture_tail
-from oracles import mixture_tail_reference
+from glmmkit.simulate import _TAIL_EPS
+from oracles import mixture_tail_reference, mixture_tail_simulated
 
 
 @pytest.fixture(scope="module")
@@ -120,13 +119,14 @@ def test_monte_carlo_settings_are_config_errors(model_pair, kwargs, test):
 @pytest.mark.parametrize("k,n_sim", [(1, 70_001), (3, 2000), (7, 50_001),
                                      (40, 3333)])
 def test_mixture_tail_matches_the_reference_draw_for_draw(k, n_sim):
-    # the variance tail and then the LR tail draw from one generator, so
-    # both p-values also check that each call consumes n_sim * k normals
+    # the chunked simulator the tails used to call, now an oracle: two
+    # tails in a row from one generator also check that each call
+    # consumes n_sim * k normals
     weights = np.random.default_rng(k).standard_normal(k)
     for value in (0.5, 3.0, 9.0):
         ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
         for w in (np.square(weights), weights):
-            assert (_mixture_tail(w, value, ours, n_sim)
+            assert (mixture_tail_simulated(w, value, ours, n_sim)
                     == mixture_tail_reference(w, value, theirs, n_sim))
 
 
@@ -158,25 +158,29 @@ def test_seeded_reproducibility(model_pair):
     np.testing.assert_array_equal(a.weights, b.weights)
 
 
-def test_p_values_report_their_monte_carlo_error(model_pair):
+def test_p_values_report_their_error_bound(model_pair):
+    # the mixture tails are exact: their error bound, whatever n_sim is
     full, reduced, rival = model_pair
     variance = vuong_variance_test(full, reduced, seed=1, n_sim=4000)
-    assert variance.variance_p_value_se == variance.p_value_se == _p_value_se(
-        variance.p_value, 4000)
+    assert variance.variance_p_value_se == variance.p_value_se == _TAIL_EPS
+    assert variance.n_sim == 4000 and variance.seed == 1
     # the normal p-values of the non-nested test are exact
     non_nested = vuong_lr_test(full, rival, seed=1, n_sim=4000)
     assert non_nested.p_value_se == 0.0
-    assert non_nested.variance_p_value_se == _p_value_se(
-        non_nested.variance_p_value, 4000)
+    assert non_nested.variance_p_value_se == _TAIL_EPS
+    # seed and n_sim change nothing
+    again = vuong_lr_test(full, rival, seed=2, n_sim=7)
+    assert again.variance_p_value == non_nested.variance_p_value
     # so is the tail of a mixture with no weights
     identical = vuong_variance_test(full, full, seed=2, n_sim=1000)
     assert identical.weights.size == 0
     assert identical.variance_p_value_se == identical.p_value_se == 0.0
 
 
-def test_nested_p_value_of_zero_reports_the_resolution():
+def test_nested_p_value_of_zero_reports_its_bound():
     # a strong omitted covariate on 300 clusters of 10 rows, both models
-    # rehydrated at the generating values: no draw reaches the statistic
+    # rehydrated at the generating values: a Chernoff bound on the tail is
+    # below the error bound, so the exact p-value is 0 within it
     sim = make_glmm_data("binomial", beta=(0.3, 0.8, -0.4), n_clusters=300,
                          cluster_size=10, seed=5)
     d = sim.data
@@ -187,4 +191,7 @@ def test_nested_p_value_of_zero_reports_the_resolution():
     result = vuong_lr_test(full_fit, reduced_fit, nested=True, seed=3,
                            n_sim=2000)
     assert result.p_value == 0.0
-    assert result.p_value_se == min(3.0 / 2000, 0.5)
+    assert result.p_value_se == _TAIL_EPS
+    # the bound holds: the largest weight alone leaves a tail below it
+    assert sps.chi2.sf(result.statistic / result.weights.max(),
+                       result.weights.size) < _TAIL_EPS
