@@ -456,11 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sct.add_argument("--functional", choices=_FUNCTIONAL_CHOICES,
                        default="dm")
     p_sct.add_argument("--seed", type=int, required=True,
-                       help="seed of the simulated null; used by cvm, "
-                            "maxlm and maxlmo (dm is exact)")
+                       help="kept for compatibility; every functional's "
+                            "null is exact and draws nothing")
     p_sct.add_argument("--n-sim", type=int, default=50000, dest="n_sim",
-                       help="simulated bridge paths for cvm, maxlm and "
-                            "maxlmo (dm is exact)")
+                       help="kept for compatibility, like --seed")
     p_sct.add_argument("--path-out", default=None, dest="path_out",
                        help="write the fluctuation path as CSV here")
 

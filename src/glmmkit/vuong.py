@@ -7,7 +7,7 @@ null is a weighted sum of chi-square variables.  The weights come from
 the eigenvalues of a block matrix assembled from both models' score
 covariance, cross-covariance, and negative Hessians.  The tails of both
 chi-square mixtures are computed exactly, to an absolute error of 1e-9,
-by :func:`~glmmkit.simulate._chisq_mixture_tail`; the ``seed`` and
+by :func:`~glmmkit._nulls._chisq_mixture_tail`; the ``seed`` and
 ``n_sim`` arguments are validated and reported, and drive no simulation.
 """
 
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
+from ._nulls import _TAIL_EPS, _check_monte_carlo, _chisq_mixture_tail
 from .derivatives import estfun, hessian, llcont
 from .estimation import FittedGlmm
 from .exceptions import ConfigError, DegenerateError
-from .simulate import _TAIL_EPS, _check_monte_carlo, _chisq_mixture_tail
 
 __all__ = ["VuongResult", "vuong_variance_test", "vuong_lr_test"]
 

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 from scipy.integrate import quad, simpson
 from scipy.optimize import minimize
-from scipy.special import gammaln, ndtr
+from scipy.special import gammaln, ive, ndtr
 from scipy.stats import norm
 
 import glmmkit
@@ -530,12 +530,46 @@ def bridge_null_reference(name, t_interior, dim, n_clusters, n_sim, seed,
     return out
 
 
+def radial_stay_reference(c, t, dim, nodes):
+    """P(|B(t_j)|^2 <= c t_j (1 - t_j) at every t_j in ``t``) for a
+    dim-dimensional Brownian bridge, as a dense chain on NumPy's
+    Gauss-Legendre rule with ``nodes`` nodes per point.
+
+    The norm of the bridge at the points of ``t`` has the joint density
+    f(r_1) prod_j p_j(r_{j+1} | r_j) g(r_J): f the density of |W(t_1)| for
+    a Brownian motion W, p_j the radial transition density
+    (r'^(k/2) r^(1-k/2) / dt) exp(-(r - r')^2 / 2 dt) ive(k/2 - 1, r r' / dt)
+    of a k-dimensional step of variance dt, and g(r) = (1 - t_J)^(-k/2)
+    exp(-r^2 / 2 (1 - t_J)) the density of returning to the origin at 1,
+    relative to that of a bridge started there.
+    """
+    z, w = np.polynomial.legendre.leggauss(nodes)
+    band = np.sqrt(c * t * (1.0 - t))
+    radii = 0.5 * band[:, None] * (z + 1.0)
+    weights = 0.5 * band[:, None] * w
+    order = 0.5 * dim - 1.0
+    r = radii[0]
+    v = weights[0] * np.exp((dim - 1) * np.log(r) - r * r / (2.0 * t[0])
+                            - order * np.log(2.0) - gammaln(0.5 * dim)
+                            - 0.5 * dim * np.log(t[0]))
+    for j in range(t.size - 1):
+        dt = t[j + 1] - t[j]
+        r, r_next = radii[j][:, None], radii[j + 1][None, :]
+        kernel = (r_next ** (0.5 * dim) * r ** (1.0 - 0.5 * dim) / dt
+                  * np.exp(-(r - r_next) ** 2 / (2.0 * dt))
+                  * ive(order, r * r_next / dt))
+        v = (v @ kernel) * weights[j + 1]
+    rest = 1.0 - t[-1]
+    return float(v @ (rest ** (-0.5 * dim)
+                      * np.exp(-radii[-1] ** 2 / (2.0 * rest))))
+
+
 def mixture_tail_simulated(weights, value, rng, n_sim,
                            chunk_elements=2 ** 16):
     """P(sum of weighted chi-square(1) >= value), by simulation in chunks
     of about ``chunk_elements`` normals written into one reused buffer.
 
-    A simulated counterpart of ``simulate._chisq_mixture_tail``; it
+    A simulated counterpart of ``_nulls._chisq_mixture_tail``; it
     consumes the same stream as ``mixture_tail_reference``.
     """
     k = weights.shape[0]

@@ -12,8 +12,8 @@ import glmmkit.vuong
 from glmmkit import make_glmm_data
 from glmmkit.cli import _cluster_level, _parse_parm, main
 from glmmkit.exceptions import ConfigError
-from glmmkit.simulate import _TAIL_EPS
-from glmmkit.stability import _DM_TOL
+from glmmkit._nulls import _TAIL_EPS
+from glmmkit._nulls import _DM_TOL
 
 
 def _schema(name):

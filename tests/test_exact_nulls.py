@@ -1,25 +1,31 @@
-"""The exact nulls: the weighted chi-square tail of the Vuong tests and the
-finite-grid double-max (DM) null of the stability test.
+"""The exact nulls: the weighted chi-square tail of the Vuong tests, and the
+finite-grid nulls of the stability test's double max (DM), Cramer-von
+Mises and max-LM functionals.
 
 Each is checked against closed forms where they exist (chi-square, the
-polar form of two weights), against the Monte-Carlo simulators in
-``oracles.py``, and for the invariants a tail must keep.
+polar form of two weights), against the Monte-Carlo simulators and the
+dense Bessel chain in ``oracles.py``, and for the invariants a tail must
+keep.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.special import ive
 
-from glmmkit.simulate import _TAIL_EPS, _chisq_mixture_tail
-from glmmkit.stability import (_DM_TOL, _dm_critical_value, _dm_p_value,
-                               _node_count, _ordering_groups,
-                               _stay_probability)
+from glmmkit._nulls import (_DM_TOL, _LM_TOL, _TAIL_EPS, _chisq_mixture_tail,
+                            _critical_value, _cvm_p_value, _cvm_weights,
+                            _dm_p_value, _lm_p_value,
+                            _lm_stay_probability, _node_count,
+                            _radial_kernel, _stay_probability)
+from glmmkit.stability import _lm_window, _ordering_groups
 from oracles import (bridge_null_reference, mixture_tail_simulated,
-                     two_weight_tail)
+                     radial_stay_reference, two_weight_tail)
 
 # weights of a simstudy nested replicate (seed 1, round 0) and of the
 # cli_postest nested comparison (seed 1), as the Vuong tests build them
@@ -122,19 +128,27 @@ def test_chernoff_tails_end_without_the_integral():
 # the exact DM null
 
 
-def _grid_steps(n_clusters, ties, seed=0):
+def _grid(n_clusters, ties, seed=0):
+    """The steps and the interior points of an ordering's grid, as
+    sctest builds them."""
     ordering = np.random.default_rng(seed).standard_normal(n_clusters)
     if ties:
         ordering = np.round(ordering, 1)
     _, _, ends = _ordering_groups(ordering)
-    return np.diff(np.concatenate(([0], ends + 1))) / n_clusters
+    counts = np.diff(np.concatenate(([0], ends + 1)))
+    return counts / n_clusters, (ends + 1.0) / n_clusters
+
+
+def _dm_stay(band, steps, nodes=None):
+    """P(|B(t_j)| <= band at every interior point) for one coordinate."""
+    return _stay_probability(np.full(steps.size - 1, band), steps, 1, nodes)
 
 
 @pytest.mark.parametrize("n_clusters,dim,ties", [(40, 3, False),
                                                  (50, 5, False),
                                                  (40, 3, True)])
 def test_dm_p_value_agrees_with_the_simulated_bridges(n_clusters, dim, ties):
-    steps = _grid_steps(n_clusters, ties)
+    steps = _grid(n_clusters, ties)[0]
     assert (steps.size < n_clusters) == ties
     t_interior = np.cumsum(steps)
     # 4 * 10^4 draws keep this quick; CHANGES.md records the same check
@@ -152,8 +166,8 @@ def test_stay_probability_converges_in_the_nodes():
     # by far less than the error bound
     steps = np.full(5000, 1 / 5000)
     nodes = _node_count(0.9380087848146345, steps)
-    p = _stay_probability(0.9380087848146345, steps, nodes)
-    assert abs(_stay_probability(0.9380087848146345, steps, 2 * nodes) - p) \
+    p = _dm_stay(0.9380087848146345, steps, nodes)
+    assert abs(_dm_stay(0.9380087848146345, steps, 2 * nodes) - p) \
         <= _DM_TOL
     # the recorded answer of the seed-1 benchmark statistic
     assert _dm_p_value(0.9380087848146345, steps, 4) == pytest.approx(
@@ -167,8 +181,8 @@ def test_too_few_nodes_double_instead_of_overflowing():
     # guard stops at 128 nodes, below the rule's 160, so the answer is
     # close but not within the rule's bound
     steps = np.full(5000, 1 / 5000)
-    reference = _stay_probability(0.94, steps, _node_count(0.94, steps))
-    assert abs(_stay_probability(0.94, steps, 8) - reference) <= 1e-9
+    reference = _dm_stay(0.94, steps, _node_count(0.94, steps))
+    assert abs(_dm_stay(0.94, steps, 8) - reference) <= 1e-9
 
 
 @pytest.mark.parametrize("n_clusters,dim,ties", [(5000, 4, False),
@@ -176,9 +190,9 @@ def test_too_few_nodes_double_instead_of_overflowing():
                                                  (50, 5, False),
                                                  (40, 3, True)])
 def test_critical_value_has_the_level(n_clusters, dim, ties):
-    steps = _grid_steps(n_clusters, ties)
-    c = _dm_critical_value(steps, dim)
-    stay = _stay_probability(c, steps, _node_count(c, steps))
+    steps = _grid(n_clusters, ties)[0]
+    c = _critical_value.__wrapped__("DM", steps.tobytes(), n_clusters, dim)
+    stay = _dm_stay(c, steps, _node_count(c, steps))
     assert abs(stay ** dim - 0.95) <= 1e-10
     assert abs(_dm_p_value(c, steps, dim) - 0.05) <= 1e-10
 
@@ -188,13 +202,152 @@ def test_critical_value_has_the_level(n_clusters, dim, ties):
        low=st.floats(0.05, 2.0), step=st.floats(0.0, 1.0))
 def test_stay_probability_does_not_decrease_in_the_band(n_clusters, ties,
                                                         low, step):
-    steps = _grid_steps(n_clusters, ties, seed=n_clusters)
+    steps = _grid(n_clusters, ties, seed=n_clusters)[0]
     nodes = _node_count(low + step, steps)
-    p_low = _stay_probability(low, steps, nodes)
-    p_high = _stay_probability(low + step, steps, nodes)
+    p_low = _dm_stay(low, steps, nodes)
+    p_high = _dm_stay(low + step, steps, nodes)
     assert 0.0 <= p_low <= p_high + _DM_TOL
     assert p_high <= 1.0 + _DM_TOL
 
 
 def test_zero_statistic_has_p_one():
     assert _dm_p_value(0.0, np.full(10, 0.1), 3) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# multiplicities, the CvM null and the max-LM chain
+
+
+def _exact_p(name, x, n_clusters, dim, steps, t_interior):
+    if name == "CvM":
+        return _cvm_p_value(x, steps, n_clusters, dim)
+    points = (t_interior[_lm_window(t_interior, (0.1, 0.9))]
+              if name == "maxLM" else t_interior[:-1])
+    return _lm_p_value(x, points, dim)
+
+
+def test_many_repeated_weights_do_not_overflow_the_tail():
+    # slope_agq's CvM null: the 40-point grid's 39 weights, each carried
+    # by 5 coordinates.  As 195 separate weights they overflowed exp() in
+    # the truncation bound, which is now taken in logs
+    weights = _cvm_weights(np.full(40, 1.0 / 40.0), 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for x in (0.3, 0.83, 1.46, 3.0):
+            p = _chisq_mixture_tail(np.repeat(weights, 5), x)
+            assert 0.0 < p < 1.0
+            assert abs(p - _chisq_mixture_tail(weights, x, 5)) <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(weights=signed_weights, shift=st.floats(-1.5, 3.0),
+       multiplicity=st.lists(st.integers(1, 4), min_size=6, max_size=6))
+def test_multiplicities_are_repeated_weights(weights, shift, multiplicity):
+    counts = np.array(multiplicity[:weights.size])
+    repeated = np.repeat(weights, counts)
+    x = float(np.sum(repeated)) + shift * _tail_sd(repeated)
+    assert abs(_chisq_mixture_tail(weights, x, counts)
+               - _chisq_mixture_tail(repeated, x)) <= 2.0 * _TAIL_EPS
+
+
+@pytest.mark.parametrize("name", ["CvM", "maxLM", "maxLM-ordinal"])
+@pytest.mark.parametrize("n_clusters,dim,ties", [(40, 5, False),
+                                                 (50, 3, False),
+                                                 (40, 1, False),
+                                                 (40, 3, True)])
+def test_cvm_and_maxlm_p_values_agree_with_the_simulated_bridges(
+        name, n_clusters, dim, ties):
+    steps, t_interior = _grid(n_clusters, ties)
+    assert (steps.size < n_clusters) == ties
+    # 4 * 10^4 draws keep this quick; CHANGES.md records the same check
+    # at 10^6
+    null = bridge_null_reference(name, t_interior, dim, n_clusters,
+                                 4 * 10 ** 4, 31, chunk_budget=2 ** 20)
+    for q in (0.5, 0.9, 0.99):
+        x = float(np.quantile(null, q))
+        simulated = float(np.mean(null >= x))
+        se = math.sqrt(simulated * (1.0 - simulated) / null.size)
+        p = _exact_p(name, x, n_clusters, dim, steps, t_interior)
+        assert abs(p - simulated) <= 3.0 * se, q
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_clusters=st.integers(4, 60), ties=st.booleans(),
+       dim=st.integers(1, 6), low=st.floats(0.05, 30.0),
+       step=st.floats(0.0, 10.0))
+def test_lm_and_cvm_p_values_lie_in_the_unit_interval_and_fall(
+        n_clusters, ties, dim, low, step):
+    steps, t_interior = _grid(n_clusters, ties, seed=n_clusters)
+    points = t_interior[:-1]
+    for name, scale in (("CvM", 0.05), ("maxLM-ordinal", 1.0)):
+        p_low = _exact_p(name, scale * low, n_clusters, dim, steps,
+                         t_interior)
+        p_high = _exact_p(name, scale * (low + step), n_clusters, dim, steps,
+                          t_interior)
+        bound = 2.0 * (_TAIL_EPS if name == "CvM" else _LM_TOL)
+        assert 0.0 <= p_high <= p_low + bound
+        assert p_low <= 1.0
+    # at equal c, maxLM-ordinal's window holds maxLM's, so it is no more
+    # likely to stay inside
+    window = t_interior[_lm_window(t_interior, (0.1, 0.9))]
+    if window.size:
+        assert (_lm_stay_probability(low, points, dim)
+                <= _lm_stay_probability(low, window, dim) + _LM_TOL)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_closed_form_kernels_match_the_bessel_function(dim):
+    # the folded Gaussian (k = 1) and the image kernel (k = 3) are
+    # sqrt(2 pi z) ive(k/2 - 1, z) times the Gaussian of r - r'
+    z = np.geomspace(1e-4, 1e4, 801)
+    radius = np.sqrt(z)
+    reference = np.sqrt(2.0 * math.pi * z) * ive(0.5 * dim - 1.0, z)
+    np.testing.assert_allclose(_radial_kernel(dim, radius, radius),
+                               reference, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n_clusters,dim,ties,c,trim", [
+    (40, 5, False, 15.0, (0.1, 0.9)),     # symmetric: half the chain
+    (41, 4, False, 14.0, (0.0, 1.0)),     # symmetric, an even count
+    (50, 3, True, 12.0, (0.1, 0.9)),
+    (40, 2, True, 30.0, (0.2, 0.8)),
+    (30, 7, False, 20.0, (0.1, 0.7)),
+    (30, 8, False, 20.0, (0.1, 0.9)),
+    (25, 12, True, 30.0, (0.0, 1.0)),
+    (200, 4, False, 30.0, (0.1, 0.95)),   # banded, with Hankel's series
+])
+def test_radial_chain_matches_a_dense_bessel_chain(n_clusters, dim, ties, c,
+                                                   trim):
+    # the banded chain, with its closed forms, recurrence and series for
+    # S_k, against the dense chain of ive() kernels on NumPy's rule
+    _, t_interior = _grid(n_clusters, ties)
+    points = t_interior[_lm_window(t_interior, trim)]
+    nodes = 160 if n_clusters < 200 else 128
+    assert abs(_lm_stay_probability(c, points, dim)
+               - radial_stay_reference(c, points, dim, nodes)) <= 1e-11
+
+
+@pytest.mark.parametrize("name,n_clusters,dim,ties", [
+    ("DM", 40, 3, False), ("CvM", 40, 5, False), ("CvM", 40, 3, True),
+    ("maxLM", 40, 5, False), ("maxLM", 50, 3, False), ("maxLM", 40, 3, True),
+])
+def test_cached_critical_value_is_a_fresh_one_and_has_the_level(
+        name, n_clusters, dim, ties):
+    steps, t_interior = _grid(n_clusters, ties)
+    grid = (t_interior[_lm_window(t_interior, (0.1, 0.9))]
+            if name == "maxLM" else steps)
+    _critical_value.cache_clear()
+    cached = _critical_value(name, grid.tobytes(), n_clusters, dim)
+    assert _critical_value(name, grid.tobytes(), n_clusters, dim) == cached
+    assert _critical_value.cache_info().hits == 1
+    fresh = _critical_value.__wrapped__(name, grid.tobytes(), n_clusters, dim)
+    assert fresh == cached
+    if name == "DM":
+        stay = _dm_stay(cached, steps)
+        assert abs(stay ** dim - 0.95) <= _DM_TOL
+    elif name == "CvM":
+        tail = _chisq_mixture_tail(_cvm_weights(steps, n_clusters), cached,
+                                   dim)
+        assert abs(tail - 0.05) <= _TAIL_EPS
+    else:
+        assert abs(_lm_stay_probability(cached, grid, dim) - 0.95) <= _LM_TOL

@@ -7,7 +7,7 @@ contribution again: to the log-likelihood, the scores and the Hessian.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glmmkit import (GlmmData, estfun, gradient, hessian, llcont, load_fitted,
@@ -62,6 +62,9 @@ def _doubled(d):
 
 @settings(max_examples=10, deadline=None)
 @given(spec=models, perm_seed=st.integers(0, 2**16))
+# a score entry of 5.1e-4 whose round-off was 1.5e-12 of itself
+@example(spec={"family": "poisson", "random": "slope", "n_clusters": 10,
+               "cluster_size": 6, "seed": 6}, perm_seed=1)
 def test_permuting_rows_within_clusters_changes_nothing(spec, perm_seed):
     sim = _simulate(spec)
     d = sim.data
@@ -76,7 +79,9 @@ def test_permuting_rows_within_clusters_changes_nothing(spec, perm_seed):
     loglik_p, ll_p, scores_p = _quantities(sim, spec["family"], shuffled)
     _close(loglik_p, loglik, abs(loglik))
     _close(ll_p, ll, np.abs(ll))
-    _close(scores_p, scores, np.abs(scores))
+    # a score entry can sit near zero while its summands do not, so its
+    # round-off is measured against its column's summed magnitudes
+    _close(scores_p, scores, np.abs(scores).sum(axis=0))
 
 
 @settings(max_examples=10, deadline=None)

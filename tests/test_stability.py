@@ -5,16 +5,19 @@ and B the outer product of the centered columns, the path visits
 B^{-1/2} times the partial sums, pinned to zero at both ends.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import kolmogorov
+from scipy.stats import chi2
 
 from glmmkit import (ConfigError, DegenerateError, SingularityError, estfun,
                      cumulative_score_process, sctest)
-from glmmkit.stability import (_DM_TOL, _NULL_ROWS, _bridge_null,
-                               _ordering_groups)
+from glmmkit._nulls import (_DM_TOL, _LM_TOL, _TAIL_EPS, _critical_value,
+                            _cvm_p_value, _lm_p_value)
+from glmmkit.stability import _lm_window, _ordering_groups
 from oracles import bridge_null_reference
 
 
@@ -211,24 +214,25 @@ def test_sctest_crossings_when_unstable(binom_fit, ordering_40):
     assert result.p_value_se == _DM_TOL
     assert result.crossings.size > 0
     assert np.all((result.crossings > 0.0) & (result.crossings < 1.0))
-    # no simulated bridge reaches the maxLM path: report the resolution
+    # far in the tail: the exact p lies below the union bound over the
+    # 33 window points, each a chi-square(1) tail
     lm = sctest(binom_fit, np.arange(40.0), functional="maxLM", seed=19,
                 n_sim=2000, scores=drift)
-    assert lm.p_value == 0.0
-    assert lm.p_value_se == 3.0 / 2000
+    assert 0.0 < lm.p_value <= 33 * chi2.sf(lm.statistic, 1) < 1e-7
+    assert lm.p_value_se == _LM_TOL
     assert lm.crossings.size > 0
 
 
-def test_sctest_reports_the_monte_carlo_error_of_p(binom_fit, ordering_40):
-    result = sctest(binom_fit, ordering_40, functional="maxLM", seed=5,
-                    n_sim=4000)
-    p = result.p_value
-    assert 0.0 < p < 1.0
-    assert result.p_value_se == np.sqrt(p * (1.0 - p) / 4000)
-    # the exact DM p-value reports its error bound, one per coordinate
-    dm = sctest(binom_fit, ordering_40, seed=5, n_sim=4000)
-    assert 0.0 < dm.p_value < 1.0
-    assert dm.p_value_se == 3 * _DM_TOL
+def test_sctest_reports_the_error_bound_of_p(binom_fit, ordering_40):
+    # every p-value is exact and reports its numerical error bound, one
+    # per coordinate for DM
+    bounds = {"DM": 3 * _DM_TOL, "CvM": _TAIL_EPS, "maxLM": _LM_TOL,
+              "maxLMo": _LM_TOL}
+    for functional, bound in bounds.items():
+        result = sctest(binom_fit, ordering_40, functional=functional,
+                        seed=5, n_sim=4000)
+        assert 0.0 < result.p_value < 1.0
+        assert result.p_value_se == bound
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -243,7 +247,7 @@ def test_sctest_monte_carlo_settings_are_config_errors(binom_fit, ordering_40,
 
 
 # ---------------------------------------------------------------------------
-# the shared one-pass null
+# the exact nulls and their cached critical values
 
 
 def _interior_grid(n_clusters, ties, seed=0):
@@ -254,27 +258,33 @@ def _interior_grid(n_clusters, ties, seed=0):
     return (ends + 1.0) / n_clusters
 
 
-# n_sim is never a multiple of the paths per chunk; the last case has five
-# paths per chunk and a remainder of two
-@pytest.mark.parametrize("n_clusters,dim,n_sim,ties", [
-    (40, 5, 1000, False),
-    (60, 1, 2500, True),
-    (25, 2, 333, True),
-    (30, 3, 777, False),
-    (50, 4, 1500, True),
-    (3000, 4, 7, False),
+@pytest.mark.parametrize("n_clusters,dim,ties", [
+    (40, 5, False),
+    (60, 1, True),
+    (25, 2, True),
+    (30, 3, False),
+    (50, 4, True),
 ])
-def test_one_pass_null_equals_the_per_functional_simulation(
-        n_clusters, dim, n_sim, ties):
+def test_exact_p_agrees_with_the_per_functional_simulation(n_clusters, dim,
+                                                           ties):
+    # each null the one-pass simulation used to share, against its own
+    # simulation at that null's median
     t_interior = _interior_grid(n_clusters, ties)
     assert (t_interior.shape[0] < n_clusters) == ties
-    null = _bridge_null(t_interior.tobytes(), dim, n_clusters, n_sim, 9,
-                        (0.1, 0.9))
-    assert null.shape == (len(_NULL_ROWS), n_sim)
-    for row, name in enumerate(_NULL_ROWS):
-        reference = bridge_null_reference(name, t_interior, dim, n_clusters,
-                                          n_sim, 9)
-        assert np.array_equal(null[row], reference), name
+    steps = np.diff(np.concatenate(([0.0], t_interior)))
+    window = t_interior[_lm_window(t_interior, (0.1, 0.9))]
+    exact = {
+        "CvM": lambda x: _cvm_p_value(x, steps, n_clusters, dim),
+        "maxLM": lambda x: _lm_p_value(x, window, dim),
+        "maxLM-ordinal": lambda x: _lm_p_value(x, t_interior[:-1], dim),
+    }
+    for name, p_value in exact.items():
+        null = bridge_null_reference(name, t_interior, dim, n_clusters, 4000,
+                                     9)
+        x = float(np.median(null))
+        simulated = float(np.mean(null >= x))
+        se = np.sqrt(simulated * (1.0 - simulated) / null.size)
+        assert abs(p_value(x) - simulated) <= 3.0 * se, name
 
 
 def _assert_same_result(a, b):
@@ -289,78 +299,104 @@ def _assert_same_result(a, b):
 @pytest.mark.parametrize("functional", ["CvM", "maxLM", "maxLMo"])
 def test_cached_null_gives_the_same_result_as_a_fresh_one(
         binom_fit, ordering_40, functional):
-    _bridge_null.cache_clear()
+    _critical_value.cache_clear()
     fresh = sctest(binom_fit, ordering_40, functional=functional, seed=21,
                    n_sim=1500)
-    assert _bridge_null.cache_info().misses == 1
+    assert _critical_value.cache_info().misses == 1
     cached = sctest(binom_fit, ordering_40, functional=functional, seed=21,
                     n_sim=1500)
-    assert _bridge_null.cache_info().hits == 1
+    assert _critical_value.cache_info().hits == 1
     _assert_same_result(fresh, cached)
-    # the result equals a p-value taken from the per-functional simulation
-    name = fresh.functional
-    reference = bridge_null_reference(name, fresh.path.t[1:], 3, 40, 1500,
-                                      21)
-    assert fresh.p_value == np.mean(reference >= fresh.statistic)
-    assert fresh.critical_value == np.quantile(reference, 0.95)
+    # the result is the exact p-value, and the cached critical value is
+    # the one a fresh computation gives
+    t_interior = fresh.path.t[1:]
+    if functional == "CvM":
+        steps = fresh.path.counts / 40
+        key = ("CvM", steps.tobytes())
+        p_value = _cvm_p_value(fresh.statistic, steps, 40, 3)
+    else:
+        points = (t_interior[_lm_window(t_interior, (0.1, 0.9))]
+                  if functional == "maxLM" else t_interior[:-1])
+        key = ("maxLM", points.tobytes())
+        p_value = _lm_p_value(fresh.statistic, points, 3)
+    assert fresh.critical_value == _critical_value.__wrapped__(*key, 40, 3)
+    assert fresh.p_value == p_value
 
 
-def test_exact_dm_draws_nothing_and_ignores_the_seed(binom_fit, ordering_40):
-    _bridge_null.cache_clear()
-    a = sctest(binom_fit, ordering_40, seed=21, n_sim=1500)
-    b = sctest(binom_fit, ordering_40, seed=22, n_sim=10)
-    info = _bridge_null.cache_info()
-    assert (info.misses, info.hits) == (0, 0)
-    for field in ("statistic", "p_value", "p_value_se", "critical_value"):
-        assert getattr(a, field) == getattr(b, field), field
-    np.testing.assert_array_equal(a.crossings, b.crossings)
-    assert (a.n_sim, a.seed, b.n_sim, b.seed) == (1500, 21, 10, 22)
+def test_exact_nulls_draw_nothing_and_ignore_the_seed(binom_fit, ordering_40):
+    for functional in ("DM", "CvM", "maxLM", "maxLMo"):
+        a = sctest(binom_fit, ordering_40, functional=functional, seed=21,
+                   n_sim=1500)
+        b = sctest(binom_fit, ordering_40, functional=functional, seed=22,
+                   n_sim=10)
+        for field in ("statistic", "p_value", "p_value_se",
+                      "critical_value"):
+            assert getattr(a, field) == getattr(b, field), field
+        np.testing.assert_array_equal(a.crossings, b.crossings)
+        assert (a.n_sim, a.seed, b.n_sim, b.seed) == (1500, 21, 10, 22)
 
 
-def test_cached_null_is_read_only(binom_fit, ordering_40):
-    t_interior = sctest(binom_fit, ordering_40, seed=22,
-                        n_sim=300).path.t[1:]
-    null = _bridge_null(t_interior.tobytes(), 3, 40, 300, 22, (0.1, 0.9))
-    assert not null.flags.writeable
-    assert not null[0].flags.writeable
-    with pytest.raises(ValueError):
-        null[0, 0] = 0.0
+def test_cached_critical_values_are_immutable(binom_fit, ordering_40):
+    # the cache keeps floats under a copy of the grid's bytes, so nothing
+    # a caller does to a result reaches a cached entry
+    _critical_value.cache_clear()
+    result = sctest(binom_fit, ordering_40, functional="maxLM", seed=22,
+                    n_sim=300)
+    critical = result.critical_value
+    result.path.t[1:] = 0.5
+    result.path.counts[:] = 1
+    again = sctest(binom_fit, ordering_40, functional="maxLM", seed=22,
+                   n_sim=300)
+    assert _critical_value.cache_info().hits == 1
+    assert type(again.critical_value) is float
+    assert again.critical_value == critical
 
 
-def test_functionals_and_parm_subsets_of_one_size_share_a_null(
+def test_functionals_and_parm_subsets_of_one_size_share_critical_values(
         binom_fit, ordering_40):
-    _bridge_null.cache_clear()
+    _critical_value.cache_clear()
     for functional in ("DM", "CvM", "maxLM", "maxLMo"):
         sctest(binom_fit, ordering_40, functional=functional, seed=23,
                n_sim=400)
+    # another seed and draw count, and a parm subset of a size seen
+    # before, reuse the critical values
+    sctest(binom_fit, ordering_40, functional="maxLM", seed=24, n_sim=10)
     sctest(binom_fit, ordering_40, parm=[0, 1], seed=23, n_sim=400)
+    sctest(binom_fit, ordering_40, parm=[1, 2], seed=23, n_sim=400)
     sctest(binom_fit, ordering_40, parm=[1, 2], functional="cvm", seed=23,
            n_sim=400)
-    # the two DM calls are exact and never touch the cache
-    info = _bridge_null.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+    sctest(binom_fit, ordering_40, parm=[0, 2], functional="cvm", seed=23,
+           n_sim=400)
+    info = _critical_value.cache_info()
+    assert (info.misses, info.hits) == (6, 3)
 
 
-def test_different_settings_never_share_a_null(binom_fit, ordering_40):
+def test_different_grids_never_share_a_critical_value(binom_fit,
+                                                      ordering_40):
     base = {"seed": 24, "n_sim": 400, "trim": (0.1, 0.9)}
     tied = np.round(ordering_40, 0)
+    # (ordering, settings, cache misses so far): the seed and n_sim are
+    # not part of the grid
     variants = [
-        (ordering_40, base),
-        (ordering_40, base | {"trim": (0.2, 0.8)}),
-        (ordering_40, base | {"seed": 25}),
-        (ordering_40, base | {"n_sim": 401}),
-        (tied, base),
+        (ordering_40, base, 1),
+        (ordering_40, base | {"trim": (0.2, 0.8)}, 2),
+        (ordering_40, base | {"seed": 25}, 2),
+        (ordering_40, base | {"n_sim": 401}, 2),
+        (tied, base, 3),
     ]
-    _bridge_null.cache_clear()
-    for count, (ordering, kwargs) in enumerate(variants, start=1):
+    _critical_value.cache_clear()
+    critical = set()
+    for ordering, kwargs, misses in variants:
         result = sctest(binom_fit, ordering, functional="maxLM", **kwargs)
-        info = _bridge_null.cache_info()
-        assert (info.misses, info.hits) == (count, 0)
-        t_interior = result.path.t[1:]
-        reference = bridge_null_reference(
-            "maxLM", t_interior, 3, 40, kwargs["n_sim"], kwargs["seed"],
-            kwargs["trim"])
-        assert result.p_value == np.mean(reference >= result.statistic)
+        assert _critical_value.cache_info().misses == misses
+        critical.add(result.critical_value)
+        null = bridge_null_reference("maxLM", result.path.t[1:], 3, 40,
+                                     4000, 9, kwargs["trim"])
+        simulated = float(np.mean(null >= result.statistic))
+        se = max(np.sqrt(simulated * (1.0 - simulated) / null.size),
+                 1.0 / null.size)
+        assert abs(result.p_value - simulated) <= 3.0 * se
+    assert len(critical) == 3
     assert tied.shape[0] == 40 and np.unique(tied).shape[0] < 40
 
 
@@ -377,17 +413,31 @@ def test_empty_trim_window_fails_only_for_maxlm(binom_fit, ordering_40):
                n_sim=300, trim=window)
 
 
-def test_large_grid_null_stays_small_in_memory(binom_fit):
-    # a 5000-point grid in 4 dimensions: the per-functional simulation
-    # allocated one chunk of every path at once, a peak of 130 MB at
-    # n_sim=200; the one-pass null measured 1.6 MB
+def test_large_grid_nulls_are_quick_and_small(binom_fit):
+    # a 5000-point grid in 4 dimensions, the cli_postest benchmark's: the
+    # exact CvM and maxLM p-values and critical values each cost well
+    # under the shared simulated null they replace at the CLI default
+    # n_sim=50000 (10^9 draws, extrapolated here from 500 paths of the
+    # reference simulator), and one more p-value stays small in memory
     scores = np.random.default_rng(0).standard_normal((5000, 4))
-    _bridge_null.cache_clear()
-    tracemalloc.start()
-    try:
-        sctest(binom_fit, np.arange(5000.0), scores=scores, seed=27,
-               n_sim=200)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    start = time.perf_counter()
+    bridge_null_reference("maxLM", np.arange(1.0, 5001.0) / 5000.0, 4, 5000,
+                          500, 27)
+    simulated = 100.0 * (time.perf_counter() - start)
+    for functional in ("CvM", "maxLM"):
+        _critical_value.cache_clear()
+        start = time.perf_counter()
+        result = sctest(binom_fit, np.arange(5000.0), scores=scores,
+                        functional=functional, seed=27, n_sim=50000)
+        elapsed = time.perf_counter() - start
+        assert 0.0 < result.p_value < 1.0
+        assert 0.0 < result.critical_value < np.inf
+        assert elapsed < 0.25 * simulated, (functional, elapsed, simulated)
+        tracemalloc.start()
+        try:
+            sctest(binom_fit, np.arange(5000.0), scores=scores,
+                   functional=functional, seed=27, n_sim=50000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, (functional, peak)

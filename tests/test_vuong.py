@@ -7,7 +7,7 @@ from scipy import stats as sps
 from glmmkit import (ConfigError, DegenerateError, FitControl, GlmmData,
                      family_spec, fit, llcont, load_fitted, make_glmm_data,
                      vuong_lr_test, vuong_variance_test)
-from glmmkit.simulate import _TAIL_EPS
+from glmmkit._nulls import _TAIL_EPS
 from oracles import mixture_tail_reference, mixture_tail_simulated
 
 
