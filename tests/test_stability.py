@@ -415,10 +415,11 @@ def test_empty_trim_window_fails_only_for_maxlm(binom_fit, ordering_40):
 
 def test_large_grid_nulls_are_quick_and_small(binom_fit):
     # a 5000-point grid in 4 dimensions, the cli_postest benchmark's: the
-    # exact CvM and maxLM p-values and critical values each cost well
-    # under the shared simulated null they replace at the CLI default
+    # exact CvM and maxLM p-values and critical values each cost under
+    # half of the shared simulated null they replace at the CLI default
     # n_sim=50000 (10^9 draws, extrapolated here from 500 paths of the
-    # reference simulator), and one more p-value stays small in memory
+    # reference simulator; CHANGES.md records the measured times), and
+    # one more p-value stays small in memory
     scores = np.random.default_rng(0).standard_normal((5000, 4))
     start = time.perf_counter()
     bridge_null_reference("maxLM", np.arange(1.0, 5001.0) / 5000.0, 4, 5000,
@@ -432,7 +433,7 @@ def test_large_grid_nulls_are_quick_and_small(binom_fit):
         elapsed = time.perf_counter() - start
         assert 0.0 < result.p_value < 1.0
         assert 0.0 < result.critical_value < np.inf
-        assert elapsed < 0.25 * simulated, (functional, elapsed, simulated)
+        assert elapsed < 0.5 * simulated, (functional, elapsed, simulated)
         tracemalloc.start()
         try:
             sctest(binom_fit, np.arange(5000.0), scores=scores,
