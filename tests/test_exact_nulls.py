@@ -315,6 +315,7 @@ def test_closed_form_kernels_match_the_bessel_function(dim):
     (30, 8, False, 20.0, (0.1, 0.9)),
     (25, 12, True, 30.0, (0.0, 1.0)),
     (200, 4, False, 30.0, (0.1, 0.95)),   # banded, with Hankel's series
+    (120, 15, False, 30.0, (0.0, 1.0)),   # the recurrence alone overflowed
 ])
 def test_radial_chain_matches_a_dense_bessel_chain(n_clusters, dim, ties, c,
                                                    trim):
@@ -322,7 +323,7 @@ def test_radial_chain_matches_a_dense_bessel_chain(n_clusters, dim, ties, c,
     # S_k, against the dense chain of ive() kernels on NumPy's rule
     _, t_interior = _grid(n_clusters, ties)
     points = t_interior[_lm_window(t_interior, trim)]
-    nodes = 160 if n_clusters < 200 else 128
+    nodes = 160 if n_clusters < 100 else 128
     assert abs(_lm_stay_probability(c, points, dim)
                - radial_stay_reference(c, points, dim, nodes)) <= 1e-11
 
