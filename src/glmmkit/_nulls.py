@@ -226,8 +226,8 @@ _LM_REACH_TAIL = 1e-16
 
 # From here on, S_2 and S_4 of _radial_kernel (orders v = 0, 1) sum seven
 # terms of Hankel's expansion sum_m (-1)^m a_m(v) / z^m, a_m(v) =
-# prod_{i<=m} (4 v^2 - (2i - 1)^2) / (m! 8^m): exact to 2e-18, and a fifth
-# of the cost of the Bessel functions.
+# prod_{i<=m} (4 v^2 - (2i - 1)^2) / (m! 8^m), which truncates them by
+# less than 2e-18 at a fifth of the cost of the Bessel functions.
 _HANKEL_FROM = 400.0
 _HANKEL = {2 + 2 * v: np.cumprod([1.0] + [
     -(4 * v * v - (2 * m - 1) ** 2) / (8.0 * m) for m in range(1, 7)])
