@@ -55,6 +55,10 @@ _POINT_MASS_TOL = 1e-10
 # Successive trapezoid sums of the tail integral must agree this closely.
 _TRAPEZOID_TOL = 1e-12
 
+# Entries of the tail integrand's (nodes x weights) array built at once,
+# at most (1 MB of complex doubles).
+_TAIL_BLOCK = 2 ** 16
+
 
 def _convex_root(slope, curvature, lo, hi):
     """Root of an increasing ``slope`` on (lo, hi), which it crosses once.
@@ -159,11 +163,15 @@ def _chisq_mixture_tail(weights, x, multiplicity=1) -> float:
     a = 1.0 / math.sqrt(cgf_curvature(c) + 1.0 / (c * c))
     offset = 0.0 if upper else 1.0      # residue of the pole at 0
 
+    rows = max(1, _TAIL_BLOCK // lam.size)
+
     def integrand(v):
         sinh, cosh = np.sinh(v), np.cosh(v)
         s = (c + a * (cosh - 1.0)) + 1j * (a * sinh)
-        log_m = -0.5 * (np.log(1.0 - 2.0 * np.multiply.outer(s, lam))
-                        @ mult)
+        # log M(s), for a block of rows of s at a time
+        log_m = -0.5 * np.concatenate([
+            np.log(1.0 - 2.0 * np.multiply.outer(s[i:i + rows], lam)) @ mult
+            for i in range(0, s.size, rows)])
         # (1 / 2 pi i) * ds / s, with ds = a (sinh v + i cosh v) dv
         return (np.exp(log_m - s * x) * (a * (cosh - 1j * sinh)) / s).real
 
@@ -224,17 +232,8 @@ _EIGH_AFTER = 4
 # Gaussian step exceeds with this probability; J steps drop J times it.
 _LM_REACH_TAIL = 1e-16
 
-# From here on, S_2 and S_4 of _radial_kernel (orders v = 0, 1) sum seven
-# terms of Hankel's expansion sum_m (-1)^m a_m(v) / z^m, a_m(v) =
-# prod_{i<=m} (4 v^2 - (2i - 1)^2) / (m! 8^m), which truncates them by
-# less than 2e-18 at a fifth of the cost of the Bessel functions.
-_HANKEL_FROM = 400.0
-_HANKEL = {2 + 2 * v: np.cumprod([1.0] + [
-    -(4 * v * v - (2 * m - 1) ** 2) / (8.0 * m) for m in range(1, 7)])
-    for v in (0, 1)}
-
-# Kernel entries built per batch of steps, at most (2 MB of doubles).
-_LM_BATCH = 2 ** 18
+# Kernel entries built per batch of steps, at most (1 MB of doubles).
+_LM_BATCH = 2 ** 17
 
 # Critical values: the secant's step tolerance, Siegmund's correction
 # 0.5826 sqrt(dt) of the continuous Kolmogorov quantile toward the
@@ -336,18 +335,7 @@ def _base_ratio(k, z):
         return 1.0 + np.exp(-2.0 * z)
     if k == 3:
         return -np.expm1(-2.0 * z)
-    ratio = np.empty_like(z)
-    near = z < _HANKEL_FROM
-    ratio[near] = np.sqrt(2.0 * math.pi * z[near]) * (
-        i0e if k == 2 else i1e)(z[near])
-    far = ~near
-    inverse = 1.0 / z[far]
-    series = np.full_like(inverse, _HANKEL[k][-1])
-    for coefficient in _HANKEL[k][-2::-1]:
-        series *= inverse
-        series += coefficient
-    ratio[far] = series
-    return ratio
+    return np.sqrt(2.0 * math.pi * z) * (i0e if k == 2 else i1e)(z)
 
 
 def _stay_probability(bands, steps, dim, nodes=None):
@@ -497,35 +485,36 @@ def _lm_p_value(statistic, t, dim):
     return min(1.0, max(0.0, 1.0 - _lm_stay_probability(statistic, t, dim)))
 
 
-def _cvm_weights(steps, n_clusters):
-    """Weights of the CvM null as a chi-square mixture, each carried by
-    every coordinate: 1 / (n mu_k) for the eigenvalues mu_k of the
+def _cvm_weights(steps):
+    """Weights of n times the CvM null as a chi-square mixture, each
+    carried by every coordinate: 1 / mu_k for the eigenvalues mu_k of the
     precision of one bridge coordinate at the grid points below t = 1,
     tridiagonal with diagonal 1/dt_j + 1/dt_{j+1} and off-diagonal
     -1/dt_{j+1}."""
     inverse = 1.0 / steps
-    precision = eigvalsh_tridiagonal(inverse[:-1] + inverse[1:],
-                                     -inverse[1:-1])
-    return 1.0 / (n_clusters * precision)
+    return 1.0 / eigvalsh_tridiagonal(inverse[:-1] + inverse[1:],
+                                      -inverse[1:-1])
 
 
 def _cvm_p_value(statistic, steps, n_clusters, dim):
     """Exact P(CvM >= statistic) on the grid of ``steps``."""
-    return _chisq_mixture_tail(_cvm_weights(steps, n_clusters), statistic,
+    return _chisq_mixture_tail(_cvm_weights(steps), n_clusters * statistic,
                                dim)
 
 
 @functools.lru_cache(maxsize=_CRITICAL_CACHE_SIZE)
-def _critical_value(functional, grid, n_clusters, dim):
+def _critical_value(functional, grid, dim):
     """The 5% critical value of a functional on one grid, kept for the
     last _CRITICAL_CACHE_SIZE grids.
 
     ``grid`` holds the bytes of a float64 array: the steps of the whole
     grid for "DM" and "CvM", the points the max-LM maximum runs over for
-    "maxLM" (maxLM-ordinal is maxLM over every point below t = 1).  The
-    secant steps (see _secant) start from the two-moment scaled chi-square
-    quantile for CvM and stop once its tail is within _TAIL_EPS / 10 of
-    0.05.  For DM they start from the Siegmund-corrected Kolmogorov
+    "maxLM" (maxLM-ordinal is maxLM over every point below t = 1).  For
+    CvM the value is that of n times the statistic, which the grid alone
+    fixes; the caller divides it by the cluster count n.  The secant steps
+    (see _secant) start from the two-moment scaled chi-square quantile for
+    CvM and stop once its tail is within _TAIL_EPS / 10 of 0.05.  For DM
+    they start from the Siegmund-corrected Kolmogorov
     quantile, for maxLM from the chi-square quantile at 0.05 / sqrt(J),
     between the one-point and the union bound's; both stop once
     log P(stay) is within _DM_TOL / 10 = _LM_TOL / 10 of log 0.95.
@@ -533,7 +522,7 @@ def _critical_value(functional, grid, n_clusters, dim):
     values = np.frombuffer(grid)
     alpha = 1.0 - _LEVEL
     if functional == "CvM":
-        weights = _cvm_weights(values, n_clusters)
+        weights = _cvm_weights(values)
         mean = dim * float(weights.sum())
         variance = 2.0 * dim * float(np.square(weights).sum())
         guess = variance / (2.0 * mean) * float(

@@ -13,6 +13,7 @@ Cramer-von Mises as a weighted chi-square tail.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,13 @@ class FluctuationPath:
 
 @dataclass(frozen=True)
 class ScoreTestResult:
-    """Outcome of a parameter-instability score test."""
+    """Outcome of a parameter-instability score test.
+
+    ``critical_value`` (the functional's 5% critical value, exact on the
+    test's grid) and ``crossings`` (the t at which the pointwise statistic
+    exceeds it) are computed when first read, so a caller who reads only
+    the p-value does not pay for the critical value.
+    """
 
     statistic: float
     p_value: float
@@ -75,11 +82,23 @@ class ScoreTestResult:
     path: FluctuationPath
     parm: tuple[int, ...]
     labels: tuple[str, ...]
-    # 5% critical value of the functional, exact on the test's grid
-    critical_value: float
-    crossings: np.ndarray    # t at which the pointwise statistic exceeds it
     n_sim: int               # validated and kept for compatibility; unused
     seed: int                # validated and kept for compatibility; unused
+    # the arguments of _nulls._critical_value, the divisor that puts its
+    # value on the statistic's scale, and the pointwise statistic at its
+    # grid times (both empty for CvM, which has no pointwise form)
+    _critical_key: tuple = dataclasses.field(repr=False, compare=False)
+    _critical_divisor: float = dataclasses.field(repr=False, compare=False)
+    _pointwise: np.ndarray = dataclasses.field(repr=False, compare=False)
+    _pointwise_t: np.ndarray = dataclasses.field(repr=False, compare=False)
+
+    @functools.cached_property
+    def critical_value(self) -> float:
+        return _critical_value(*self._critical_key) / self._critical_divisor
+
+    @functools.cached_property
+    def crossings(self) -> np.ndarray:
+        return self._pointwise_t[self._pointwise > self.critical_value]
 
 
 def _b_root_inverse(b_matrix: np.ndarray) -> np.ndarray:
@@ -245,8 +264,9 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
         p-value and critical value are exact on the test's grid, ties
         included, and ``p_value_se`` is the p-value's error bound:
         ``dim * 1e-10`` for DM, 1e-9 for CvM and 1e-10 for maxLM and
-        maxLM-ordinal.  Critical values are cached by grid, so calls on
-        one grid (the same cluster count and ties, tested columns and
+        maxLM-ordinal.  The critical value and crossings are computed
+        when first read, and critical values are cached by grid, so calls
+        on one grid (the same cluster count and ties, tested columns and
         trimming window) compute each functional's once.
 
     Notes
@@ -296,33 +316,30 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
             f"window [{trim[0]}, {trim[1]}]"
         )
     observed = path.values[1:]
+    divisor = 1.0
     if name == "DM":
         pointwise = np.abs(observed).max(axis=1)
         statistic = float(pointwise.max())
         grid = path.counts / n_clusters
+        pointwise_t = t_interior
         p_value = _dm_p_value(statistic, grid, dim)
         p_value_se = dim * _DM_TOL
     elif name == "CvM":
         statistic = float(np.square(observed).sum(axis=1).sum() / n_clusters)
         grid = path.counts / n_clusters
+        pointwise = pointwise_t = np.empty(0)
+        divisor = float(n_clusters)
         p_value = _cvm_p_value(statistic, grid, n_clusters, dim)
         p_value_se = _TAIL_EPS
     else:
         # the pointwise LM statistic, only where the functional looks
         cols = window if name == "maxLM" else slice(0, t_interior.size - 1)
-        grid = t_interior[cols]
+        grid = pointwise_t = t_interior[cols]
         pointwise = np.square(observed[cols]).sum(axis=1) / (
             grid * (1.0 - grid))
         statistic = float(pointwise.max())
         p_value = _lm_p_value(statistic, grid, dim)
         p_value_se = _LM_TOL
-    critical = _critical_value("maxLM" if name.startswith("maxLM") else name,
-                               grid.tobytes(), n_clusters, dim)
-    if name == "CvM":
-        crossings = np.empty(0)
-    else:
-        crossings = (t_interior if name == "DM" else grid)[
-            pointwise > critical]
     return ScoreTestResult(
         statistic=statistic,
         p_value=p_value,
@@ -331,8 +348,11 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
         path=path,
         parm=parm_idx,
         labels=labels,
-        critical_value=critical,
-        crossings=crossings,
         n_sim=n_sim,
         seed=seed,
+        _critical_key=("maxLM" if name.startswith("maxLM") else name,
+                       grid.tobytes(), dim),
+        _critical_divisor=divisor,
+        _pointwise=pointwise,
+        _pointwise_t=pointwise_t.copy(),   # not a view of path.t
     )

@@ -191,7 +191,7 @@ def test_too_few_nodes_double_instead_of_overflowing():
                                                  (40, 3, True)])
 def test_critical_value_has_the_level(n_clusters, dim, ties):
     steps = _grid(n_clusters, ties)[0]
-    c = _critical_value.__wrapped__("DM", steps.tobytes(), n_clusters, dim)
+    c = _critical_value.__wrapped__("DM", steps.tobytes(), dim)
     stay = _dm_stay(c, steps, _node_count(c, steps))
     assert abs(stay ** dim - 0.95) <= 1e-10
     assert abs(_dm_p_value(c, steps, dim) - 0.05) <= 1e-10
@@ -230,7 +230,7 @@ def test_many_repeated_weights_do_not_overflow_the_tail():
     # slope_agq's CvM null: the 40-point grid's 39 weights, each carried
     # by 5 coordinates.  As 195 separate weights they overflowed exp() in
     # the truncation bound, which is now taken in logs
-    weights = _cvm_weights(np.full(40, 1.0 / 40.0), 40)
+    weights = _cvm_weights(np.full(40, 1.0 / 40.0)) / 40.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for x in (0.3, 0.83, 1.46, 3.0):
@@ -314,13 +314,13 @@ def test_closed_form_kernels_match_the_bessel_function(dim):
     (30, 7, False, 20.0, (0.1, 0.7)),
     (30, 8, False, 20.0, (0.1, 0.9)),
     (25, 12, True, 30.0, (0.0, 1.0)),
-    (200, 4, False, 30.0, (0.1, 0.95)),   # banded, with Hankel's series
+    (200, 4, False, 30.0, (0.1, 0.95)),   # banded
     (120, 15, False, 30.0, (0.0, 1.0)),   # the recurrence alone overflowed
 ])
 def test_radial_chain_matches_a_dense_bessel_chain(n_clusters, dim, ties, c,
                                                    trim):
-    # the banded chain, with its closed forms, recurrence and series for
-    # S_k, against the dense chain of ive() kernels on NumPy's rule
+    # the banded chain, with its closed forms and recurrence for S_k,
+    # against the dense chain of ive() kernels on NumPy's rule
     _, t_interior = _grid(n_clusters, ties)
     points = t_interior[_lm_window(t_interior, trim)]
     nodes = 160 if n_clusters < 100 else 128
@@ -338,17 +338,16 @@ def test_cached_critical_value_is_a_fresh_one_and_has_the_level(
     grid = (t_interior[_lm_window(t_interior, (0.1, 0.9))]
             if name == "maxLM" else steps)
     _critical_value.cache_clear()
-    cached = _critical_value(name, grid.tobytes(), n_clusters, dim)
-    assert _critical_value(name, grid.tobytes(), n_clusters, dim) == cached
+    cached = _critical_value(name, grid.tobytes(), dim)
+    assert _critical_value(name, grid.tobytes(), dim) == cached
     assert _critical_value.cache_info().hits == 1
-    fresh = _critical_value.__wrapped__(name, grid.tobytes(), n_clusters, dim)
+    fresh = _critical_value.__wrapped__(name, grid.tobytes(), dim)
     assert fresh == cached
     if name == "DM":
         stay = _dm_stay(cached, steps)
         assert abs(stay ** dim - 0.95) <= _DM_TOL
     elif name == "CvM":
-        tail = _chisq_mixture_tail(_cvm_weights(steps, n_clusters), cached,
-                                   dim)
+        tail = _chisq_mixture_tail(_cvm_weights(steps), cached, dim)
         assert abs(tail - 0.05) <= _TAIL_EPS
     else:
         assert abs(_lm_stay_probability(cached, grid, dim) - 0.95) <= _LM_TOL
