@@ -448,7 +448,8 @@ def test_large_grid_exact_nulls_stay_small_in_memory(binom_fit, functional):
     # batch of steps at a time, so the first call, traced from an empty
     # cache, measured 3.1 MB (CvM, critical value included) and 1.8 MB
     # (maxLM).  maxLM's critical value runs the same chain six more times,
-    # 17 s on this grid, so only its p-value is traced here
+    # 12.5 s on this grid with one BLAS thread, so only its p-value is
+    # traced here
     scores = np.random.default_rng(0).standard_normal((5000, 4))
     _critical_value.cache_clear()
     tracemalloc.start()
