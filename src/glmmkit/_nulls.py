@@ -514,10 +514,10 @@ def _critical_value(functional, grid, dim):
     fixes; the caller divides it by the cluster count n.  The secant steps
     (see _secant) start from the two-moment scaled chi-square quantile for
     CvM and stop once its tail is within _TAIL_EPS / 10 of 0.05.  For DM
-    they start from the Siegmund-corrected Kolmogorov
-    quantile, for maxLM from the chi-square quantile at 0.05 / sqrt(J),
-    between the one-point and the union bound's; both stop once
-    log P(stay) is within _DM_TOL / 10 = _LM_TOL / 10 of log 0.95.
+    they start from the Siegmund-corrected Kolmogorov quantile, for maxLM
+    from the chi-square quantile at 0.05 / sqrt(J), between the one-point
+    and the union bound's; both stop once log P(stay) is within
+    _DM_TOL / 10 = _LM_TOL / 10 of log 0.95.
     """
     values = np.frombuffer(grid)
     alpha = 1.0 - _LEVEL
