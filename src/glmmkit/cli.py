@@ -150,13 +150,19 @@ def _fit_control(config):
     return FitControl(**options)
 
 
-def _rehydrate(args, config=None, fit_attr="fit", extra_columns=()):
+def _rehydrate(args, extra_columns=()):
     """Rebuild a FittedGlmm from a fit JSON plus the original data."""
+    config = _config_from_args(args)
+    ingest = _ingest(args, config, extra_columns=extra_columns)
+    return _load_fit(args, ingest.data, "fit"), ingest, config
+
+
+def _load_fit(args, data, fit_attr):
+    """A FittedGlmm at the estimates stored in a fit JSON."""
     from .estimation import load_fitted
     from .exceptions import ConfigError
+    from .families import family_spec
 
-    config = config or _config_from_args(args)
-    ingest = _ingest(args, config, extra_columns=extra_columns)
     stored = _read_json_file(getattr(args, fit_attr), "fit")
     try:
         estimate = stored["estimate"]
@@ -170,11 +176,8 @@ def _rehydrate(args, config=None, fit_attr="fit", extra_columns=()):
         raise ConfigError(
             f"fit file {getattr(args, fit_attr)} is missing field {exc}"
         ) from exc
-    from .families import family_spec
-
-    fitted = load_fitted(beta, theta, ingest.data, family_spec(family, link),
-                         structure=structure)
-    return fitted, ingest, config
+    return load_fitted(beta, theta, data, family_spec(family, link),
+                       structure=structure)
 
 
 def _derivative_points(args, fitted):
@@ -283,8 +286,7 @@ def _cmd_scores(args) -> int:
     fitted, _, _ = _rehydrate(args)
     n_points = _derivative_points(args, fitted)
     scores = estfun(fitted, parameterization=args.ranpar, n_points=n_points)
-    _write_csv(args.out, scores.labels,
-               [list(map(float, row)) for row in scores.values])
+    _write_csv(args.out, scores.labels, scores.values.tolist())
     return 0
 
 
@@ -367,12 +369,17 @@ def _cmd_sctest(args) -> int:
 
 def _cmd_vuong(args) -> int:
     from .exceptions import DegenerateError
+    from .ingest import _build, _read_table
     from .vuong import _variance_result, vuong_lr_test
 
-    config1 = _config_from_args(args, "config1")
-    config2 = _config_from_args(args, "config2")
-    fit1, _, _ = _rehydrate(args, config=config1, fit_attr="fit1")
-    fit2, _, _ = _rehydrate(args, config=config2, fit_attr="fit2")
+    configs = [_config_from_args(args, name) for name in ("config1", "config2")]
+    # one read serves both models; the raw table is freed before the
+    # mode solves
+    table = _read_table(args.data)
+    data1, data2 = (_build(table, config).data for config in configs)
+    del table
+    fit1 = _load_fit(args, data1, "fit1")
+    fit2 = _load_fit(args, data2, "fit2")
     nagq = args.nagq
     try:
         result = vuong_lr_test(fit1, fit2, nested=args.nested, n_points=nagq,

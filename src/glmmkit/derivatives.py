@@ -16,7 +16,7 @@ most ``estimation._BLOCK_ELEMENTS`` (row, node) entries.  The ratio is
 formed in log space with a per-cluster max shift, so small marginal
 densities never produce NaN scores.  The Hessian comes from one more
 pass of the same kernel, which also sums the observed curvature against
-every product of two design columns.
+every product of two design columns and returns the scores with it.
 """
 
 from __future__ import annotations
@@ -53,15 +53,19 @@ class ScoreMatrix:
 class HessianResult:
     """Hessian of the total log-likelihood (see :func:`hessian`).
 
-    ``one_sided`` lists the parameter indices of theta-scale diagonal
-    entries on the bound, where only the derivative from the feasible side
-    exists.
+    ``scores`` holds the per-cluster scores on the same scale and point
+    count, which the Hessian's sweep yields on the way; a caller that
+    needs both (the sandwich, the Vuong null) runs one sweep instead of
+    two.  ``one_sided`` lists
+    the parameter indices of theta-scale diagonal entries on the bound,
+    where only the derivative from the feasible side exists.
     """
 
     values: np.ndarray
     labels: tuple[str, ...]
     parameterization: str
     m_used: int
+    scores: ScoreMatrix
     one_sided: tuple[int, ...] = ()
 
 
@@ -87,6 +91,25 @@ def _derivative_rule(fit: FittedGlmm, n_points: int | None) -> GhRule:
                    else n_points, q)
 
 
+def _refuse_boundary(fit: FittedGlmm, parameterization: str) -> None:
+    """Check the scale, and refuse var/sd scores at the theta boundary,
+    where the chain-rule Jacobian is singular."""
+    cov.validate_parameterization(parameterization)
+    if fit.boundary and parameterization != "theta":
+        raise SingularityError(
+            "fit is on the boundary (a relative-covariance diagonal entry is "
+            "zero); only theta-scale scores are defined"
+        )
+
+
+def _on_scale(values, p, jac) -> np.ndarray:
+    """Theta-scale score columns mapped by the chain Jacobian ``jac``
+    (``covariance.theta_chain``); None leaves them on the theta scale."""
+    if jac is None:
+        return values
+    return np.hstack([values[:, :p], values[:, p:] @ jac])
+
+
 def _scores(fit: FittedGlmm, beta, theta, modes, chols, rule: GhRule,
             parameterization: str) -> np.ndarray:
     """Per-cluster scores at (beta, theta) on the requested scale."""
@@ -95,11 +118,9 @@ def _scores(fit: FittedGlmm, beta, theta, modes, chols, rule: GhRule,
     _, values = _quadrature_sweep(beta, lam, fit.data, fit.family, modes,
                                   chols, rule,
                                   cov.free_positions(q, fit.structure))
-    if parameterization == "theta":
-        return values
-    p = fit.data.n_fixed
-    return np.hstack([values[:, :p], cov.reparameterize_scores(
-        values[:, p:], lam, parameterization, fit.structure)])
+    jac = (None if parameterization == "theta"
+           else cov.theta_chain(lam, parameterization, fit.structure)[0])
+    return _on_scale(values, fit.data.n_fixed, jac)
 
 
 def estfun(fit: FittedGlmm, parameterization: str = "var",
@@ -129,12 +150,7 @@ def estfun(fit: FittedGlmm, parameterization: str = "var",
         If the fit sits on the theta boundary and var/sd scores are
         requested; the chain-rule Jacobian is singular there.
     """
-    cov.validate_parameterization(parameterization)
-    if fit.boundary and parameterization != "theta":
-        raise SingularityError(
-            "fit is on the boundary (a relative-covariance diagonal entry is "
-            "zero); only theta-scale scores are defined"
-        )
+    _refuse_boundary(fit, parameterization)
     rule = _derivative_rule(fit, n_points)
     values = _scores(fit, fit.beta, fit.theta, fit.modes, fit.cond_chol, rule,
                      parameterization)
@@ -168,6 +184,10 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
     as ``(H + H') / 2``.  ``one_sided`` lists the theta-scale diagonal
     entries on the bound (below ``estimation._BOUNDARY_TOL``): their
     columns are derivatives from the feasible side.
+
+    The same sweep gives the per-cluster scores, mapped by the same
+    Jacobian ``J``; they come back as ``scores`` and equal
+    :func:`estfun`'s at this scale and point count bit for bit.
     """
     cov.validate_parameterization(parameterization)
     if fit.boundary and parameterization != "theta":
@@ -181,6 +201,7 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
     _, scores, matrix = _quadrature_sweep(fit.beta, lam, fit.data, fit.family,
                                           fit.modes, fit.cond_chol, rule,
                                           positions, second=True)
+    jac = None
     if parameterization != "theta":
         jac, second = cov.theta_chain(lam, parameterization, fit.structure)
         matrix[:, p:] = matrix[:, p:] @ jac
@@ -191,8 +212,13 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
     # only a boundary fit has such entries, and it is refused off theta
     one_sided = tuple(p + t for t, (i, j) in enumerate(positions)
                       if i == j and fit.theta[t] < _BOUNDARY_TOL)
+    labels = tuple(fit.parameter_labels(parameterization))
     return HessianResult(values=matrix,
-                         labels=tuple(fit.parameter_labels(parameterization)),
+                         labels=labels,
                          parameterization=parameterization,
                          m_used=rule.points_per_dim,
+                         scores=ScoreMatrix(values=_on_scale(scores, p, jac),
+                                            labels=labels,
+                                            parameterization=parameterization,
+                                            m_used=rule.points_per_dim),
                          one_sided=one_sided)

@@ -14,10 +14,20 @@ quoted or span lines, so a fast path splits the text into lines, checks
 each line's comma count, splits the body once on commas and takes every
 column as a stride slice.  Any other file goes through ``csv.reader``.
 Both paths give the same header and columns (a blank line has 0 fields,
-as ``csv.reader`` counts it) and share everything after: the
-missing-value mask, one ``float`` pass per numeric column, and one
-first-appearance coding of the clusters.  Per-cell work and line numbers
-are needed only on the error paths.
+as ``csv.reader`` counts it), plus the file line on which each row
+starts: a quoted cell may span lines, so line numbers in messages and in
+``dropped_lines`` come from the reader, not from the row count.
+
+Each referenced column that is neither the cluster nor declared
+categorical is parsed first, in one ``np.array(cells, dtype=float)``
+call, which reads a cell as ``float`` does, padding included.  A column
+that parses with no NaN holds no missing-value token, so it needs no
+further per-cell work.  Every other column takes the careful path:
+its cells are stripped, masked for missing values, and classified as
+numeric or categorical with line numbers for unparseable cells.  The
+strip is skipped when the fast path's text is ASCII and holds none of
+the characters ``str.strip`` could remove from a cell there.  Cluster
+ids are coded once, by first appearance.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from itertools import compress, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +48,8 @@ from .exceptions import ConfigError, IngestionError
 __all__ = ["ModelConfig", "IngestResult", "ingest_csv"]
 
 _MISSING = {"", "NA", "NaN", "nan", "N/A", "null", "NULL"}
+# what str.strip removes from an ASCII cell that holds no line break
+_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 _CONFIG_KEYS = {
     "response", "fixed", "random", "cluster", "family", "link",
@@ -213,34 +226,56 @@ def _split_lines(lines, width):
     return [flat[j::width] for j in range(width)]
 
 
-def _split_rows(rows, width):
+def _split_rows(rows, width, lines):
     """Columns of rows that ``csv.reader`` produced."""
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in zip(lines.tolist(), rows):
         if len(row) != width:
             raise _ragged(lineno, width, len(row))
     return [[row[j] for row in rows] for j in range(width)]
 
 
 def _csv_rows(path, text):
+    """Rows of ``csv.reader`` and the file line on which each starts."""
     reader = csv.reader(io.StringIO(text, newline=""))
+    rows: list[list[str]] = []
+    starts: list[int] = []
+    start = 1
     try:
-        return list(reader)
+        for row in reader:
+            rows.append(row)
+            starts.append(start)
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise IngestionError(
             f"data file {path} is not valid CSV near line "
             f"{reader.line_num}: {exc}"
         ) from exc
+    return rows, starts
 
 
-def _read_table(path):
+class _Table(NamedTuple):
+    """A CSV file's header and raw body columns."""
+
+    header: list[str]
+    columns: list[list[str]]
+    lines: np.ndarray    # the file line on which each body row starts
+    padded: bool         # whether a cell may hold text that strip removes
+
+
+def _read_table(path) -> _Table:
     """Header and raw columns of a CSV file with a rectangular body."""
     text = _read_text(path)
-    unix = text.replace("\r\n", "\n")
+    unix = text.replace("\r\n", "\n") if "\r" in text else text
     fast = '"' not in unix and "\r" not in unix
-    rows = unix.split("\n") if fast else _csv_rows(path, text)
+    if fast:
+        padded = not unix.isascii() or any(map(unix.__contains__, _PADDING))
+        rows = unix.split("\n")
+        if rows[-1] == "":
+            rows.pop()
+    else:
+        padded = True
+        rows, lines = _csv_rows(path, text)
     del text, unix
-    if fast and rows[-1] == "":
-        rows.pop()
     if not rows:
         raise IngestionError(f"{path} is empty; a header row is required")
     first = rows.pop(0)
@@ -249,19 +284,32 @@ def _read_table(path):
     header = [h.strip() for h in first]
     if len(set(header)) != len(header):
         raise IngestionError(f"{path} has duplicate column names")
-    split = _split_lines if fast else _split_rows
-    return header, split(rows, len(header))
+    lines = (np.arange(2, len(rows) + 2) if fast
+             else np.asarray(lines[1:], dtype=int))
+    columns = (_split_lines(rows, len(header)) if fast
+               else _split_rows(rows, len(header), lines))
+    return _Table(header, columns, lines, padded)
 
 
-def _classify(name, values, rows, declared_categorical):
+def _parse_clean(cells):
+    """The column as floats when every cell parses and none is NaN, so
+    that no cell can be a missing-value token; otherwise None."""
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        return None
+    return None if np.isnan(values).any() else values
+
+
+def _classify(name, values, lines, declared_categorical):
     """Return ("numeric", float-array) or ("categorical", str-array).
 
-    ``rows`` holds the 0-based body row of each value, for error messages.
+    ``lines`` holds the file line of each value, for error messages.
     """
     if name in declared_categorical:
         return "categorical", np.asarray(values, dtype=object)
     try:
-        return "numeric", np.array(list(map(float, values)))
+        return "numeric", np.array(values, dtype=float)
     except ValueError:
         pass
     bad: list[int] = []
@@ -272,7 +320,7 @@ def _classify(name, values, rows, declared_categorical):
             bad.append(idx)
     if len(bad) == len(values):
         return "categorical", np.asarray(values, dtype=object)
-    shown = ", ".join(str(rows[b] + 2) for b in bad[:5])
+    shown = ", ".join(str(lines[b]) for b in bad[:5])
     more = "" if len(bad) <= 5 else f" (+{len(bad) - 5} more)"
     raise IngestionError(
         f"column {name!r} mixes numeric and non-numeric values; "
@@ -312,7 +360,13 @@ def ingest_csv(path, config: ModelConfig, extra_columns=()) -> IngestResult:
         Unknown columns, unparseable numeric values (with line numbers),
         or no rows left after dropping missing values.
     """
-    header, columns = _read_table(path)
+    return _build(_read_table(path), config, extra_columns)
+
+
+def _build(table: _Table, config: ModelConfig, extra_columns=()) -> IngestResult:
+    """:func:`ingest_csv` on a table already read; the table is not
+    changed, so one read can serve several configs."""
+    header, columns, lines = table.header, table.columns, table.lines
     col_of = {name: j for j, name in enumerate(header)}
     if (config.cluster == config.response
             or config.cluster in config.term_columns()):
@@ -330,16 +384,23 @@ def ingest_csv(path, config: ModelConfig, extra_columns=()) -> IngestResult:
                 f"column {name!r} not found; available: {', '.join(header)}"
             )
 
-    raw = {name: list(map(str.strip, columns[col_of[name]]))
-           for name in referenced}
-    n_rows = len(raw[config.response])
-    missing = np.zeros(n_rows, dtype=bool)
+    declared = set(config.categorical)
+    parsed = {}
+    for name in referenced:
+        if name != config.cluster and name not in declared:
+            values = _parse_clean(columns[col_of[name]])
+            if values is not None:
+                parsed[name] = values
+    raw = {name: (list(map(str.strip, columns[col_of[name]])) if table.padded
+                  else columns[col_of[name]])
+           for name in referenced if name not in parsed}
+    missing = np.zeros(len(lines), dtype=bool)
     for cells in raw.values():
         if not _MISSING.isdisjoint(cells):
             missing |= np.array([cell in _MISSING for cell in cells],
                                 dtype=bool)
     kept = np.flatnonzero(~missing)
-    dropped = (np.flatnonzero(missing) + 2).tolist()
+    dropped = lines[missing].tolist()
     if not kept.size:
         raise IngestionError(
             "no rows left after dropping missing values "
@@ -349,12 +410,13 @@ def ingest_csv(path, config: ModelConfig, extra_columns=()) -> IngestResult:
         keep = (~missing).tolist()
         raw = {name: list(compress(cells, keep)) for name, cells in raw.items()}
 
-    declared = set(config.categorical)
     kinds: dict[str, tuple[str, np.ndarray]] = {}
     for name in referenced:
-        if name == config.cluster:
-            continue
-        kinds[name] = _classify(name, raw[name], kept, declared)
+        if name in parsed:
+            kinds[name] = ("numeric",
+                           parsed[name][kept] if dropped else parsed[name])
+        elif name != config.cluster:
+            kinds[name] = _classify(name, raw[name], lines[kept], declared)
     if config.response in kinds and kinds[config.response][0] != "numeric":
         raise IngestionError(
             f"response column {config.response!r} must be numeric"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import ScoreMatrix, estfun, hessian
+from .derivatives import ScoreMatrix, _refuse_boundary, estfun, hessian
 from .estimation import FittedGlmm, default_points
 from .exceptions import ConfigError, SingularityError
 
@@ -44,11 +44,13 @@ def sandwich_vcov(fit: FittedGlmm, parameterization: str = "var",
     parameterization : {"var", "theta", "sd"}
         Scale on which scores and Hessian are taken.
     n_points : int, optional
-        Quadrature points for scores and gradient evaluations (default 5).
+        Quadrature points for the scores and the Hessian (default 5).
     scores, neg_hessian : optional
         Precomputed :func:`estfun` result and negative Hessian matrix, for
         callers that already have them.  Both must be on the requested
-        scale and point count.
+        scale and point count.  Given neither, one :func:`hessian` sweep
+        supplies both (its ``scores`` equal :func:`estfun`'s); given one,
+        the other is computed alone.
 
     Raises
     ------
@@ -78,7 +80,11 @@ def sandwich_vcov(fit: FittedGlmm, parameterization: str = "var",
             f"neg_hessian has shape {np.shape(neg_hessian)}, expected "
             f"({fit.n_params}, {fit.n_params})"
         )
-    if scores is None:
+    if scores is None and neg_hessian is None:
+        _refuse_boundary(fit, parameterization)    # estfun's check and message
+        result = hessian(fit, parameterization, n_points)
+        scores, neg_hessian = result.scores, -result.values
+    elif scores is None:
         scores = estfun(fit, parameterization, n_points)
     a_matrix = (-hessian(fit, parameterization, n_points).values
                 if neg_hessian is None else np.asarray(neg_hessian, dtype=float))

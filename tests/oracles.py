@@ -8,6 +8,7 @@ the package, so agreement between the two is evidence and not tautology.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 from scipy.integrate import quad, simpson
@@ -17,7 +18,8 @@ from scipy.stats import norm
 
 import glmmkit
 from glmmkit import covariance as cov
-from glmmkit.derivatives import HessianResult, _derivative_rule, _scores
+from glmmkit.derivatives import (HessianResult, _derivative_rule, _scores,
+                                 estfun)
 from glmmkit.estimation import FittedGlmm, conditional_modes
 from glmmkit.exceptions import EstimationError, SingularityError
 from glmmkit.quadrature import GhRule
@@ -389,6 +391,8 @@ def fd_hessian(fit: FittedGlmm, parameterization: str = "var",
                          labels=tuple(fit.parameter_labels(parameterization)),
                          parameterization=parameterization,
                          m_used=rule.points_per_dim,
+                         scores=estfun(fit, parameterization,
+                                       rule.points_per_dim),
                          one_sided=tuple(one_sided))
 
 
@@ -584,6 +588,53 @@ def mixture_tail_simulated(weights, value, rng, n_sim,
         sims = np.square(draws, out=draws) @ weights
         count += int(np.count_nonzero(sims >= value))
     return count / n_sim
+
+
+def imhof_tail(weights, value):
+    """P(sum of weighted chi-square(1) >= value) by Imhof's (1961)
+    real-line integral, a deterministic counterpart of
+    ``_nulls._chisq_mixture_tail`` (agreement about 1e-13 over random
+    weight sets of 1 to 6 mixed-sign weights).
+
+    The tail is ``1/2 + (1/pi) int_0^inf sin(A(u) - x u / 2) / (u rho(u))
+    du`` with ``A(u) = (1/2) sum_i arctan(w_i u)`` and ``rho(u) = prod_i
+    (1 + w_i^2 u^2)^(1/4)``.  Plain ``quad`` covers [0, 1] and then whole
+    decades up to one period of the ``x u / 2`` oscillation, so a small
+    ``x`` is integrated directly; past that, ``sin(A - x u / 2)`` splits
+    into ``sin A cos(x u / 2) - cos A sin(x u / 2)`` and QUADPACK's QAWF
+    (``quad(weight="cos"/"sin")``) sums the oscillating tails.
+    """
+    lam = np.asarray(weights, dtype=float)
+    omega = 0.5 * float(value)
+
+    def angle(u):
+        return 0.5 * float(np.sum(np.arctan(lam * u)))
+
+    def modulus(u):   # u rho(u)
+        return u * float(np.prod((1.0 + np.square(lam * u)) ** 0.25))
+
+    def integrand(u):
+        if u == 0.0:
+            return 0.5 * float(lam.sum()) - omega
+        return math.sin(angle(u) - omega * u) / modulus(u)
+
+    edges = [0.0, 1.0]
+    while omega != 0.0 and edges[-1] < 2.0 * math.pi / abs(omega):
+        edges.append(10.0 * edges[-1])
+    plain = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 200}
+    head = sum(quad(integrand, a, b, **plain)[0]
+               for a, b in zip(edges, edges[1:]))
+    start = edges[-1]
+    if omega == 0.0:
+        tail = quad(integrand, start, np.inf, **plain)[0]
+    else:
+        cycles = {"wvar": abs(omega), "epsabs": 1e-13, "limlst": 200}
+        tail = (quad(lambda u: math.sin(angle(u)) / modulus(u), start,
+                     np.inf, weight="cos", **cycles)[0]
+                - math.copysign(1.0, omega)
+                * quad(lambda u: math.cos(angle(u)) / modulus(u), start,
+                       np.inf, weight="sin", **cycles)[0])
+    return 0.5 + (head + tail) / math.pi
 
 
 def two_weight_tail(weights, value):

@@ -263,6 +263,23 @@ def test_analytic_hessian_follows_the_expected_curvature_branch(
         assert gap <= 1e-9, (parameterization, gap)
 
 
+@pytest.mark.parametrize("q,structure", [(1, "unstructured"),
+                                         (2, "unstructured"), (2, "diagonal")])
+@pytest.mark.parametrize("family,link", [("binomial", "logit"),
+                                         ("binomial", "probit")])
+def test_hessian_scores_are_estfun_bit_for_bit(family, link, q, structure):
+    data, spec, beta, theta = _gradient_case(family, link, q, structure)
+    fitted = load_fitted(beta, theta, data, spec, n_points=3,
+                         structure=structure)
+    for parameterization in ("theta", "var", "sd"):
+        scores = hessian(fitted, parameterization, 3).scores
+        expect = estfun(fitted, parameterization, 3)
+        assert scores.values.tobytes() == expect.values.tobytes()
+        assert scores.values.shape == expect.values.shape
+        assert (scores.labels, scores.parameterization, scores.m_used) == (
+            expect.labels, expect.parameterization, expect.m_used)
+
+
 def test_hessian_flags_diagonal_entries_on_the_bound(slope_fit):
     # the reference's column there is a one-sided difference, O(h) off:
     # measured gap 1.8e-6 of the largest entry

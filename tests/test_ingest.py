@@ -1,9 +1,18 @@
 """CSV ingestion and model-config validation."""
 
+import json
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glmmkit import ConfigError, IngestionError, ModelConfig, ingest_csv
+from glmmkit import (ConfigError, GlmmKitError, IngestionError, ModelConfig,
+                     ShapeError, ingest, ingest_csv, make_glmm_data)
+from glmmkit.cli import main
 
 BASE_CONFIG = {
     "response": "y",
@@ -248,3 +257,144 @@ def test_bom_header_is_stripped(tmp_path):
     text = "﻿y,x,id\n1,0.5,a\n0,0.2,b\n"
     result = ingest_csv(write_csv(tmp_path, text), config())
     assert result.data.n_obs == 2
+
+
+# ---------------------------------------------------------------------------
+# line numbers after a quoted cell that spans two lines
+
+
+def test_dropped_lines_count_file_lines_not_rows(tmp_path):
+    text = ('y,x,id\n'               # line 1
+            '1,0.5,"two\nlines"\n'   # lines 2 and 3
+            '0,NA,a\n'               # line 4: dropped
+            '1,0.3,a\n'              # line 5
+            '0,0.9,"two\nlines"\n')  # lines 6 and 7
+    result = ingest_csv(write_csv(tmp_path, text), config())
+    assert result.dropped_lines == (4,)
+    assert result.data.cluster_ids == ("two\nlines", "a")
+
+
+def test_mixed_column_names_the_file_line_after_a_spanning_cell(tmp_path):
+    text = ('y,x,id\n1,0.5,"two\nlines"\n'   # lines 1 to 3
+            '0,0.2,a\n1,0.3,a\n0,oops,b\n')   # lines 4 to 6
+    with pytest.raises(IngestionError, match=r"line\(s\) 6$"):
+        ingest_csv(write_csv(tmp_path, text), config())
+
+
+def test_ragged_row_names_the_file_line_after_a_spanning_cell(tmp_path):
+    text = 'y,x,id\n1,0.5,"two\nlines"\n0,0.2\n'
+    with pytest.raises(IngestionError,
+                       match="^line 4: expected 3 fields, found 2$"):
+        ingest_csv(write_csv(tmp_path, text), config())
+
+
+# ---------------------------------------------------------------------------
+# parse first: padding, and NaN or infinite cells that are not tokens
+
+PAD_CELLS = {
+    "y": st.sampled_from(["0", "1", "1.0", "NA", "", "-nan"]),
+    "x": st.one_of(st.floats(-5, 5, allow_nan=False).map(repr),
+                   st.sampled_from(["1_0", "inf", "-Infinity", "NAN", "nan",
+                                    "null", "oops", "١٢"])),
+    "g": st.sampled_from(["u", "v", "1", "N/A"]),
+    "id": st.sampled_from(["a", "b", "1.0", "NULL"]),
+    "w": st.sampled_from(["0.5", "-2", "Infinity", "-nan", "NaN", ""]),
+}
+# what str.strip removes; float() ignores all but the \x1c-\x1f group
+PADDING = st.sampled_from(["", " ", "\t", "\x0b\x0c", "\x1c", "\x1f ",
+                           "\xa0", "　"])
+
+
+@st.composite
+def padded_tables(draw):
+    """One table as (plain, padded) CSV texts, never quoted."""
+    header = list(PAD_CELLS)
+    body = [[draw(PAD_CELLS[name]) for name in header]
+            for _ in range(draw(st.integers(2, 10)))]
+    plain = "\n".join(",".join(row) for row in [header] + body) + "\n"
+    padded = "\n".join(
+        ",".join(draw(PADDING) + cell + draw(PADDING) for cell in row)
+        for row in [header] + body) + "\n"
+    return plain, padded
+
+
+def _outcome(path, cfg, extra):
+    try:
+        # an infinite cell times a zero in an interaction warns before
+        # the design's finiteness check raises
+        with np.errstate(invalid="ignore"):
+            result = ingest_csv(path, cfg, extra_columns=extra)
+    except GlmmKitError as exc:
+        return type(exc), str(exc)
+    d = result.data
+    arrays = [d.y, d.X, d.Z, d.cluster_index] + [result.extra[name]
+                                                 for name in extra]
+    return ([(a.dtype, a.shape, a.tolist()) for a in arrays], d.cluster_ids,
+            d.x_names, result.dropped_lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=padded_tables(),
+       fixed=st.sampled_from([["1"], ["1", "x"], ["1", "g"], ["1", "x*g"]]),
+       extra=st.sampled_from([(), ("w",), ("w", "id")]))
+def test_padding_changes_no_outcome(table, fixed, extra):
+    cfg = config(fixed=fixed)
+    outcomes = []
+    with tempfile.TemporaryDirectory() as root:
+        for text in table:
+            path = os.path.join(root, "data.csv")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            outcomes.append(_outcome(path, cfg, extra))
+    # NaN != NaN, so compare the reprs
+    assert repr(outcomes[0]) == repr(outcomes[1])
+
+
+def test_nan_and_inf_cells_that_are_not_tokens_are_kept(tmp_path):
+    text = ("y,x,w,id\n"
+            "1,0.5,NAN,a\n"
+            "0,0.2,-nan,a\n"
+            "1,0.3,inf,b\n"
+            "0,0.1,-Infinity,b\n"
+            "1,0.4,NA,b\n")     # line 6: the only missing-value token
+    result = ingest_csv(write_csv(tmp_path, text), config(),
+                        extra_columns=("w",))
+    assert result.dropped_lines == (6,)
+    w = result.extra["w"]
+    assert np.isnan(w[:2]).all()
+    assert w[2:].tolist() == [np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("cell", ["NAN", "-nan", "inf", "Infinity"])
+def test_nan_or_inf_in_a_term_reaches_the_finiteness_check(tmp_path, cell):
+    text = f"y,x,id\n1,0.5,a\n0,{cell},a\n1,0.3,b\n0,0.1,b\n"
+    with pytest.raises(ShapeError, match="design matrices must be finite"):
+        ingest_csv(write_csv(tmp_path, text), config())
+
+
+# ---------------------------------------------------------------------------
+# one read per CLI call
+
+
+def test_vuong_reads_the_data_file_once(tmp_path, capsys):
+    sim = make_glmm_data("binomial", beta=(0.3, 0.8), n_clusters=25,
+                         cluster_size=5, seed=12)
+    d = sim.data
+    lines = ["y,x,id"] + [f"{d.y[r]:.17g},{d.X[r, 1]:.17g},c{d.cluster_index[r]}"
+                          for r in range(d.n_obs)]
+    data = write_csv(tmp_path, "\n".join(lines) + "\n")
+    argv = ["vuong", "--data", str(data), "--nested", "--seed", "1"]
+    for k, fixed, beta in ((1, ["1", "x"], sim.beta), (2, ["1"], sim.beta[:1])):
+        (tmp_path / f"config{k}.json").write_text(json.dumps(
+            dict(BASE_CONFIG, fixed=fixed)))
+        (tmp_path / f"fit{k}.json").write_text(json.dumps({
+            "estimate": {"beta": beta.tolist(), "theta": sim.theta.tolist()},
+            "model": {"family": "binomial", "link": "logit",
+                      "structure": "unstructured"}}))
+        argv += [f"--config{k}", str(tmp_path / f"config{k}.json"),
+                 f"--fit{k}", str(tmp_path / f"fit{k}.json")]
+    with mock.patch.object(ingest, "_read_table",
+                           wraps=ingest._read_table) as read:
+        assert main(argv) == 0
+    assert read.call_count == 1
+    assert json.loads(capsys.readouterr().out)["test"] == "nested"

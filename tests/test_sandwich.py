@@ -19,6 +19,20 @@ def test_sandwich_assembles_from_parts(binom_fit):
                                rtol=1e-10)
 
 
+@pytest.mark.parametrize("parameterization", ["theta", "var", "sd"])
+def test_one_hessian_sweep_gives_the_same_sandwich(slope_fit,
+                                                   parameterization):
+    # given neither input, the Hessian's own scores feed the meat
+    direct = sandwich_vcov(slope_fit, parameterization, n_points=3)
+    parts = sandwich_vcov(
+        slope_fit, parameterization, n_points=3,
+        scores=estfun(slope_fit, parameterization, n_points=3),
+        neg_hessian=-hessian(slope_fit, parameterization, n_points=3).values)
+    for name in ("A", "B", "V", "robust_se", "model_se"):
+        assert getattr(direct, name).tobytes() == getattr(parts, name).tobytes()
+    assert direct.labels == parts.labels
+
+
 def test_robust_and_model_se_definitions(binom_fit):
     result = sandwich_vcov(binom_fit, parameterization="var", n_points=7)
     np.testing.assert_allclose(result.robust_se, np.sqrt(np.diag(result.V)),
