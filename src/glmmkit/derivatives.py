@@ -188,12 +188,14 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
     The same sweep gives the per-cluster scores, mapped by the same
     Jacobian ``J``; they come back as ``scores`` and equal
     :func:`estfun`'s at this scale and point count bit for bit.
+
+    Raises
+    ------
+    SingularityError
+        If the fit sits on the theta boundary and the var or sd scale is
+        requested, with :func:`estfun`'s message.
     """
-    cov.validate_parameterization(parameterization)
-    if fit.boundary and parameterization != "theta":
-        raise SingularityError(
-            "fit is on the boundary; request the theta parameterization"
-        )
+    _refuse_boundary(fit, parameterization)
     rule = _derivative_rule(fit, n_points)
     p = fit.data.n_fixed
     lam = fit.lambda_matrix

@@ -19,15 +19,19 @@ starts: a quoted cell may span lines, so line numbers in messages and in
 ``dropped_lines`` come from the reader, not from the row count.
 
 Each referenced column that is neither the cluster nor declared
-categorical is parsed first, in one ``np.array(cells, dtype=float)``
-call, which reads a cell as ``float`` does, padding included.  A column
-that parses with no NaN holds no missing-value token, so it needs no
-further per-cell work.  Every other column takes the careful path:
-its cells are stripped, masked for missing values, and classified as
-numeric or categorical with line numbers for unparseable cells.  The
-strip is skipped when the fast path's text is ASCII and holds none of
-the characters ``str.strip`` could remove from a cell there.  Cluster
-ids are coded once, by first appearance.
+categorical is parsed in blocks of ``_BLOCK`` cells, one
+``np.array(cells, dtype=float)`` call each, which reads a cell as
+``float`` does, padding included.  A block that parses costs no further
+per-cell work beyond a look at its NaN cells, which are missing when
+they strip to a token.  A block with a cell ``float`` rejects is
+stripped, masked for missing-value tokens and parsed again without
+them, cell by cell only if that fails, so a non-numeric cell costs at
+most one block's parse twice.  Once the rows with a missing value in
+any referenced column are dropped, a column whose kept cells all parse
+is numeric, one whose kept cells all fail is categorical, and a mix is
+an error naming the lines.  The cluster and declared categorical
+columns are stripped and masked for missing values.  Cluster ids are
+coded once, by first appearance.
 """
 
 from __future__ import annotations
@@ -48,8 +52,7 @@ from .exceptions import ConfigError, IngestionError
 __all__ = ["ModelConfig", "IngestResult", "ingest_csv"]
 
 _MISSING = {"", "NA", "NaN", "nan", "N/A", "null", "NULL"}
-# what str.strip removes from an ASCII cell that holds no line break
-_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_BLOCK = 2048   # cells per parse call in _scan
 
 _CONFIG_KEYS = {
     "response", "fixed", "random", "cluster", "family", "link",
@@ -259,7 +262,6 @@ class _Table(NamedTuple):
     header: list[str]
     columns: list[list[str]]
     lines: np.ndarray    # the file line on which each body row starts
-    padded: bool         # whether a cell may hold text that strip removes
 
 
 def _read_table(path) -> _Table:
@@ -268,12 +270,10 @@ def _read_table(path) -> _Table:
     unix = text.replace("\r\n", "\n") if "\r" in text else text
     fast = '"' not in unix and "\r" not in unix
     if fast:
-        padded = not unix.isascii() or any(map(unix.__contains__, _PADDING))
         rows = unix.split("\n")
         if rows[-1] == "":
             rows.pop()
     else:
-        padded = True
         rows, lines = _csv_rows(path, text)
     del text, unix
     if not rows:
@@ -288,40 +288,60 @@ def _read_table(path) -> _Table:
              else np.asarray(lines[1:], dtype=int))
     columns = (_split_lines(rows, len(header)) if fast
                else _split_rows(rows, len(header), lines))
-    return _Table(header, columns, lines, padded)
+    return _Table(header, columns, lines)
 
 
-def _parse_clean(cells):
-    """The column as floats when every cell parses and none is NaN, so
-    that no cell can be a missing-value token; otherwise None."""
-    try:
-        values = np.array(cells, dtype=float)
-    except ValueError:
-        return None
-    return None if np.isnan(values).any() else values
+def _scan(cells):
+    """Parse a column's raw cells as floats, ``_BLOCK`` cells at a time.
 
-
-def _classify(name, values, lines, declared_categorical):
-    """Return ("numeric", float-array) or ("categorical", str-array).
-
-    ``lines`` holds the file line of each value, for error messages.
+    Returns the values (NaN where a cell is missing or unparseable), a
+    mask of the cells that strip to a missing-value token, and a mask of
+    the other cells ``float`` rejects.
     """
-    if name in declared_categorical:
-        return "categorical", np.asarray(values, dtype=object)
-    try:
-        return "numeric", np.array(values, dtype=float)
-    except ValueError:
-        pass
-    bad: list[int] = []
-    for idx, value in enumerate(values):
+    n = len(cells)
+    values = np.full(n, np.nan)
+    missing = np.zeros(n, dtype=bool)
+    bad = np.zeros(n, dtype=bool)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
         try:
-            float(value)
+            values[start:stop] = np.array(cells[start:stop], dtype=float)
         except ValueError:
-            bad.append(idx)
-    if len(bad) == len(values):
-        return "categorical", np.asarray(values, dtype=object)
-    shown = ", ".join(str(lines[b]) for b in bad[:5])
-    more = "" if len(bad) <= 5 else f" (+{len(bad) - 5} more)"
+            stripped = list(map(str.strip, cells[start:stop]))
+            present = [cell not in _MISSING for cell in stripped]
+            missing[start:stop] = np.logical_not(present)
+            rows = np.flatnonzero(present) + start
+            block = list(compress(stripped, present))
+            try:
+                values[rows] = np.array(block, dtype=float)
+            except ValueError:
+                for i, cell in zip(rows.tolist(), block):
+                    try:
+                        values[i] = float(cell)
+                    except ValueError:
+                        bad[i] = True
+            continue
+        for i in np.flatnonzero(np.isnan(values[start:stop])) + start:
+            missing[i] = cells[i].strip() in _MISSING
+    return values, missing, bad
+
+
+def _classify(name, scan, cells, kept, lines):
+    """Return ("numeric", float-array) or ("categorical", str-array) for
+    the kept rows of a scanned column.
+
+    ``lines`` holds the file line of each row, for error messages.
+    """
+    values, _, bad = scan
+    bad = bad[kept]
+    if not bad.any():
+        return "numeric", values[kept]
+    if bad.all():
+        return "categorical", np.asarray([cells[i].strip() for i in kept],
+                                         dtype=object)
+    rows = kept[bad]
+    shown = ", ".join(str(lines[r]) for r in rows[:5])
+    more = "" if rows.size <= 5 else f" (+{rows.size - 5} more)"
     raise IngestionError(
         f"column {name!r} mixes numeric and non-numeric values; "
         f"unparseable at line(s) {shown}{more}"
@@ -385,16 +405,13 @@ def _build(table: _Table, config: ModelConfig, extra_columns=()) -> IngestResult
             )
 
     declared = set(config.categorical)
-    parsed = {}
-    for name in referenced:
-        if name != config.cluster and name not in declared:
-            values = _parse_clean(columns[col_of[name]])
-            if values is not None:
-                parsed[name] = values
-    raw = {name: (list(map(str.strip, columns[col_of[name]])) if table.padded
-                  else columns[col_of[name]])
-           for name in referenced if name not in parsed}
+    scans = {name: _scan(columns[col_of[name]]) for name in referenced
+             if name != config.cluster and name not in declared}
+    raw = {name: list(map(str.strip, columns[col_of[name]]))
+           for name in referenced if name not in scans}
     missing = np.zeros(len(lines), dtype=bool)
+    for _, column_missing, _ in scans.values():
+        missing |= column_missing
     for cells in raw.values():
         if not _MISSING.isdisjoint(cells):
             missing |= np.array([cell in _MISSING for cell in cells],
@@ -412,11 +429,11 @@ def _build(table: _Table, config: ModelConfig, extra_columns=()) -> IngestResult
 
     kinds: dict[str, tuple[str, np.ndarray]] = {}
     for name in referenced:
-        if name in parsed:
-            kinds[name] = ("numeric",
-                           parsed[name][kept] if dropped else parsed[name])
+        if name in scans:
+            kinds[name] = _classify(name, scans[name], columns[col_of[name]],
+                                    kept, lines)
         elif name != config.cluster:
-            kinds[name] = _classify(name, raw[name], lines[kept], declared)
+            kinds[name] = "categorical", np.asarray(raw[name], dtype=object)
     if config.response in kinds and kinds[config.response][0] != "numeric":
         raise IngestionError(
             f"response column {config.response!r} must be numeric"
@@ -461,7 +478,11 @@ def _build(table: _Table, config: ModelConfig, extra_columns=()) -> IngestResult
             left, right = parts
             for l_label, l_col in columns_for(left):
                 for r_label, r_col in columns_for(right):
-                    x_blocks.append((l_col * r_col)[:, None])
+                    # a product that is not finite (inf * 0, or an
+                    # overflow) fails the design's finiteness check with
+                    # its typed error, so it need not warn first
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        x_blocks.append((l_col * r_col)[:, None])
                     x_names.append(f"{l_label}:{r_label}")
 
     z_blocks: list[np.ndarray] = []

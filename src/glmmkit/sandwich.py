@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import ScoreMatrix, _refuse_boundary, estfun, hessian
+from .derivatives import ScoreMatrix, estfun, hessian
 from .estimation import FittedGlmm, default_points
 from .exceptions import ConfigError, SingularityError
 
@@ -81,7 +81,6 @@ def sandwich_vcov(fit: FittedGlmm, parameterization: str = "var",
             f"({fit.n_params}, {fit.n_params})"
         )
     if scores is None and neg_hessian is None:
-        _refuse_boundary(fit, parameterization)    # estfun's check and message
         result = hessian(fit, parameterization, n_points)
         scores, neg_hessian = result.scores, -result.values
     elif scores is None:

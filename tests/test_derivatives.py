@@ -150,6 +150,17 @@ def test_boundary_fit_refuses_var_and_sd_scales(binom_fit):
     assert np.all(np.isfinite(theta_scale.values))
 
 
+@pytest.mark.parametrize("parameterization", ["var", "sd"])
+def test_boundary_refusal_has_one_message(binom_fit, parameterization):
+    at_zero = load_fitted(binom_fit.beta, [0.0], binom_fit.data, "binomial")
+    message = "^fit is on the boundary .*only theta-scale scores are defined$"
+    for derivative in (estfun, hessian):
+        with pytest.raises(SingularityError, match=message):
+            derivative(at_zero, parameterization=parameterization)
+    with pytest.raises(SingularityError, match=message):
+        sandwich_vcov(at_zero, parameterization=parameterization)
+
+
 def test_hessian_is_symmetric_and_negative_definite(binom_fit):
     result = hessian(binom_fit, parameterization="theta", n_points=7)
     np.testing.assert_allclose(result.values, result.values.T, atol=0)

@@ -331,12 +331,50 @@ def test_padding_changes_no_outcome(table, fixed, extra):
             path = os.path.join(root, "data.csv")
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-            # an infinite cell times a zero in an interaction warns before
-            # the design's finiteness check raises
-            with np.errstate(invalid="ignore"):
-                outcomes.append(_outcome(path, cfg, extra))
+            outcomes.append(_outcome(path, cfg, extra))
     # NaN != NaN, so compare the reprs
     assert repr(outcomes[0]) == repr(outcomes[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=padded_tables(),
+       fixed=st.sampled_from([["1", "x"], ["1", "x*g"]]),
+       block=st.integers(1, 4))
+def test_parse_block_size_changes_no_outcome(table, fixed, block):
+    cfg = config(fixed=fixed)
+    outcomes = []
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(table[1])
+        outcomes.append(_outcome(path, cfg, ("w",)))
+        with mock.patch.object(ingest, "_BLOCK", block):
+            outcomes.append(_outcome(path, cfg, ("w",)))
+    assert repr(outcomes[0]) == repr(outcomes[1])
+
+
+def test_tokens_and_bad_cells_past_the_first_block(tmp_path):
+    rows = ["y,x,w,id"] + [f"{r % 2},0.{r},1,c{r % 7}" for r in range(5000)]
+    rows[4000] = "1,NA,1,c0"        # file line 4001
+    rows[4500] = "0,0.5,nan,c1"     # file line 4501
+    path = write_csv(tmp_path, "\n".join(rows) + "\n")
+    result = ingest_csv(path, config(), extra_columns=("w",))
+    assert result.dropped_lines == (4001, 4501)
+    assert result.data.n_obs == 4998
+    rows[4700] = "0,oops,1,c1"      # file line 4701
+    path = write_csv(tmp_path, "\n".join(rows) + "\n")
+    with pytest.raises(IngestionError, match=r"line\(s\) 4701$"):
+        ingest_csv(path, config())
+
+
+@pytest.mark.parametrize("x, w", [("inf", "0"), ("1e200", "1e200")])
+def test_non_finite_interaction_is_a_typed_error_without_a_warning(
+        tmp_path, x, w):
+    # the suite turns RuntimeWarning into an error, so a warning from the
+    # product would surface here instead of the ShapeError
+    text = f"y,x,w,id\n1,0.5,1,a\n0,{x},{w},a\n1,0.3,2,b\n0,0.1,3,b\n"
+    with pytest.raises(ShapeError, match="design matrices must be finite"):
+        ingest_csv(write_csv(tmp_path, text), config(fixed=["1", "x*w"]))
 
 
 def test_nan_and_inf_cells_that_are_not_tokens_are_kept(tmp_path):
