@@ -290,7 +290,8 @@ def test_ragged_row_names_the_file_line_after_a_spanning_cell(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# parse first: padding, and NaN or infinite cells that are not tokens
+# block parsing: padding, block boundaries, and NaN or infinite cells that
+# are not tokens
 
 PAD_CELLS = {
     "y": st.sampled_from(["0", "1", "1.0", "NA", "", "-nan"]),
