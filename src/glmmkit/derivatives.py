@@ -56,9 +56,9 @@ class HessianResult:
     ``scores`` holds the per-cluster scores on the same scale and point
     count, which the Hessian's sweep yields on the way; a caller that
     needs both (the sandwich, the Vuong null) runs one sweep instead of
-    two.  ``one_sided`` lists
-    the parameter indices of theta-scale diagonal entries on the bound,
-    where only the derivative from the feasible side exists.
+    two.  ``one_sided`` lists the parameter indices of theta-scale
+    diagonal entries on the bound, where only the derivative from the
+    feasible side exists.
     """
 
     values: np.ndarray
