@@ -81,7 +81,9 @@ def _convex_root(slope, curvature, lo, hi):
             hi = t
         else:
             lo = t
-        new = t - g / curvature(t)
+        d = curvature(t)
+        # a curvature that underflowed to zero leaves only the bisection
+        new = t - g / d if d > 0.0 else 0.5 * (lo + hi)
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
         if abs(new - t) <= 1e-12 * abs(t):

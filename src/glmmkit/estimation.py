@@ -30,7 +30,15 @@ integration, and a test checks the exact gradient against finite
 differences of the re-anchored log-likelihood.  The Hessian is the
 derivative of the fixed-anchor scores with the anchors moving, from the
 same implicit derivatives (``_anchored_hessian``); the anchor terms of
-both read the rows' state at the modes from one ``_mode_state``.
+both read the rows' state at the modes (``_ModeState``).
+
+Each fit evaluation computes the rows at the modes once.  The mode
+solve starts every Newton iteration from its last accepted trial and
+hands its final rows, with the one Cholesky factor of the curvature, to
+the sweep (``conditional_modes(record=True)``); only a stored fit's
+Hessian rebuilds them (``_mode_state``).  The optimum is usually the
+last point evaluated, and then that evaluation's modes, factors and
+sweep are the fit.
 """
 
 from __future__ import annotations
@@ -162,23 +170,31 @@ def _penalized_curvature(weight: np.ndarray, lam: np.ndarray,
 
 
 def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
-                      start: np.ndarray | None = None):
+                      start: np.ndarray | None = None, *,
+                      record: bool = False):
     """Per-cluster posterior modes of u and conditional Cholesky factors.
 
     Maximizes ``log f(y_i | u) - 0.5 ||u||^2`` for every cluster at once
     with Fisher-scoring Newton steps and step halving, on the density the
     quadrature sweep integrates: the sweep's eta builder, then ``y kappa -
     h(kappa) + c(y)`` at the natural parameter kappa of eta, so under a
-    canonical link step-halving trials compute no mean.  The returned
-    factors satisfy ``C_i C_i' = H_i^{-1}`` with ``H_i`` the penalized
-    negative Hessian at the mode (observed curvature; expected curvature
-    is substituted in the rare case the observed one is not positive
-    definite).
+    canonical link step-halving trials compute no mean.  A step's last
+    trial point ``u + scale * direction`` is the update itself, so the
+    next iteration starts from that trial's eta, mean (recomputed under a
+    canonical link) and objective; clusters that never improved keep
+    their rows.  The returned factors satisfy ``C_i C_i' = H_i^{-1}`` with
+    ``H_i`` the penalized negative Hessian at the mode (observed
+    curvature; expected curvature is substituted in the rare case the
+    observed one is not positive definite).
 
     Returns
     -------
     modes : ndarray, shape (I, q)
     cond_chol : ndarray, shape (I, q, q)
+
+    With ``record``, returns instead a ``_ModeSolve``: the modes and
+    factors plus the rows' state at the modes, built from the solve's
+    last iteration, which the fit's exact sweep needs.
     """
     family = as_family_spec(family)
     lam = _as_lambda(relcov, data)
@@ -202,9 +218,11 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
         logf = data.sum_by_cluster(y * kappa - family.cumulant(kappa)) + log_c
         return logf - 0.5 * np.sum(u_cur * u_cur, axis=1)
 
+    eta = eta_at(u)
+    mu = family.inverse_link(eta)
+    objective = None
+    halvings = 0
     for iteration in range(_MODE_MAX_ITER + 1):
-        eta = eta_at(u)
-        mu = family.inverse_link(eta)
         dmu = family._dmu_deta(eta)
         var = family.variance_function(mu)
         resid = (y - mu) * dmu / var
@@ -222,32 +240,50 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
         hess = _penalized_curvature(dmu * dmu / var, lam, data)
         direction = np.linalg.solve(hess, grad[..., None])[..., 0]
 
-        objective = objective_at(eta, mu, u)
+        if objective is None:
+            objective = objective_at(eta, mu, u)
         floor = objective - 1e-12 * (1.0 + np.abs(objective))
         scale = np.ones((n_cl, 1))
         settled = np.zeros(n_cl, dtype=bool)
-        for _halving in range(30):
+        for halving in range(30):
             candidate = u + scale * direction
             eta_c = eta_at(candidate)
             mu_c = None if family.canonical else family.inverse_link(eta_c)
-            settled |= objective_at(eta_c, mu_c, candidate) >= floor
+            objective_c = objective_at(eta_c, mu_c, candidate)
+            settled |= objective_c >= floor
             if np.all(settled):
                 break
             scale[~settled] *= 0.5
+        halvings += halving
         # clusters that never improved keep a vanishing step; the next
         # gradient check decides whether that is acceptable
         scale[~settled] = 0.0
         u = u + scale * direction
+        # the last trial ran at the new modes of every cluster that settled
+        if np.all(settled):
+            eta, mu, objective = eta_c, mu_c, objective_c
+        else:
+            rows = settled[data.cluster_index]
+            eta = np.where(rows, eta_c, eta)
+            if not family.canonical:
+                mu = np.where(rows, mu_c, mu)
+            objective = np.where(settled, objective_c, objective)
+        if family.canonical:
+            mu = family.inverse_link(eta)
 
-    cond_chol = _conditional_cholesky(eta, mu, dmu, var, lam, data, family)
-    return u, cond_chol
+    if not record:
+        chol_h, _ = _factor_curvature(*_curvatures(eta, mu, dmu, var, y,
+                                                   family), lam, data)
+        return u, _conditional_factor(chol_h)
+    state, chol_h = _state_and_factor(eta, mu, dmu, var, resid, lam, data,
+                                      family)
+    return _ModeSolve(u, _conditional_factor(chol_h), state, iteration,
+                      halvings)
 
 
-def _conditional_cholesky(eta, mu, dmu, var, lam, data: GlmmData,
-                          family: FamilySpec):
-    """Cholesky factor of the inverse penalized negative Hessian at the mode."""
-    m_obs, m_exp = _curvatures(eta, mu, dmu, var, data.y, family)
-    chol_h, _ = _factor_curvature(m_obs, m_exp, lam, data)
+def _conditional_factor(chol_h):
+    """C with C C' = H^-1, lower triangular, from the Cholesky factor of
+    the penalized negative Hessian H at the mode."""
     inv = np.linalg.inv(chol_h)
     cov_u = np.einsum("iba,ibc->iac", inv, inv)  # (L^-1)' L^-1 = H^-1
     return np.linalg.cholesky(cov_u)
@@ -294,6 +330,77 @@ def _factor_curvature(m_obs, m_exp, lam, data: GlmmData):
     return chol, True
 
 
+@dataclass(frozen=True)
+class _ModeState:
+    """Every row's state at its cluster's conditional mode: the linear
+    predictor, mean, mu'(eta), variance, d log f / d eta, both curvatures
+    of -log f per unit eta^2 with their eta-slopes, and whether the
+    conditional factor was built on the observed curvature
+    (``_factor_curvature``)."""
+
+    eta: np.ndarray
+    mu: np.ndarray
+    dmu: np.ndarray
+    var: np.ndarray
+    resid: np.ndarray
+    m_obs: np.ndarray
+    m_exp: np.ndarray
+    slope_obs: np.ndarray
+    slope_exp: np.ndarray
+    observed: bool
+
+    @property
+    def weight(self) -> np.ndarray:
+        """The curvature behind the conditional factor."""
+        return self.m_obs if self.observed else self.m_exp
+
+    @property
+    def slope(self) -> np.ndarray:
+        """The eta-slope of ``weight``."""
+        return self.slope_obs if self.observed else self.slope_exp
+
+
+@dataclass(frozen=True)
+class _ModeSolve:
+    """A finished mode solve, from ``conditional_modes(record=True)``: the
+    modes (I, q), the conditional factors (I, q, q), the rows' state at
+    the modes, the Newton iterations taken and the step-halving trials
+    after full steps.  ``iterations == _MODE_MAX_ITER`` means the solve
+    stopped on the looser gradient tolerance."""
+
+    modes: np.ndarray
+    cond_chol: np.ndarray
+    state: _ModeState
+    iterations: int
+    halvings: int
+
+
+def _state_and_factor(eta, mu, dmu, var, resid, lam, data: GlmmData,
+                      family: FamilySpec):
+    """The :class:`_ModeState` of rows at their modes, given their eta,
+    mean, mu'(eta), variance and d log f / d eta, and the Cholesky factor
+    of the penalized curvature behind the conditional factor."""
+    m_obs, m_exp, slope_obs, slope_exp = _curvatures(eta, mu, dmu, var,
+                                                     data.y, family,
+                                                     slopes=True)
+    chol_h, observed = _factor_curvature(m_obs, m_exp, lam, data)
+    return _ModeState(eta, mu, dmu, var, resid, m_obs, m_exp, slope_obs,
+                      slope_exp, observed), chol_h
+
+
+def _mode_state(beta, lam, data: GlmmData, family: FamilySpec,
+                modes) -> _ModeState:
+    """The rows' :class:`_ModeState` at the modes ``modes`` (I, q), for
+    anchors that no solve in hand produced (a stored fit's)."""
+    eta = _build_eta(data.X @ np.asarray(beta, dtype=float), data,
+                     (lam @ modes.T)[:, :, None])[:, 0]
+    mu = family.inverse_link(eta)
+    dmu = family._dmu_deta(eta)
+    var = family.variance_function(mu)
+    return _state_and_factor(eta, mu, dmu, var, (data.y - mu) * dmu / var,
+                             lam, data, family)[0]
+
+
 # ---------------------------------------------------------------------------
 # marginal log-likelihood
 
@@ -314,7 +421,7 @@ def _design_pairs(col_of):
 def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
                       modes, chols, rule: GhRule, positions=None,
                       general: bool | None = None, exact: bool = False,
-                      second: bool = False):
+                      second: bool = False, state: _ModeState | None = None):
     """The conditional density of every cluster at every adapted node.
 
     Anchors ``rule`` at each cluster's mode and conditional factor, then
@@ -339,7 +446,16 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     parameters (see ``_anchored_hessian``), shape (p + k, p + k); it adds
     one row sum per node for every pair of distinct columns of [X Z],
     weighted by the observed curvature.
+
+    The anchor terms of both read the rows' state at the modes: ``state``,
+    the one a mode solve handed over (``conditional_modes(record=True)``),
+    or else one rebuilt from the modes (``_mode_state``).
     """
+
+    def at_modes():
+        return (_mode_state(beta, lam, data, family, modes) if state is None
+                else state)
+
     log_w, locations = _adapted_grid(rule, modes, chols)
     y, n_nodes, p = data.y, rule.size, data.n_fixed
     xbeta = data.X @ np.asarray(beta, dtype=float)
@@ -357,8 +473,7 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
         # the node blocks run
         products, pair_of = _design_pairs(col_of)
         motion = _anchor_motion(lam, data, modes, chols, positions,
-                                _mode_state(beta, lam, data, family, modes),
-                                columns, col_of)
+                                at_modes(), columns, col_of)
         curvature = np.empty((data.n_clusters, n_nodes, len(products)))
     per_block = max(1, _BLOCK_ELEMENTS // data.n_obs)
     for start in range(0, n_nodes, per_block):
@@ -415,57 +530,10 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
                             range(size, data.n_clusters + size, size)))
     if exact:
         scores += _anchor_terms(
-            lam, data, modes, chols, positions,
-            _mode_state(beta, lam, data, family, modes),
+            lam, data, modes, chols, positions, at_modes(),
             np.einsum("im,jim->ij", rho, grad_g),
             np.einsum("im,jim,mc->ijc", rho, grad_g, rule.nodes))
     return (ell, scores, jacobian) if second else (ell, scores)
-
-
-@dataclass(frozen=True)
-class _ModeState:
-    """Every row's state at its cluster's conditional mode: the linear
-    predictor, mean, mu'(eta), variance, d log f / d eta, both curvatures
-    of -log f per unit eta^2 with their eta-slopes, and whether the
-    conditional factor was built on the observed curvature
-    (``_factor_curvature``)."""
-
-    eta: np.ndarray
-    mu: np.ndarray
-    dmu: np.ndarray
-    var: np.ndarray
-    resid: np.ndarray
-    m_obs: np.ndarray
-    m_exp: np.ndarray
-    slope_obs: np.ndarray
-    slope_exp: np.ndarray
-    observed: bool
-
-    @property
-    def weight(self) -> np.ndarray:
-        """The curvature behind the conditional factor."""
-        return self.m_obs if self.observed else self.m_exp
-
-    @property
-    def slope(self) -> np.ndarray:
-        """The eta-slope of ``weight``."""
-        return self.slope_obs if self.observed else self.slope_exp
-
-
-def _mode_state(beta, lam, data: GlmmData, family: FamilySpec,
-                modes) -> _ModeState:
-    """The rows' :class:`_ModeState` at the modes ``modes`` (I, q)."""
-    eta = _build_eta(data.X @ np.asarray(beta, dtype=float), data,
-                     (lam @ modes.T)[:, :, None])[:, 0]
-    mu = family.inverse_link(eta)
-    dmu = family._dmu_deta(eta)
-    var = family.variance_function(mu)
-    m_obs, m_exp, slope_obs, slope_exp = _curvatures(eta, mu, dmu, var,
-                                                     data.y, family,
-                                                     slopes=True)
-    _, observed = _factor_curvature(m_obs, m_exp, lam, data)
-    return _ModeState(eta, mu, dmu, var, (data.y - mu) * dmu / var, m_obs,
-                      m_exp, slope_obs, slope_exp, observed)
 
 
 def _anchor_terms(lam, data: GlmmData, modes, chols, positions,
@@ -765,9 +833,10 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
                if i == j):
             raise DomainError("theta_start must have a nonnegative diagonal")
 
-    # the last evaluation, where a restart begins, and the lowest one,
-    # which stands when the budget runs out
-    last = {"x": None, "f": np.inf, "g": None}
+    # the last evaluation, where a restart begins, with its mode solve and
+    # sweep (None when the solve failed), and the lowest one, which stands
+    # when the budget runs out
+    last = {"x": None, "f": np.inf, "g": None, "sweep": None}
     best = {"x": None, "f": np.inf}
     warm: dict = {"u": None}
     n_eval = [0]
@@ -781,19 +850,23 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         f, grad = np.inf, np.zeros_like(x)
         beta, theta = x[:p], x[p:]
         lam = cov.theta_to_lambda(theta, q, structure)
+        swept = None
         try:
-            modes, chols = conditional_modes(beta, lam, data, family,
-                                             start=warm["u"])
+            solve = conditional_modes(beta, lam, data, family,
+                                      start=warm["u"], record=True)
         except EstimationError:
             warm["u"] = None
         else:
-            warm["u"] = modes
-            ell, scores = _quadrature_sweep(beta, lam, data, family, modes,
-                                            chols, rule, positions,
-                                            exact=True)
+            warm["u"] = solve.modes
+            ell, scores = _quadrature_sweep(beta, lam, data, family,
+                                            solve.modes, solve.cond_chol,
+                                            rule, positions, exact=True,
+                                            state=solve.state)
+            gradient = scores.sum(axis=0)
+            swept = solve, ell, gradient
             total = float(np.sum(ell))
             if np.isfinite(total):
-                f, grad = -total, -scores.sum(axis=0)
+                f, grad = -total, -gradient
         if np.isfinite(f):
             if f < best["f"]:
                 best.update(x=x.copy(), f=f)
@@ -803,7 +876,7 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
             gap = x - best["x"]
             scale = 1.0 + abs(best["f"])
             f, grad = best["f"] + scale * (gap @ gap), 2.0 * scale * gap
-        last.update(x=x.copy(), f=f, g=grad)
+        last.update(x=x.copy(), f=f, g=grad, sweep=swept)
         return f, grad
 
     x_hat = np.concatenate([beta0, theta0])
@@ -835,8 +908,15 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         if success and attempt > 0 and improvement < 1e-6:
             break
 
+    # the optimum is usually the last point evaluated; if that solve met
+    # the tight tolerance, a warm re-solve from its modes would stop at
+    # once and repeat its factors and sweep bit for bit
+    swept = last["sweep"]
+    reuse = (swept is not None and x_hat.tobytes() == last["x"].tobytes()
+             and swept[0].iterations < _MODE_MAX_ITER)
     fitted = _finalize(x_hat[:p], x_hat[p:], structure, data, family, rule,
-                       converged=success, n_fev=n_eval[0], start=warm["u"])
+                       converged=success, n_fev=n_eval[0], start=warm["u"],
+                       swept=swept if reuse else None)
     if not success:
         err = EstimationError(
             f"optimizer did not converge within {control.max_fev} evaluations"
@@ -875,23 +955,34 @@ def load_fitted(beta, theta, data: GlmmData, family: FamilySpec,
 
 
 def _finalize(beta, theta, structure, data, family, rule, converged,
-              n_fev, start=None) -> FittedGlmm:
+              n_fev, start=None, swept=None) -> FittedGlmm:
+    """The fit at (beta, theta): modes solved from ``start``, one sweep for
+    the log-likelihood and, when converged after evaluations, the exact
+    gradient's norm.  ``swept`` is the fit objective's evaluation at
+    exactly these parameters, ``(solve, ell, summed scores)``, whose modes,
+    factors and sweep then stand in for the re-solve and the sweep."""
     q = data.n_random
     lam = cov.theta_to_lambda(theta, q, structure)
-    modes, chols = conditional_modes(beta, lam, data, family, start=start)
-    grad_norm = None
-    if converged and n_fev > 0:
-        ell, scores = _quadrature_sweep(
-            beta, lam, data, family, modes, chols, rule,
-            cov.free_positions(q, structure), exact=True)
-        grad_norm = float(np.linalg.norm(scores.sum(axis=0)))
+    exact = converged and n_fev > 0
+    if swept is not None:
+        solve, ell, gradient = swept
+        modes, chols = solve.modes, solve.cond_chol
     else:
-        ell = _quadrature_sweep(beta, lam, data, family, modes, chols, rule)
+        modes, chols = conditional_modes(beta, lam, data, family, start=start)
+        if exact:
+            ell, scores = _quadrature_sweep(
+                beta, lam, data, family, modes, chols, rule,
+                cov.free_positions(q, structure), exact=True)
+            gradient = scores.sum(axis=0)
+        else:
+            ell = _quadrature_sweep(beta, lam, data, family, modes, chols,
+                                    rule)
     return FittedGlmm(
         beta=np.array(beta, dtype=float), theta=np.array(theta, dtype=float),
         structure=structure, family=family, data=data, modes=modes,
         cond_chol=chols, loglik=float(np.sum(ell)),
         m_used=rule.points_per_dim, converged=converged,
         boundary=bool(np.any(np.diag(lam) < _BOUNDARY_TOL)),
-        grad_norm=grad_norm, n_fev=n_fev,
+        grad_norm=float(np.linalg.norm(gradient)) if exact else None,
+        n_fev=n_fev,
     )

@@ -257,11 +257,13 @@ def _csv_rows(path, text):
 
 
 class _Table(NamedTuple):
-    """A CSV file's header and raw body columns."""
+    """A CSV file's header and raw body columns, and the ``_scan`` of each
+    column parsed so far, keyed by position."""
 
     header: list[str]
     columns: list[list[str]]
     lines: np.ndarray    # the file line on which each body row starts
+    scans: dict
 
 
 def _read_table(path) -> _Table:
@@ -288,7 +290,7 @@ def _read_table(path) -> _Table:
              else np.asarray(lines[1:], dtype=int))
     columns = (_split_lines(rows, len(header)) if fast
                else _split_rows(rows, len(header), lines))
-    return _Table(header, columns, lines)
+    return _Table(header, columns, lines, {})
 
 
 def _scan(cells):
@@ -324,6 +326,13 @@ def _scan(cells):
         for i in np.flatnonzero(np.isnan(values[start:stop])) + start:
             missing[i] = cells[i].strip() in _MISSING
     return values, missing, bad
+
+
+def _scan_column(table: _Table, j: int):
+    """``_scan`` of the table's column ``j``, parsed once per table."""
+    if j not in table.scans:
+        table.scans[j] = _scan(table.columns[j])
+    return table.scans[j]
 
 
 def _classify(name, scan, cells, kept, lines):
@@ -384,8 +393,9 @@ def ingest_csv(path, config: ModelConfig, extra_columns=()) -> IngestResult:
 
 
 def _build(table: _Table, config: ModelConfig, extra_columns=()) -> IngestResult:
-    """:func:`ingest_csv` on a table already read; the table is not
-    changed, so one read can serve several configs."""
+    """:func:`ingest_csv` on a table already read.  One read can serve
+    several configs: the table keeps each column's scan, so a column
+    they share is parsed once."""
     header, columns, lines = table.header, table.columns, table.lines
     col_of = {name: j for j, name in enumerate(header)}
     if (config.cluster == config.response
@@ -405,7 +415,7 @@ def _build(table: _Table, config: ModelConfig, extra_columns=()) -> IngestResult
             )
 
     declared = set(config.categorical)
-    scans = {name: _scan(columns[col_of[name]]) for name in referenced
+    scans = {name: _scan_column(table, col_of[name]) for name in referenced
              if name != config.cluster and name not in declared}
     raw = {name: list(map(str.strip, columns[col_of[name]]))
            for name in referenced if name not in scans}

@@ -3,6 +3,9 @@
 Everything here is written directly from model definitions with scipy
 primitives, deliberately sharing no quadrature or derivative code with
 the package, so agreement between the two is evidence and not tautology.
+The one exception is the reference mode solver, a plain replay of the
+package's Newton loop on its own primitives, against which the package
+must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import glmmkit
 from glmmkit import covariance as cov
 from glmmkit.derivatives import (HessianResult, _derivative_rule, _scores,
                                  estfun)
-from glmmkit.estimation import FittedGlmm, conditional_modes
+from glmmkit.estimation import (_MODE_MAX_ITER, _MODE_TOL, FittedGlmm,
+                                _build_eta, _curvatures, _factor_curvature,
+                                _penalized_curvature, conditional_modes)
 from glmmkit.exceptions import EstimationError, SingularityError
 from glmmkit.quadrature import GhRule
 
@@ -394,6 +399,83 @@ def fd_hessian(fit: FittedGlmm, parameterization: str = "var",
                          scores=estfun(fit, parameterization,
                                        rule.points_per_dim),
                          one_sided=tuple(one_sided))
+
+
+# ---------------------------------------------------------------------------
+# reference mode solver
+
+
+def plain_conditional_modes(beta, lam, data, family, start=None):
+    """``glmmkit.conditional_modes`` written as the plain Newton loop:
+    every iteration rebuilds eta, the mean and the objective at the
+    current modes, and the conditional factor is rebuilt from the rows at
+    the modes.  It shares the package's primitives on purpose, so the
+    package's solver, which carries its last step-halving trial into the
+    next iteration and hands its final rows to the sweep, must match it
+    bit for bit.
+
+    Returns the modes, the conditional factors and the counts: Newton
+    iterations, step-halving trials after full steps, and (iteration,
+    cluster) pairs whose step never improved the objective.  A failed
+    solve raises with the counts as ``.counts``.
+    """
+    xbeta = data.X @ np.asarray(beta, dtype=float).ravel()
+    n_cl, q = data.n_clusters, data.n_random
+    u = np.zeros((n_cl, q)) if start is None else np.array(start, dtype=float)
+    y = data.y
+    log_c = data.sum_by_cluster(family.log_normalizer(y))
+
+    def eta_at(u_cur):
+        return _build_eta(xbeta, data, (lam @ u_cur.T)[:, :, None])[:, 0]
+
+    def objective_at(eta, mu, u_cur):
+        kappa = family._natural_parameter(eta, mu)
+        logf = data.sum_by_cluster(y * kappa - family.cumulant(kappa)) + log_c
+        return logf - 0.5 * np.sum(u_cur * u_cur, axis=1)
+
+    counts = {"iterations": 0, "halvings": 0, "unsettled": 0}
+    for iteration in range(_MODE_MAX_ITER + 1):
+        counts["iterations"] = iteration
+        eta = eta_at(u)
+        mu = family.inverse_link(eta)
+        dmu = family._dmu_deta(eta)
+        var = family.variance_function(mu)
+        resid = (y - mu) * dmu / var
+        grad = data.sum_by_cluster(data.Z * resid[:, None]) @ lam - u
+        if np.max(np.abs(grad)) <= (_MODE_TOL if iteration < _MODE_MAX_ITER
+                                    else 1e-8):
+            break
+        if iteration == _MODE_MAX_ITER:
+            worst = int(np.argmax(np.max(np.abs(grad), axis=1)))
+            err = EstimationError(
+                "conditional mode search did not converge for cluster "
+                f"{data.cluster_ids[worst]!r}")
+            err.counts = counts
+            raise err
+        hess = _penalized_curvature(dmu * dmu / var, lam, data)
+        direction = np.linalg.solve(hess, grad[..., None])[..., 0]
+        objective = objective_at(eta, mu, u)
+        floor = objective - 1e-12 * (1.0 + np.abs(objective))
+        scale = np.ones((n_cl, 1))
+        settled = np.zeros(n_cl, dtype=bool)
+        for halving in range(30):
+            candidate = u + scale * direction
+            eta_c = eta_at(candidate)
+            mu_c = None if family.canonical else family.inverse_link(eta_c)
+            settled |= objective_at(eta_c, mu_c, candidate) >= floor
+            if np.all(settled):
+                break
+            scale[~settled] *= 0.5
+        counts["halvings"] += halving
+        counts["unsettled"] += int(np.sum(~settled))
+        scale[~settled] = 0.0
+        u = u + scale * direction
+
+    m_obs, m_exp = _curvatures(eta, mu, dmu, var, y, family)
+    chol_h, _ = _factor_curvature(m_obs, m_exp, lam, data)
+    inv = np.linalg.inv(chol_h)
+    chols = np.linalg.cholesky(np.einsum("iba,ibc->iac", inv, inv))
+    return u, chols, counts
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ from glmmkit import (ConfigError, DomainError, EstimationError, FitControl,
                      fit, llcont, load_fitted, make_glmm_data,
                      marginal_loglik)
 from glmmkit.estimation import _quadrature_sweep, default_points
+from glmmkit.families import FamilySpec
 from glmmkit.quadrature import gh_rule
 from oracles import (_dmu_deta, _inverse_link, _variance, nelder_mead_loglik,
-                     simpson_cluster)
+                     plain_conditional_modes, simpson_cluster)
 
 
 def test_default_points():
@@ -320,3 +321,113 @@ def test_fit_is_no_worse_than_a_nelder_mead_reference(request, fixture):
     fitted = request.getfixturevalue(fixture)
     reference = nelder_mead_loglik(fitted.data, fitted.family, fitted.m_used)
     assert fitted.loglik >= reference - 1e-8 * abs(reference)
+
+
+# ---------------------------------------------------------------------------
+# the mode solver, its hand-over to the sweep, and the fit's last evaluation
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("start", ["cold", "warm", "far"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("family,link", [
+    ("binomial", "logit"), ("binomial", "probit"), ("binomial", "cloglog"),
+    ("poisson", "log")])
+def test_mode_solver_matches_the_plain_newton_loop(family, link, q, start):
+    # the solver starts each iteration from its last accepted trial and
+    # factors the curvature once at the end; the plain loop recomputes
+    # both, so modes, factors and the handed-over state agree bit for bit
+    data, spec, beta, theta = _gradient_case(family, link, q, "unstructured")
+    lam = cov.theta_to_lambda(theta, q)
+    begin = None
+    if start == "warm":
+        # as in the fit: modes solved at nearby parameters
+        begin, _ = conditional_modes(0.9 * beta, 1.1 * lam, data, spec)
+    elif start == "far":
+        # a wide factor and a start far below the modes: full steps
+        # overshoot, and clusters settle after different step halvings
+        lam = 3.0 * lam
+        begin = np.full((data.n_clusters, q), -3.0)
+    modes, chols, counts = plain_conditional_modes(beta, lam, data, spec,
+                                                   begin)
+    assert counts["unsettled"] == 0
+    plain = conditional_modes(beta, lam, data, spec, start=begin)
+    solve = conditional_modes(beta, lam, data, spec, start=begin,
+                              record=True)
+    assert solve.iterations == counts["iterations"] >= 2
+    assert solve.halvings == counts["halvings"]
+    assert (solve.halvings > 0) == (start == "far")
+    for got in (plain, (solve.modes, solve.cond_chol)):
+        assert _same_bits(got[0], modes)
+        assert _same_bits(got[1], chols)
+    rebuilt = estimation._mode_state(beta, lam, data, spec, solve.modes)
+    for field in dataclasses.fields(rebuilt):
+        assert _same_bits(getattr(solve.state, field.name),
+                          getattr(rebuilt, field.name)), field.name
+
+
+@pytest.mark.parametrize("link,shift,scale", [("logit", -24.0, 0.3),
+                                              ("probit", -6.4, 0.03)])
+def test_unsettled_clusters_fail_like_the_plain_newton_loop(
+        link, shift, scale, monkeypatch):
+    # cluster 0 answers 1 on every row at a linear predictor just past the
+    # mean clamp, where log f is flat but d log f / d eta is not: from
+    # u = 0.7 every trial step lowers the objective, through the penalty,
+    # by more than the floor allows, so the cluster never settles and
+    # keeps its rows.  Both solvers fail on it after reading the same
+    # rows, eta and mean, at the top of every iteration.
+    rng = np.random.default_rng(3)
+    cluster = np.repeat(np.arange(4), 6)
+    y = np.where(cluster == 0, 1.0, (rng.random(24) < 0.5).astype(float))
+    x = np.column_stack([np.ones(24), (cluster == 0).astype(float)])
+    data = GlmmData.from_arrays(y, x, np.ones((24, 1)), cluster)
+    spec = family_spec("binomial", link)
+    beta, lam = np.array([0.0, shift]), np.array([[scale]])
+    start = np.full((4, 1), 0.7)
+
+    rows = []
+    dmu_deta, variance = FamilySpec._dmu_deta, FamilySpec.variance_function
+    monkeypatch.setattr(FamilySpec, "_dmu_deta", lambda self, eta: (
+        rows.append(eta.copy()), dmu_deta(self, eta))[1])
+    monkeypatch.setattr(FamilySpec, "variance_function", lambda self, mu: (
+        rows.append(mu.copy()), variance(self, mu))[1])
+    with pytest.raises(EstimationError) as plain:
+        plain_conditional_modes(beta, lam, data, spec, start)
+    assert plain.value.counts["unsettled"] == estimation._MODE_MAX_ITER
+    plain_rows = rows[:]
+    rows.clear()
+    with pytest.raises(EstimationError) as ours:
+        conditional_modes(beta, lam, data, spec, start=start, record=True)
+    assert str(ours.value) == str(plain.value)
+    assert len(rows) == len(plain_rows)
+    assert all(_same_bits(a, b) for a, b in zip(rows, plain_rows))
+
+
+@pytest.mark.parametrize("tight", [True, False])
+def test_fit_solves_the_modes_once_per_evaluation(binom_fit, monkeypatch,
+                                                  tight):
+    # the optimum is the last point evaluated; when its solve met the
+    # tight tolerance that evaluation is the fit, and no solve follows the
+    # search.  With the tight tolerance out of reach every solve stops on
+    # the loose one after _MODE_MAX_ITER iterations, a warm solve from
+    # such modes would move them, and the fit solves once more.
+    if not tight:
+        monkeypatch.setattr(estimation, "_MODE_TOL", -1.0)
+        monkeypatch.setattr(estimation, "_MODE_MAX_ITER", 12)
+    calls = []
+    solve = estimation.conditional_modes
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "conditional_modes", counting)
+    again = fit(binom_fit.data, "binomial", control=FitControl(restarts=1))
+    assert again.converged
+    assert len(calls) == again.n_fev + (0 if tight else 1)
+    assert again.loglik == float(np.sum(llcont(again, again.m_used)))
+    np.testing.assert_allclose(again.loglik, binom_fit.loglik, rtol=1e-12)

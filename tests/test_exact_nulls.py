@@ -121,6 +121,18 @@ def test_one_sign_and_no_weights():
     assert _chisq_mixture_tail(np.empty(0), 1e-9) == 0.0
 
 
+def test_tiny_positive_statistics_give_the_limiting_tail():
+    # the lower-tail root search runs out to t near -1 / x, where the
+    # cumulant's curvature underflows to zero; the tail is 1 there, as at
+    # x = 0, and a mixed-sign mixture keeps its limit P(Q > 0)
+    for weights, x in (([1.0], 1e-200), ([1.0, 2.0], 1e-250),
+                       ([1.0], 1e-310), ([0.5, 1.0, 2.0], 5e-324)):
+        assert _chisq_mixture_tail(np.array(weights), x) == 1.0
+    # 3 chi2(1) - chi2(1) > 0 when an F(1, 1) ratio is below 3: 2/3
+    assert abs(_chisq_mixture_tail(np.array([3.0, -1.0]), 1e-200)
+               - 2.0 / 3.0) <= 2.0 * _TAIL_EPS
+
+
 def test_chernoff_tails_end_without_the_integral():
     # the cli_postest statistics: far beyond any weight, so exactly 0,
     # and a bound the largest weight alone confirms

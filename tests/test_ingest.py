@@ -426,3 +426,30 @@ def test_vuong_reads_the_data_file_once(tmp_path, capsys):
         assert main(argv) == 0
     assert read.call_count == 1
     assert json.loads(capsys.readouterr().out)["test"] == "nested"
+
+
+def test_vuong_parses_each_shared_column_once(tmp_path, capsys):
+    # the two models share y and x; with z only in the first, three
+    # columns are parsed, not five
+    sim = make_glmm_data("binomial", beta=(0.3, 0.8), n_clusters=25,
+                         cluster_size=5, seed=12)
+    d = sim.data
+    z = np.random.default_rng(99).standard_normal(d.n_obs)
+    lines = ["y,x,z,id"] + [f"{d.y[r]:.17g},{d.X[r, 1]:.17g},{z[r]:.17g},"
+                            f"c{d.cluster_index[r]}" for r in range(d.n_obs)]
+    data = write_csv(tmp_path, "\n".join(lines) + "\n")
+    argv = ["vuong", "--data", str(data), "--nested", "--seed", "1"]
+    for k, fixed, beta in ((1, ["1", "x", "z"], [*sim.beta, 0.0]),
+                           (2, ["1", "x"], list(sim.beta))):
+        (tmp_path / f"config{k}.json").write_text(json.dumps(
+            dict(BASE_CONFIG, fixed=fixed)))
+        (tmp_path / f"fit{k}.json").write_text(json.dumps({
+            "estimate": {"beta": beta, "theta": sim.theta.tolist()},
+            "model": {"family": "binomial", "link": "logit",
+                      "structure": "unstructured"}}))
+        argv += [f"--config{k}", str(tmp_path / f"config{k}.json"),
+                 f"--fit{k}", str(tmp_path / f"fit{k}.json")]
+    with mock.patch.object(ingest, "_scan", wraps=ingest._scan) as scan:
+        assert main(argv) == 0
+    assert scan.call_count == 3
+    assert json.loads(capsys.readouterr().out)["test"] == "nested"
