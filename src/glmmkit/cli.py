@@ -387,7 +387,7 @@ def _cmd_vuong(args) -> int:
     except DegenerateError as exc:
         # omega2 is zero: only the variance test is defined, on the same
         # per-cluster differences
-        result = _variance_result(fit1, fit2, *exc.differences, nagq,
+        result = _variance_result(fit1, fit2, exc.sweeps, *exc.differences,
                                   args.seed, args.n_sim, "var")
     payload = {
         "metadata": _metadata(seed=args.seed, nagq=nagq),

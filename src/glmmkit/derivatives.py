@@ -196,13 +196,44 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
         requested, with :func:`estfun`'s message.
     """
     _refuse_boundary(fit, parameterization)
+    return _hessian_on_scale(fit, _hessian_sweep(fit, n_points),
+                             parameterization)
+
+
+@dataclass(frozen=True)
+class _HessianSweep:
+    """The Hessian's sweep on the theta scale: the per-cluster
+    log-likelihood ``ell`` (I,), which equals :func:`llcont`'s at the same
+    point count bit for bit, the scores (I, p + k), the Jacobian
+    (p + k, p + k) and the points per dimension."""
+
+    ell: np.ndarray
+    scores: np.ndarray
+    matrix: np.ndarray
+    m_used: int
+
+
+def _hessian_sweep(fit: FittedGlmm, n_points: int | None) -> _HessianSweep:
+    """The one quadrature sweep behind :func:`hessian`, at the fit's
+    anchors."""
     rule = _derivative_rule(fit, n_points)
+    positions = cov.free_positions(fit.data.n_random, fit.structure)
+    ell, scores, matrix = _quadrature_sweep(
+        fit.beta, fit.lambda_matrix, fit.data, fit.family, fit.modes,
+        fit.cond_chol, rule, positions, second=True)
+    return _HessianSweep(ell, scores, matrix, rule.points_per_dim)
+
+
+def _hessian_on_scale(fit: FittedGlmm, sweep: _HessianSweep,
+                      parameterization: str) -> HessianResult:
+    """:func:`hessian` from its sweep: the chain rule to the requested
+    scale, the symmetrization and the one-sided entries.  The caller has
+    refused the boundary (``_refuse_boundary``); the sweep's Jacobian is
+    overwritten."""
     p = fit.data.n_fixed
     lam = fit.lambda_matrix
     positions = cov.free_positions(fit.data.n_random, fit.structure)
-    _, scores, matrix = _quadrature_sweep(fit.beta, lam, fit.data, fit.family,
-                                          fit.modes, fit.cond_chol, rule,
-                                          positions, second=True)
+    scores, matrix = sweep.scores, sweep.matrix
     jac = None
     if parameterization != "theta":
         jac, second = cov.theta_chain(lam, parameterization, fit.structure)
@@ -218,9 +249,9 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
     return HessianResult(values=matrix,
                          labels=labels,
                          parameterization=parameterization,
-                         m_used=rule.points_per_dim,
+                         m_used=sweep.m_used,
                          scores=ScoreMatrix(values=_on_scale(scores, p, jac),
                                             labels=labels,
                                             parameterization=parameterization,
-                                            m_used=rule.points_per_dim),
+                                            m_used=sweep.m_used),
                          one_sided=one_sided)

@@ -38,12 +38,22 @@ hands its final rows, with the one Cholesky factor of the curvature, to
 the sweep (``conditional_modes(record=True)``); only a stored fit's
 Hessian rebuilds them (``_mode_state``).  The optimum is usually the
 last point evaluated, and then that evaluation's modes, factors and
-sweep are the fit.
+sweep are the fit.  A rehydrated fit (``load_fitted``) sweeps for its
+log-likelihood only when ``loglik`` is read.
+
+With one random effect (q = 1) every curvature, Newton step and
+conditional factor is a scalar per cluster, and batched LAPACK calls on
+1 x 1 stacks cost more in call overhead than in arithmetic.  There the
+mode solver and the conditional factor use the scalar closed forms
+(``_penalized_curvature``, ``_newton_step``, ``_cholesky``,
+``_conditional_factor``), which return the LAPACK and einsum results bit
+for bit and fail where they fail; q >= 2 keeps the batched calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -107,7 +117,13 @@ class FittedGlmm:
     """A fitted (or externally supplied) model with everything the
     derivative machinery needs: parameters, per-cluster posterior modes on
     the u scale, conditional Cholesky factors, and the marginal
-    log-likelihood at those parameters."""
+    log-likelihood at those parameters.
+
+    ``loglik`` is not a dataclass field.  :func:`fit` sets it from its
+    last sweep; otherwise the first read runs one sweep on the fit's own
+    rule, ``gh_rule(m_used, q)``, and keeps the value.  A copy made with
+    ``dataclasses.replace`` computes its own on first read.
+    """
 
     beta: np.ndarray
     theta: np.ndarray
@@ -116,12 +132,19 @@ class FittedGlmm:
     data: GlmmData
     modes: np.ndarray      # (I, q)
     cond_chol: np.ndarray  # (I, q, q), lower triangular
-    loglik: float
     m_used: int
     converged: bool
     boundary: bool
     grad_norm: float | None = None
     n_fev: int = 0
+
+    @cached_property
+    def loglik(self) -> float:
+        """The marginal log-likelihood at the fit's anchors and rule."""
+        rule = gh_rule(self.m_used, self.data.n_random)
+        return float(np.sum(_quadrature_sweep(
+            self.beta, self.lambda_matrix, self.data, self.family,
+            self.modes, self.cond_chol, rule)))
 
     @property
     def relcov(self) -> cov.RelCovFactor:
@@ -159,8 +182,13 @@ def _build_eta(xbeta: np.ndarray, data: GlmmData,
 def _penalized_curvature(weight: np.ndarray, lam: np.ndarray,
                          data: GlmmData) -> np.ndarray:
     """Lambda' Z_i' diag(weight) Z_i Lambda + I for every cluster i, given
-    the curvature of -log f per unit eta^2 of every row."""
+    the curvature of -log f per unit eta^2 of every row.  At q = 1 the
+    einsum is the scalar (lambda s) lambda, multiplied in its order."""
     q = data.n_random
+    if q == 1:
+        z = data.Z[:, 0]
+        ztwz = data.sum_by_cluster(z * z * weight)
+        return ((lam[0, 0] * ztwz) * lam[0, 0] + 1.0)[:, None, None]
     ztwz = data.sum_by_cluster(
         data.Z[:, :, None] * data.Z[:, None, :] * weight[:, None, None]
     )
@@ -238,7 +266,7 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
                 f"{data.cluster_ids[worst]!r}"
             )
         hess = _penalized_curvature(dmu * dmu / var, lam, data)
-        direction = np.linalg.solve(hess, grad[..., None])[..., 0]
+        direction = _newton_step(hess, grad)
 
         if objective is None:
             objective = objective_at(eta, mu, u)
@@ -281,9 +309,37 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
                       halvings)
 
 
+def _newton_step(hess, grad):
+    """H^-1 grad for every cluster, shape (I, q).  At q = 1 the solve is
+    the quotient, which LAPACK returns bit for bit; a zero pivot fails as
+    it does."""
+    if hess.shape[1] == 1:
+        if not hess.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return grad / hess[:, 0]
+    return np.linalg.solve(hess, grad[..., None])[..., 0]
+
+
+def _cholesky(matrix):
+    """Lower Cholesky factor of every (q, q) matrix.  At q = 1 it is the
+    square root, which LAPACK returns bit for bit; an entry <= 0 fails as
+    it does, and a NaN passes through as it does."""
+    if matrix.shape[1] == 1:
+        if (matrix <= 0.0).any():
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return np.sqrt(matrix)
+    return np.linalg.cholesky(matrix)
+
+
 def _conditional_factor(chol_h):
     """C with C C' = H^-1, lower triangular, from the Cholesky factor of
-    the penalized negative Hessian H at the mode."""
+    the penalized negative Hessian H at the mode.  At q = 1 that is
+    sqrt((1/l)(1/l)), the products LAPACK and the einsum form."""
+    if chol_h.shape[1] == 1:
+        if not chol_h.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        inv = 1.0 / chol_h
+        return _cholesky(inv * inv)
     inv = np.linalg.inv(chol_h)
     cov_u = np.einsum("iba,ibc->iac", inv, inv)  # (L^-1)' L^-1 = H^-1
     return np.linalg.cholesky(cov_u)
@@ -324,9 +380,9 @@ def _factor_curvature(m_obs, m_exp, lam, data: GlmmData):
     every cluster.
     """
     try:
-        chol = np.linalg.cholesky(_penalized_curvature(m_obs, lam, data))
+        chol = _cholesky(_penalized_curvature(m_obs, lam, data))
     except np.linalg.LinAlgError:
-        return np.linalg.cholesky(_penalized_curvature(m_exp, lam, data)), False
+        return _cholesky(_penalized_curvature(m_exp, lam, data)), False
     return chol, True
 
 
@@ -802,7 +858,10 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     The diagonal theta entries are bounded below by zero, so a
     ``theta_start`` with a negative diagonal entry is a ``DomainError``.
     A restart reruns from where the previous run stopped, and the loop
-    stops once a restart gains less than 1e-6.  Raises
+    stops once a restart gains less than 1e-6; the last allowed restart
+    that gains less than that confirms the point even when L-BFGS-B
+    reported no success (a line search that fails at the round-off
+    floor).  The fit's ``loglik`` is its last sweep's.  Raises
     :class:`~glmmkit.exceptions.EstimationError` (with the best fit so far
     attached as ``.best``) if ``max_fev`` evaluations run out first or the
     last run stops without converging.
@@ -899,10 +958,13 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         improvement = f_hat - result.fun
         x_hat, f_hat = result.x, float(result.fun)
         # a restart from a converged point may end in a failed line search
-        # at the round-off floor; without a real gain the fit stays converged
+        # at the round-off floor; without a real gain the fit stays
+        # converged.  The last allowed restart confirms a point that way
+        # even when no run reported success: it stopped where it began.
         finite = bool(np.isfinite(f_hat))
-        success = finite and (bool(result.success)
-                              or (success and improvement < 1e-6))
+        confirms = improvement < 1e-6 and (success
+                                           or attempt == control.restarts)
+        success = finite and (bool(result.success) or confirms)
         message = (result.message if finite
                    else "the objective is not finite there")
         if success and attempt > 0 and improvement < 1e-6:
@@ -933,9 +995,11 @@ def load_fitted(beta, theta, data: GlmmData, family: FamilySpec,
                 structure: str = "unstructured") -> FittedGlmm:
     """Rehydrate a model at externally supplied estimates.
 
-    Recomputes posterior modes, conditional factors and the marginal
-    log-likelihood at ``(beta, theta)`` without optimizing, so externally
-    estimated models get the full post-estimation machinery.
+    Solves the posterior modes and conditional factors at ``(beta,
+    theta)`` cold, without optimizing, so externally estimated models get
+    the full post-estimation machinery.  The marginal log-likelihood on
+    the ``n_points`` rule is swept on the first read of ``loglik``; no
+    post-estimation function reads it.
     """
     family = as_family_spec(family)
     family.validate_support(data.y)
@@ -956,14 +1020,17 @@ def load_fitted(beta, theta, data: GlmmData, family: FamilySpec,
 
 def _finalize(beta, theta, structure, data, family, rule, converged,
               n_fev, start=None, swept=None) -> FittedGlmm:
-    """The fit at (beta, theta): modes solved from ``start``, one sweep for
-    the log-likelihood and, when converged after evaluations, the exact
-    gradient's norm.  ``swept`` is the fit objective's evaluation at
-    exactly these parameters, ``(solve, ell, summed scores)``, whose modes,
-    factors and sweep then stand in for the re-solve and the sweep."""
+    """The fit at (beta, theta): modes solved from ``start`` and, when
+    converged after evaluations, one exact sweep for the log-likelihood
+    and the gradient's norm.  ``swept`` is the fit objective's evaluation
+    at exactly these parameters, ``(solve, ell, summed scores)``, whose
+    modes, factors and sweep then stand in for the re-solve and the
+    sweep.  Without a sweep (a rehydration, or a fit that did not
+    converge) ``loglik`` is left to its first read."""
     q = data.n_random
     lam = cov.theta_to_lambda(theta, q, structure)
     exact = converged and n_fev > 0
+    ell = None
     if swept is not None:
         solve, ell, gradient = swept
         modes, chols = solve.modes, solve.cond_chol
@@ -974,15 +1041,16 @@ def _finalize(beta, theta, structure, data, family, rule, converged,
                 beta, lam, data, family, modes, chols, rule,
                 cov.free_positions(q, structure), exact=True)
             gradient = scores.sum(axis=0)
-        else:
-            ell = _quadrature_sweep(beta, lam, data, family, modes, chols,
-                                    rule)
-    return FittedGlmm(
+    fitted = FittedGlmm(
         beta=np.array(beta, dtype=float), theta=np.array(theta, dtype=float),
         structure=structure, family=family, data=data, modes=modes,
-        cond_chol=chols, loglik=float(np.sum(ell)),
-        m_used=rule.points_per_dim, converged=converged,
+        cond_chol=chols, m_used=rule.points_per_dim, converged=converged,
         boundary=bool(np.any(np.diag(lam) < _BOUNDARY_TOL)),
         grad_norm=float(np.linalg.norm(gradient)) if exact else None,
         n_fev=n_fev,
     )
+    if ell is not None:
+        # the frozen instance takes the value where the cached property
+        # would store it
+        object.__setattr__(fitted, "loglik", float(np.sum(ell)))
+    return fitted

@@ -10,9 +10,10 @@ counted.
 The file is read once and decoded as UTF-8 (a leading byte-order mark is
 dropped).  Parsing then works column by column.  When the text has no
 ``"`` and no lone ``\r`` once ``\r\n`` is read as ``\n``, no cell can be
-quoted or span lines, so a fast path splits the text into lines, checks
-each line's comma count, splits the body once on commas and takes every
-column as a stride slice.  Any other file goes through ``csv.reader``.
+quoted or span lines, so a fast path finds every line end and comma in
+one vectorized scan of the text's UTF-8 bytes, checks each line's field
+count from them, splits the text once on both and takes every column as
+a stride slice.  Any other file goes through ``csv.reader``.
 Both paths give the same header and columns (a blank line has 0 fields,
 as ``csv.reader`` counts it), plus the file line on which each row
 starts: a quoted cell may span lines, so line numbers in messages and in
@@ -41,7 +42,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = ["ModelConfig", "IngestResult", "ingest_csv"]
 
 _MISSING = {"", "NA", "NaN", "nan", "N/A", "null", "NULL"}
 _BLOCK = 2048   # cells per parse call in _scan
+_SCAN = 1 << 16  # characters per slice of _field_counts' byte scan
 
 _CONFIG_KEYS = {
     "response", "fixed", "random", "cluster", "family", "link",
@@ -208,25 +210,70 @@ def _read_text(path):
         ) from exc
 
 
-def _split_lines(lines, width):
-    """Columns of unquoted lines: count commas per line, split once.
+def _split_unquoted(path, box):
+    """Header, columns and number of body lines of unquoted CSV text.
 
-    Empties ``lines`` once they are joined, so the line strings are freed
+    ``_field_counts`` gives every line's field count from the text's
+    bytes; then the text is split once on line ends and commas, and each
+    column is a stride slice past the header's cells.  Empties ``box``,
+    which holds the only reference to the text, so the text is freed
     before the cells are made.
     """
-    commas = list(map(str.count, lines, repeat(",")))
-    if "" in lines or commas.count(width - 1) != len(lines):
-        for lineno, line in enumerate(lines, start=2):
-            found = line.count(",") + 1 if line else 0
-            if found != width:
-                raise _ragged(lineno, width, found)
-    if not lines:
-        return [[] for _ in range(width)]
-    joined = ",".join(lines)
-    lines.clear()
-    flat = joined.split(",")
-    del joined
-    return [flat[j::width] for j in range(width)]
+    text = box.pop()
+    end = text.find("\n")
+    first = text if end < 0 else text[:end]
+    header = _header(path, first.split(",") if first else [])
+    width = len(header)
+    found = _field_counts(text)[1:]    # the header line comes first
+    wrong = np.flatnonzero(found != width)
+    if wrong.size:
+        line = int(wrong[0])
+        raise _ragged(line + 2, width, int(found[line]))
+    n_lines = found.size
+    del found
+    if not width:
+        return header, [], n_lines
+    final = text[-1] == "\n"
+    flat = text.replace("\n", ",")
+    del text
+    flat = flat.split(",")
+    if final:
+        flat.pop()
+    return header, [flat[j::width] for j in range(width, 2 * width)], n_lines
+
+
+def _field_counts(text):
+    """Fields on each line of non-empty unquoted text: its commas plus
+    one, or 0 when blank, as ``csv.reader`` counts them.
+
+    The text's UTF-8 bytes are scanned ``_SCAN`` characters at a time, so
+    no array is larger than a slice's; a line end or comma is one byte
+    that occurs inside no multi-byte character.  A line that runs past a
+    slice carries its commas and its length into the next.
+    """
+    counts = []
+    commas = length = 0     # so far on the line that runs into the slice
+    for start in range(0, len(text), _SCAN):
+        codes = np.frombuffer(text[start:start + _SCAN].encode("utf-8"),
+                              dtype=np.uint8)
+        marks = np.flatnonzero((codes == ord("\n")) | (codes == ord(",")))
+        at = np.flatnonzero(codes[marks] == ord("\n"))
+        if not at.size:
+            commas += marks.size
+            length += codes.size
+            continue
+        ends = marks[at]
+        # the marks from one line end to the next are a line's commas and
+        # its end; a line is blank when its end follows the previous one
+        found = np.diff(at, prepend=-1)
+        found[0] += commas
+        found[np.diff(ends, prepend=-1 - length) == 1] = 0
+        counts.append(found)
+        commas = marks.size - at[-1] - 1
+        length = codes.size - ends[-1] - 1
+    if length:              # the last line has no line end
+        counts.append(np.array([commas + 1]))
+    return np.concatenate(counts)
 
 
 def _split_rows(rows, width, lines):
@@ -270,27 +317,35 @@ def _read_table(path) -> _Table:
     """Header and raw columns of a CSV file with a rectangular body."""
     text = _read_text(path)
     unix = text.replace("\r\n", "\n") if "\r" in text else text
-    fast = '"' not in unix and "\r" not in unix
-    if fast:
-        rows = unix.split("\n")
-        if rows[-1] == "":
-            rows.pop()
-    else:
-        rows, lines = _csv_rows(path, text)
-    del text, unix
-    if not rows:
-        raise IngestionError(f"{path} is empty; a header row is required")
-    first = rows.pop(0)
-    if fast:
-        first = first.split(",") if first else []
+    if '"' in unix or "\r" in unix:
+        del unix
+        rows, starts = _csv_rows(path, text)
+        del text
+        if not rows:
+            raise _empty(path)
+        header = _header(path, rows.pop(0))
+        lines = np.asarray(starts[1:], dtype=int)
+        return _Table(header, _split_rows(rows, len(header), lines), lines,
+                      {})
+    del text
+    if not unix:
+        raise _empty(path)
+    box = [unix]
+    del unix
+    header, columns, n_lines = _split_unquoted(path, box)
+    return _Table(header, columns, np.arange(2, n_lines + 2), {})
+
+
+def _empty(path):
+    return IngestionError(f"{path} is empty; a header row is required")
+
+
+def _header(path, first):
+    """Column names from the cells of a header row."""
     header = [h.strip() for h in first]
     if len(set(header)) != len(header):
         raise IngestionError(f"{path} has duplicate column names")
-    lines = (np.arange(2, len(rows) + 2) if fast
-             else np.asarray(lines[1:], dtype=int))
-    columns = (_split_lines(rows, len(header)) if fast
-               else _split_rows(rows, len(header), lines))
-    return _Table(header, columns, lines, {})
+    return header
 
 
 def _scan(cells):

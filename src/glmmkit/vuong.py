@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats as sps
 
 from ._nulls import _TAIL_EPS, _check_monte_carlo, _chisq_mixture_tail
-from .derivatives import hessian, llcont
+from .derivatives import _hessian_on_scale, _hessian_sweep, _refuse_boundary
 from .estimation import FittedGlmm
 from .exceptions import ConfigError, DegenerateError
 
@@ -102,16 +102,24 @@ def _check_same_clustering(fit1: FittedGlmm, fit2: FittedGlmm) -> None:
 
 
 def _differences(fit1, fit2, n_points, seed, n_sim, caller):
-    """Per-cluster log-likelihood differences and their variance omega2."""
+    """Both models' Hessian sweeps, the per-cluster log-likelihood
+    differences they give and the differences' variance omega2.
+
+    A Hessian's sweep returns the per-cluster log-likelihood of
+    :func:`~glmmkit.derivatives.llcont` at the same point count, so the
+    differences cost no sweep of their own.
+    """
     _check_monte_carlo(seed, n_sim, caller)
     _check_same_clustering(fit1, fit2)
-    diff = llcont(fit1, n_points) - llcont(fit2, n_points)
-    return diff, float(np.var(diff))
+    sweeps = _hessian_sweep(fit1, n_points), _hessian_sweep(fit2, n_points)
+    diff = sweeps[0].ell - sweeps[1].ell
+    return sweeps, diff, float(np.var(diff))
 
 
-def _variance_null(fit1, fit2, n_points, parameterization, statistic):
+def _variance_null(fit1, fit2, sweeps, parameterization, statistic):
     """Eigenvalue weights of the chi-square mixture null, and the variance
-    test's p-value with its error bound.
+    test's p-value with its error bound, from both models' Hessian
+    sweeps.
 
     Assembles W = [[B1 A1^-1, B12 A2^-1], [-B21 A1^-1, -B2 A2^-1]] with
     A the negative Hessians and B the score outer-product sums (the scale
@@ -119,9 +127,11 @@ def _variance_null(fit1, fit2, n_points, parameterization, statistic):
     a nested pair the spectrum collapses to ones and zeros, recovering
     the classical chi-square null.
     """
+    for fit in (fit1, fit2):
+        _refuse_boundary(fit, parameterization)
     # each Hessian's sweep also gives that model's scores
-    h1 = hessian(fit1, parameterization, n_points)
-    h2 = hessian(fit2, parameterization, n_points)
+    h1, h2 = (_hessian_on_scale(fit, sweep, parameterization)
+              for fit, sweep in zip((fit1, fit2), sweeps))
     s1, s2 = h1.scores.values, h2.scores.values
     a1, a2 = -h1.values, -h2.values
     b1 = s1.T @ s1
@@ -172,18 +182,19 @@ def vuong_variance_test(fit1: FittedGlmm, fit2: FittedGlmm,
     VuongResult
         With ``test="variance"``, ``statistic = I * omega2``.
     """
-    diff, omega2 = _differences(fit1, fit2, n_points, seed, n_sim,
-                                "vuong_variance_test")
-    return _variance_result(fit1, fit2, diff, omega2, n_points, seed, n_sim,
+    sweeps, diff, omega2 = _differences(fit1, fit2, n_points, seed, n_sim,
+                                        "vuong_variance_test")
+    return _variance_result(fit1, fit2, sweeps, diff, omega2, seed, n_sim,
                             parameterization)
 
 
-def _variance_result(fit1, fit2, diff, omega2, n_points, seed, n_sim,
+def _variance_result(fit1, fit2, sweeps, diff, omega2, seed, n_sim,
                      parameterization):
-    """The variance test on precomputed per-cluster differences."""
+    """The variance test on precomputed Hessian sweeps and per-cluster
+    differences (``_differences``)."""
     statistic = diff.size * omega2
     weights, p_value, p_value_se = _variance_null(
-        fit1, fit2, n_points, parameterization, statistic)
+        fit1, fit2, sweeps, parameterization, statistic)
     return VuongResult(
         test="variance",
         omega2=omega2,
@@ -220,10 +231,11 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
     DegenerateError
         In non-nested mode when omega_hat is zero; the variance test is
         the informative comparison in that case.  The differences and
-        omega2 are attached as ``.differences``.
+        omega2 are attached as ``.differences``, and both models' Hessian
+        sweeps as ``.sweeps``.
     """
-    diff, omega2 = _differences(fit1, fit2, n_points, seed, n_sim,
-                                "vuong_lr_test")
+    sweeps, diff, omega2 = _differences(fit1, fit2, n_points, seed, n_sim,
+                                        "vuong_lr_test")
     if not nested and omega2 == 0.0:
         err = DegenerateError(
             "per-cluster log-likelihood differences have zero variance; "
@@ -231,9 +243,10 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
             "vuong_variance_test: the models are indistinguishable here."
         )
         err.differences = (diff, omega2)
+        err.sweeps = sweeps
         raise err
     weights, variance_p, variance_se = _variance_null(
-        fit1, fit2, n_points, parameterization, diff.size * omega2)
+        fit1, fit2, sweeps, parameterization, diff.size * omega2)
     total = float(diff.sum())
     p_value = p_a = p_b = None
     p_value_se = 0.0

@@ -4,8 +4,9 @@ Everything here is written directly from model definitions with scipy
 primitives, deliberately sharing no quadrature or derivative code with
 the package, so agreement between the two is evidence and not tautology.
 The one exception is the reference mode solver, a plain replay of the
-package's Newton loop on its own primitives, against which the package
-must agree bit for bit.
+package's Newton loop on its own family primitives and on batched LAPACK
+linear algebra at every q, against which the package, with its scalar
+closed forms at q = 1, must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from glmmkit import covariance as cov
 from glmmkit.derivatives import (HessianResult, _derivative_rule, _scores,
                                  estfun)
 from glmmkit.estimation import (_MODE_MAX_ITER, _MODE_TOL, FittedGlmm,
-                                _build_eta, _curvatures, _factor_curvature,
-                                _penalized_curvature, conditional_modes)
-from glmmkit.exceptions import EstimationError, SingularityError
+                                _build_eta, _curvatures, conditional_modes)
+from glmmkit.exceptions import (EstimationError, IngestionError,
+                                SingularityError)
 from glmmkit.quadrature import GhRule
 
 
@@ -405,14 +406,41 @@ def fd_hessian(fit: FittedGlmm, parameterization: str = "var",
 # reference mode solver
 
 
+def lapack_penalized_curvature(weight, lam, data):
+    """Lambda' Z_i' diag(weight) Z_i Lambda + I for every cluster, as the
+    batched einsum at every q (the package multiplies it out at q = 1)."""
+    q = data.n_random
+    ztwz = data.sum_by_cluster(
+        data.Z[:, :, None] * data.Z[:, None, :] * weight[:, None, None])
+    hess = np.einsum("ab,ibc,cd->iad", lam.T, ztwz, lam)
+    hess[:, np.arange(q), np.arange(q)] += 1.0
+    return hess
+
+
+def lapack_conditional_factor(m_obs, m_exp, lam, data):
+    """The conditional factors C, C C' = H^-1, by batched LAPACK calls:
+    the Cholesky factor of the observed penalized curvature H (of the
+    expected one where that is not positive definite), its inverse, and
+    the Cholesky factor of the product."""
+    try:
+        chol_h = np.linalg.cholesky(
+            lapack_penalized_curvature(m_obs, lam, data))
+    except np.linalg.LinAlgError:
+        chol_h = np.linalg.cholesky(
+            lapack_penalized_curvature(m_exp, lam, data))
+    inv = np.linalg.inv(chol_h)
+    return np.linalg.cholesky(np.einsum("iba,ibc->iac", inv, inv))
+
+
 def plain_conditional_modes(beta, lam, data, family, start=None):
     """``glmmkit.conditional_modes`` written as the plain Newton loop:
     every iteration rebuilds eta, the mean and the objective at the
-    current modes, and the conditional factor is rebuilt from the rows at
-    the modes.  It shares the package's primitives on purpose, so the
-    package's solver, which carries its last step-halving trial into the
-    next iteration and hands its final rows to the sweep, must match it
-    bit for bit.
+    current modes, solves the Newton step by LAPACK, and the conditional
+    factor is rebuilt from the rows at the modes by LAPACK.  It shares the
+    package's family primitives on purpose, so the package's solver,
+    which carries its last step-halving trial into the next iteration,
+    hands its final rows to the sweep and uses scalar closed forms at
+    q = 1, must match it bit for bit.
 
     Returns the modes, the conditional factors and the counts: Newton
     iterations, step-halving trials after full steps, and (iteration,
@@ -452,7 +480,7 @@ def plain_conditional_modes(beta, lam, data, family, start=None):
                 f"{data.cluster_ids[worst]!r}")
             err.counts = counts
             raise err
-        hess = _penalized_curvature(dmu * dmu / var, lam, data)
+        hess = lapack_penalized_curvature(dmu * dmu / var, lam, data)
         direction = np.linalg.solve(hess, grad[..., None])[..., 0]
         objective = objective_at(eta, mu, u)
         floor = objective - 1e-12 * (1.0 + np.abs(objective))
@@ -472,10 +500,7 @@ def plain_conditional_modes(beta, lam, data, family, start=None):
         u = u + scale * direction
 
     m_obs, m_exp = _curvatures(eta, mu, dmu, var, y, family)
-    chol_h, _ = _factor_curvature(m_obs, m_exp, lam, data)
-    inv = np.linalg.inv(chol_h)
-    chols = np.linalg.cholesky(np.einsum("iba,ibc->iac", inv, inv))
-    return u, chols, counts
+    return u, lapack_conditional_factor(m_obs, m_exp, lam, data), counts
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +797,27 @@ def mixture_tail_reference(weights, value, rng, n_sim):
         count += int(np.count_nonzero(sims >= value))
         done += size
     return count / n_sim
+
+
+# ---------------------------------------------------------------------------
+# unquoted CSV bodies, one line at a time
+
+
+def split_lines(lines, width):
+    """Columns of unquoted CSV lines, the body without its final newline
+    split on ``\\n``: every line's field count checked in order (its commas
+    plus one, or 0 when blank), then one join and one split on commas.
+    Raises the ingest error on the first line whose count is not
+    ``width``."""
+    for lineno, line in enumerate(lines, start=2):
+        found = line.count(",") + 1 if line else 0
+        if found != width:
+            raise IngestionError(
+                f"line {lineno}: expected {width} fields, found {found}")
+    if not lines:
+        return [[] for _ in range(width)]
+    flat = ",".join(lines).split(",")
+    return [flat[j::width] for j in range(width)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-import glmmkit.vuong
+import glmmkit.derivatives
+import glmmkit.estimation
 from glmmkit import make_glmm_data
 from glmmkit.cli import _cluster_level, _parse_parm, main
 from glmmkit.exceptions import ConfigError
@@ -294,21 +295,17 @@ def test_vuong_identical_models_reports_indistinguishable(workdir, capsys):
 ], ids=["False", "True", "identical"])
 def test_vuong_computes_one_hessian_per_model(workdir, capsys, monkeypatch,
                                               nested, fit2, config2):
+    # one Hessian sweep per model, which also gives its per-cluster
+    # log-likelihood: no other sweep runs, not even on the degenerate path
     seen = []
-    llcont_calls = []
-    original = glmmkit.vuong.hessian
-    original_llcont = glmmkit.vuong.llcont
+    original = glmmkit.derivatives._quadrature_sweep
 
-    def counting(fit, *args, **kwargs):
-        seen.append(fit)
-        return original(fit, *args, **kwargs)
+    def counting(beta, lam, data, *args, **kwargs):
+        seen.append((beta, kwargs.get("second", False)))
+        return original(beta, lam, data, *args, **kwargs)
 
-    def counting_llcont(fit, *args, **kwargs):
-        llcont_calls.append(fit)
-        return original_llcont(fit, *args, **kwargs)
-
-    monkeypatch.setattr(glmmkit.vuong, "hessian", counting)
-    monkeypatch.setattr(glmmkit.vuong, "llcont", counting_llcont)
+    monkeypatch.setattr(glmmkit.derivatives, "_quadrature_sweep", counting)
+    monkeypatch.setattr(glmmkit.estimation, "_quadrature_sweep", counting)
     argv = ["vuong", "--data", str(workdir / "data.csv"),
             "--fit1", str(workdir / "fit.json"),
             "--config1", str(workdir / "config.json"),
@@ -321,9 +318,10 @@ def test_vuong_computes_one_hessian_per_model(workdir, capsys, monkeypatch,
     assert payload["test"] == ("variance" if identical
                                else "nested" if nested else "non-nested")
     assert len(seen) == 2
-    assert seen[0] is not seen[1]
-    assert [f.beta.size for f in seen] == ([2, 2] if identical else [2, 1])
-    assert len(llcont_calls) == 2
+    assert all(second for _, second in seen)
+    assert seen[0][0] is not seen[1][0]
+    assert [beta.size for beta, _ in seen] == ([2, 2] if identical
+                                               else [2, 1])
 
 
 def test_fit_rejects_responses_outside_the_support(workdir, capsys,

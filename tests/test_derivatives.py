@@ -18,6 +18,7 @@ from glmmkit import (ConfigError, FitControl, SingularityError, estfun,
                      make_glmm_data, marginal_loglik, sandwich_vcov, sctest,
                      vuong_lr_test, vuong_variance_test)
 from glmmkit import estimation
+from glmmkit.derivatives import _hessian_sweep
 from glmmkit.estimation import _quadrature_sweep
 from glmmkit.quadrature import gh_rule
 from oracles import (fd_hessian, fd_scores_fixed_anchor, raw_fd_hessian,
@@ -289,6 +290,10 @@ def test_hessian_scores_are_estfun_bit_for_bit(family, link, q, structure):
         assert scores.values.shape == expect.values.shape
         assert (scores.labels, scores.parameterization, scores.m_used) == (
             expect.labels, expect.parameterization, expect.m_used)
+    # the sweep's per-cluster log-likelihood, which the Vuong tests read,
+    # is llcont's
+    sweep = _hessian_sweep(fitted, 3)
+    assert sweep.ell.tobytes() == llcont(fitted, 3).tobytes()
 
 
 def test_hessian_flags_diagonal_entries_on_the_bound(slope_fit):

@@ -17,8 +17,10 @@ from glmmkit import (ConfigError, DomainError, EstimationError, FitControl,
 from glmmkit.estimation import _quadrature_sweep, default_points
 from glmmkit.families import FamilySpec
 from glmmkit.quadrature import gh_rule
-from oracles import (_dmu_deta, _inverse_link, _variance, nelder_mead_loglik,
-                     plain_conditional_modes, simpson_cluster)
+from oracles import (_dmu_deta, _inverse_link, _variance,
+                     lapack_conditional_factor, lapack_penalized_curvature,
+                     nelder_mead_loglik, plain_conditional_modes,
+                     simpson_cluster)
 
 
 def test_default_points():
@@ -431,3 +433,152 @@ def test_fit_solves_the_modes_once_per_evaluation(binom_fit, monkeypatch,
     assert len(calls) == again.n_fev + (0 if tight else 1)
     assert again.loglik == float(np.sum(llcont(again, again.m_used)))
     np.testing.assert_allclose(again.loglik, binom_fit.loglik, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the scalar closed forms at q = 1
+
+
+def _lapack_or_error(compute):
+    """The result of ``compute``, or ``LinAlgError`` if it raises one."""
+    try:
+        return compute()
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+
+
+def _agree(ours, lapack) -> bool:
+    if ours is np.linalg.LinAlgError or lapack is np.linalg.LinAlgError:
+        return ours is lapack
+    return _same_bits(ours, lapack)
+
+
+@pytest.mark.parametrize("special", [None, 0.0, -0.0, -1.0, np.inf, -np.inf,
+                                     np.nan])
+def test_scalar_forms_equal_lapack_on_one_by_one_stacks(special):
+    # every entry of the stack, and one planted entry on which LAPACK
+    # fails (0 and below) or passes a non-finite value through
+    rng = np.random.default_rng(11)
+    entries = np.exp(rng.uniform(-30.0, 30.0, 4000))
+    if special is not None:
+        entries[1234] = special
+    stack = entries[:, None, None]
+    grad = rng.standard_normal((4000, 1)) * np.exp(rng.uniform(-20, 20,
+                                                               (4000, 1)))
+
+    def lapack_factor():
+        inv = np.linalg.inv(stack)
+        return np.linalg.cholesky(np.einsum("iba,ibc->iac", inv, inv))
+
+    for ours, lapack in [
+            (lambda: estimation._newton_step(stack, grad),
+             lambda: np.linalg.solve(stack, grad[..., None])[..., 0]),
+            (lambda: estimation._cholesky(stack),
+             lambda: np.linalg.cholesky(stack)),
+            (lambda: estimation._conditional_factor(stack), lapack_factor)]:
+        assert _agree(_lapack_or_error(ours), _lapack_or_error(lapack))
+    if special is None:
+        assert _lapack_or_error(lapack_factor) is not np.linalg.LinAlgError
+
+
+@pytest.mark.parametrize("planted", [None, -50.0, np.nan])
+@pytest.mark.parametrize("scale", [0.0, 0.7, 40.0])
+def test_scalar_curvature_and_factor_equal_the_batched_einsum(planted,
+                                                              scale):
+    # a strongly negative observed curvature on one cluster makes its
+    # penalized curvature indefinite: both paths fall back to the expected
+    # curvature for every cluster; a NaN passes through both
+    data, spec, beta, theta = _gradient_case("binomial", "cloglog", 1,
+                                             "unstructured")
+    lam = np.array([[scale]])
+    rng = np.random.default_rng(5)
+    m_exp = rng.uniform(0.0, 0.3, data.n_obs)
+    m_obs = m_exp + rng.normal(0.0, 0.05, data.n_obs)
+    if planted is not None:
+        m_obs[:6] = planted
+    for weight in (m_obs, m_exp):
+        assert _same_bits(
+            estimation._penalized_curvature(weight, lam, data),
+            lapack_penalized_curvature(weight, lam, data))
+    chol_h, observed = estimation._factor_curvature(m_obs, m_exp, lam, data)
+    assert observed == (planted != -50.0 or scale == 0.0)
+    assert _same_bits(estimation._conditional_factor(chol_h),
+                      lapack_conditional_factor(m_obs, m_exp, lam, data))
+
+
+# ---------------------------------------------------------------------------
+# restarts and the stored log-likelihood
+
+
+def _stalled_case(name):
+    """Data on which L-BFGS-B stops ABNORMAL on every run from the same
+    point: simulation-study replicates of the benchmark."""
+    if name == "intercept":
+        return make_glmm_data("binomial", n_clusters=50, cluster_size=5,
+                              seed=2954524756).data
+    d = make_glmm_data("binomial", beta=(0.3, 1.2), n_clusters=50,
+                       cluster_size=6,
+                       seed=1323039214 if name == "reduced"
+                       else 2105280324).data
+    if name == "full":
+        return d
+    return GlmmData.from_arrays(d.y, d.X[:, :1], d.Z, d.cluster_index,
+                                x_names=d.x_names[:1])
+
+
+@pytest.mark.parametrize("name,loglik", [("intercept", -154.0354530226),
+                                         ("reduced", -203.4936542833),
+                                         ("full", -170.4472428899)])
+def test_last_restart_confirms_a_point_no_run_reported_converged(
+        name, loglik, monkeypatch):
+    # neither run reports success: each line search fails at the
+    # round-off floor.  The restart starts where the first run stopped and
+    # gains nothing, which confirms the point; without a restart the
+    # failed run stands.
+    data = _stalled_case(name)
+    runs = []
+    minimize = estimation.minimize
+
+    def recording(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        runs.append(result)
+        return result
+
+    monkeypatch.setattr(estimation, "minimize", recording)
+    fitted = fit(data, "binomial", control=FitControl(restarts=1))
+    assert len(runs) == 2
+    assert not any(run.success for run in runs)
+    assert abs(runs[0].fun - runs[1].fun) < 1e-6
+    assert fitted.converged
+    assert fitted.loglik == pytest.approx(loglik, abs=1e-9)
+    assert fitted.grad_norm < 2e-6
+    with pytest.raises(EstimationError, match="ABNORMAL") as info:
+        fit(data, "binomial", control=FitControl(restarts=0))
+    assert info.value.best.loglik == pytest.approx(loglik, abs=1e-6)
+
+
+def test_loglik_is_swept_on_first_read_only(binom_fit, monkeypatch):
+    # fit stores its last sweep's value; a rehydrated fit sweeps on the
+    # first read, on its own rule, to the bits the eager sweep gave
+    assert "loglik" in vars(binom_fit)
+    assert "loglik" not in {f.name for f in dataclasses.fields(binom_fit)}
+    calls = []
+    sweep = estimation._quadrature_sweep
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_quadrature_sweep", counting)
+    again = load_fitted(binom_fit.beta, binom_fit.theta, binom_fit.data,
+                        "binomial", n_points=5)
+    assert calls == []
+    eager = float(np.sum(sweep(
+        again.beta, cov.theta_to_lambda(again.theta, 1), again.data,
+        again.family, again.modes, again.cond_chol, gh_rule(5, 1))))
+    assert again.loglik == eager
+    assert again.loglik == eager
+    assert len(calls) == 1
+    moved = dataclasses.replace(again, beta=again.beta + 0.1)
+    assert moved.loglik != again.loglik
+    assert len(calls) == 2

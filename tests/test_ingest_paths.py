@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmmkit import GlmmKitError, IngestionError, ModelConfig, ingest_csv
+from glmmkit import ingest
+from oracles import split_lines
 
 CONFIG = ModelConfig.from_dict({"response": "y", "fixed": ["1", "x"],
                                 "random": ["1"], "cluster": "id",
@@ -104,6 +106,50 @@ def test_fast_path_and_csv_reader_agree(table):
             slow = _outcome(path, config, extra)
         assert reader.called
     assert fast == slow
+
+
+@st.composite
+def bodies(draw):
+    """Unquoted CSV bodies of 0 to 4 fields a line, with ragged and blank
+    lines, non-ASCII cells and an optional final newline."""
+    width = draw(st.integers(0, 4))
+    cell = st.text(st.sampled_from(["a", "1", ".", " ", "-", "é", "中", "😀"]),
+                   max_size=3)
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        count = width + (kind == 1) - (kind == 2)
+        lines.append("" if kind == 0
+                     else ",".join(draw(cell) for _ in range(count)))
+    ending = "\n" if draw(st.booleans()) else ""
+    return width, "\n".join(lines) + (ending if lines else "")
+
+
+def _split_outcome(split):
+    try:
+        return split()
+    except IngestionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=bodies(), width=st.integers(0, 4), scan=st.integers(1, 9))
+def test_text_split_matches_the_line_by_line_reference(case, width, scan):
+    # the field counts come from a scan of the bytes in slices of ``scan``
+    # characters; the reference counts the commas of every line string
+    drawn, body = case
+    for expect_width in (drawn, width):
+        header = [f"h{j}" for j in range(expect_width)]
+        text = ",".join(header) + "\n" + body
+        lines = body.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        expect = _split_outcome(lambda: (
+            header, split_lines(list(lines), expect_width), len(lines)))
+        with mock.patch.object(ingest, "_SCAN", scan):
+            got = _split_outcome(
+                lambda: ingest._split_unquoted("data.csv", [text]))
+        assert got == expect
 
 
 @pytest.mark.parametrize("first", ["y", '"y"'])

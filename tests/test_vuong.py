@@ -5,8 +5,9 @@ import pytest
 from scipy import stats as sps
 
 from glmmkit import (ConfigError, DegenerateError, FitControl, GlmmData,
-                     family_spec, fit, llcont, load_fitted, make_glmm_data,
-                     vuong_lr_test, vuong_variance_test)
+                     SingularityError, family_spec, fit, llcont, load_fitted,
+                     make_glmm_data, vuong_lr_test, vuong_variance_test)
+from glmmkit import derivatives
 from glmmkit._nulls import _TAIL_EPS
 from oracles import mixture_tail_reference, mixture_tail_simulated
 
@@ -195,3 +196,53 @@ def test_nested_p_value_of_zero_reports_its_bound():
     # the bound holds: the largest weight alone leaves a tail below it
     assert sps.chi2.sf(result.statistic / result.weights.max(),
                        result.weights.size) < _TAIL_EPS
+
+
+def test_differences_come_from_the_hessian_sweeps(model_pair, monkeypatch):
+    # two sweeps in all, one per model, and their per-cluster
+    # log-likelihoods are llcont's bit for bit
+    full, reduced, _ = model_pair
+    expect = llcont(full, 3) - llcont(reduced, 3)
+    calls = []
+    sweep = derivatives._quadrature_sweep
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("second", False))
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(derivatives, "_quadrature_sweep", counting)
+    result = vuong_lr_test(full, reduced, nested=True, n_points=3, seed=1,
+                           parameterization="theta")
+    assert calls == [True, True]
+    assert result.omega2 == float(np.var(expect))
+    assert result.statistic == 2.0 * float(expect.sum())
+
+
+def test_errors_keep_their_order(model_pair, binom_fit):
+    # Monte-Carlo settings, then the clustering, then the degenerate
+    # non-nested statistic, then the scale and the boundary
+    full, reduced, _ = model_pair
+    d = full.data
+    on_bound = load_fitted(full.beta, [0.0], d, family_spec("binomial"))
+    assert on_bound.boundary
+    with pytest.raises(ConfigError, match="seed"):
+        vuong_lr_test(full, binom_fit, seed=-1, parameterization="nope")
+    with pytest.raises(ConfigError, match="identical clustered dataset"):
+        vuong_lr_test(full, binom_fit, seed=1, parameterization="nope")
+    with pytest.raises(DegenerateError) as info:
+        vuong_lr_test(on_bound, on_bound, seed=1, parameterization="nope")
+    diff, omega2 = info.value.differences
+    assert omega2 == 0.0 and not diff.any()
+    with pytest.raises(ConfigError, match="unknown parameterization"):
+        vuong_lr_test(on_bound, full, nested=True, seed=1,
+                      parameterization="nope")
+    with pytest.raises(ConfigError, match="unknown parameterization"):
+        vuong_variance_test(full, reduced, seed=1, parameterization="nope")
+    for first, second in ((on_bound, full), (full, on_bound)):
+        with pytest.raises(SingularityError):
+            vuong_lr_test(first, second, nested=True, seed=1)
+        with pytest.raises(SingularityError):
+            vuong_variance_test(first, second, seed=1, parameterization="sd")
+    result = vuong_variance_test(on_bound, full, seed=1,
+                                 parameterization="theta")
+    assert result.omega2 > 0.0
