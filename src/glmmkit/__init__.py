@@ -11,7 +11,6 @@ from .covariance import (
     RelCovFactor,
     dG_dtheta_jacobian,
     lambda_to_G,
-    reparameterize_scores,
     theta_length,
     theta_to_lambda,
 )
@@ -46,7 +45,7 @@ from .exceptions import (
 )
 from .families import FamilySpec, family_spec
 from .ingest import IngestResult, ModelConfig, ingest_csv
-from .quadrature import AdaptedRule, GhRule, adapt_rule, gh_rule, integrate_cluster
+from .quadrature import GhRule, gh_rule
 from .sandwich import SandwichResult, sandwich_vcov
 from .simulate import (
     SimulatedGlmm,
@@ -65,7 +64,6 @@ from .vuong import VuongResult, vuong_lr_test, vuong_variance_test
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptedRule",
     "ConfigError",
     "DegenerateError",
     "DomainError",
@@ -89,7 +87,6 @@ __all__ = [
     "SimulatedGlmm",
     "SingularityError",
     "VuongResult",
-    "adapt_rule",
     "conditional_modes",
     "cumulative_score_process",
     "dG_dtheta_jacobian",
@@ -101,7 +98,6 @@ __all__ = [
     "gradient",
     "hessian",
     "ingest_csv",
-    "integrate_cluster",
     "lambda_to_G",
     "llcont",
     "load_fitted",
@@ -110,7 +106,6 @@ __all__ = [
     "make_glmm_data",
     "make_rasch_data",
     "marginal_loglik",
-    "reparameterize_scores",
     "sandwich_vcov",
     "sctest",
     "theta_length",

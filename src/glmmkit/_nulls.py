@@ -19,30 +19,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import (chdtrc, chdtri, gammaln, i0e, i1e, ive, kolmogi,
                            kolmogorov)
 
-from .exceptions import ConfigError, EstimationError
-
-
-def _check_monte_carlo(seed, n_sim, caller: str) -> tuple[int, int]:
-    """Validate the seed and draw count a caller accepts for compatibility.
-
-    Returns both as Python ints.  Raises ConfigError when the seed is
-    missing, not an integer or negative, or when ``n_sim`` is not a
-    positive integer.
-    """
-    def integer(value):
-        return (isinstance(value, (int, np.integer))
-                and not isinstance(value, bool))
-
-    if seed is None:
-        raise ConfigError(f"{caller} requires a seed")
-    if not integer(seed) or seed < 0:
-        raise ConfigError(f"{caller} seed must be a non-negative integer, "
-                          f"got {seed!r}")
-    if not integer(n_sim) or n_sim < 1:
-        raise ConfigError(f"{caller} n_sim must be a positive integer, "
-                          f"got {n_sim!r}")
-    return int(seed), int(n_sim)
-
+from .exceptions import EstimationError
 
 # Absolute error bound of _chisq_mixture_tail.  The integral it sums is
 # accurate to about 1e-13 in practice; the bound leaves room for that.

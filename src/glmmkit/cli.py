@@ -337,7 +337,7 @@ def _cmd_sctest(args) -> int:
     n_points = _derivative_points(args, fitted)
     parm = _parse_parm(args.parm) if args.parm else None
     result = sctest(fitted, order, parm=parm, functional=args.functional,
-                    n_points=n_points, seed=args.seed, n_sim=args.n_sim,
+                    n_points=n_points, n_sim=args.n_sim,
                     parameterization=args.ranpar)
     path_file = args.path_out
     if path_file:
@@ -383,12 +383,12 @@ def _cmd_vuong(args) -> int:
     nagq = args.nagq
     try:
         result = vuong_lr_test(fit1, fit2, nested=args.nested, n_points=nagq,
-                               seed=args.seed, n_sim=args.n_sim)
+                               n_sim=args.n_sim)
     except DegenerateError as exc:
         # omega2 is zero: only the variance test is defined, on the same
         # per-cluster differences
         result = _variance_result(fit1, fit2, exc.sweeps, *exc.differences,
-                                  args.seed, args.n_sim, "var")
+                                  args.n_sim, "var")
     payload = {
         "metadata": _metadata(seed=args.seed, nagq=nagq),
         "omega2": result.omega2,
@@ -462,11 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="0-based column subset, e.g. '0-4' or '0,2,7'")
     p_sct.add_argument("--functional", choices=_FUNCTIONAL_CHOICES,
                        default="dm")
-    p_sct.add_argument("--seed", type=int, required=True,
-                       help="kept for compatibility; every functional's "
-                            "null is exact and draws nothing")
+    p_sct.add_argument("--seed", type=int, default=None,
+                       help="optional; echoed in the metadata and otherwise "
+                            "unused: every functional's null is exact")
     p_sct.add_argument("--n-sim", type=int, default=50000, dest="n_sim",
-                       help="kept for compatibility, like --seed")
+                       help="a positive integer, echoed in the output and "
+                            "otherwise unused")
     p_sct.add_argument("--path-out", default=None, dest="path_out",
                        help="write the fluctuation path as CSV here")
 
@@ -477,11 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_vg.add_argument("--config2", required=True)
     p_vg.add_argument("--data", required=True)
     p_vg.add_argument("--nested", action="store_true")
-    p_vg.add_argument("--seed", type=int, required=True,
-                      help="kept for compatibility; the chi-square "
-                           "mixture tails are exact and draw nothing")
+    p_vg.add_argument("--seed", type=int, default=None,
+                      help="optional; echoed in the metadata and otherwise "
+                           "unused: the chi-square mixture tails are exact")
     p_vg.add_argument("--n-sim", type=int, default=10 ** 6, dest="n_sim",
-                      help="kept for compatibility, like --seed")
+                      help="a positive integer, validated and otherwise "
+                           "unused")
     p_vg.add_argument("--nagq", type=int, default=None)
     p_vg.add_argument("--out", default=None)
     p_vg.add_argument("--threads", type=int, default=None)

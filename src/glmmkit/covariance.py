@@ -30,10 +30,8 @@ __all__ = [
     "PARAMETERIZATIONS",
     "theta_length",
     "theta_to_lambda",
-    "lambda_to_theta",
     "lambda_to_G",
     "dG_dlambda_entry",
-    "reparameterize_scores",
 ]
 
 PARAMETERIZATIONS = ("theta", "var", "sd")
@@ -88,10 +86,6 @@ def theta_to_lambda(theta, q: int, structure: str = "unstructured") -> np.ndarra
     for value, (i, j) in zip(theta, free_positions(q, structure)):
         lam[i, j] = value
     return lam
-
-def lambda_to_theta(lam: np.ndarray, structure: str = "unstructured") -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    return np.array([lam[i, j] for i, j in free_positions(lam.shape[0], structure)])
 
 
 def lambda_to_G(lam) -> np.ndarray:
@@ -205,35 +199,6 @@ def theta_chain(lam, target: str, structure: str = "unstructured"):
                       + np.einsum("tu,usr->tsr", jac, g2))
 
 
-def reparameterize_scores(scores_theta, lam, target: str,
-                          structure: str = "unstructured") -> np.ndarray:
-    """Map theta-scale score columns to the requested parameterization.
-
-    Parameters
-    ----------
-    scores_theta : array, shape (I, k) or (k,)
-        Scores with respect to the free entries of Lambda.
-    lam : array, shape (q, q)
-        The relative covariance factor at which the scores were taken.
-    target : {"theta", "var", "sd"}
-    structure : {"unstructured", "diagonal"}
-
-    Returns
-    -------
-    ndarray of the same shape, columns ordered per the module docstring:
-    ``scores_theta @ jac`` with ``jac`` from :func:`theta_chain`.
-    """
-    validate_parameterization(target)
-    scores = np.asarray(scores_theta, dtype=float)
-    if target == "theta":
-        return scores.copy()
-    lam = np.asarray(lam, dtype=float)
-    k = theta_length(lam.shape[0], structure)
-    if scores.shape[-1] != k:
-        raise ShapeError(f"expected {k} theta columns, got {scores.shape[-1]}")
-    return scores @ theta_chain(lam, target, structure)[0]
-
-
 @dataclass(frozen=True)
 class RelCovFactor:
     """Relative covariance factor: structure, free parameters, materialized
@@ -251,19 +216,6 @@ class RelCovFactor:
         if np.any(np.diag(lam) < 0.0):
             raise DomainError("diagonal entries of the factor must be nonnegative")
         object.__setattr__(self, "matrix", lam)
-
-    @classmethod
-    def from_matrix(cls, lam, structure: str = "unstructured") -> "RelCovFactor":
-        lam = np.asarray(lam, dtype=float)
-        return cls(lam.shape[0], lambda_to_theta(lam, structure), structure)
-
-    @property
-    def n_params(self) -> int:
-        return theta_length(self.q, self.structure)
-
-    @property
-    def G(self) -> np.ndarray:
-        return lambda_to_G(self.matrix)
 
     def labels(self, z_names: list[str], target: str = "theta") -> list[str]:
         """Score column labels on the requested scale."""

@@ -125,10 +125,6 @@ class GlmmData:
     def n_random(self) -> int:
         return self.Z.shape[1]
 
-    @property
-    def cluster_sizes(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
     @cached_property
     def distinct_design(self) -> tuple[list[int], np.ndarray]:
         """The distinct columns of the joint design [X Z]: their positions
@@ -148,10 +144,6 @@ class GlmmData:
         """Segment-sum an array over cluster blocks along its row axis,
         ``axis`` (length N)."""
         return np.add.reduceat(values, self.offsets[:-1], axis=axis)
-
-    def rows(self, i: int) -> slice:
-        """Row slice of cluster ``i``."""
-        return slice(self.offsets[i], self.offsets[i + 1])
 
 
 def _codes_by_first_appearance(values: np.ndarray) -> tuple[list, np.ndarray]:

@@ -60,7 +60,8 @@ from scipy.optimize import minimize
 
 from . import covariance as cov
 from .design import GlmmData
-from .exceptions import ConfigError, DomainError, EstimationError, ShapeError
+from .exceptions import (ConfigError, DomainError, EstimationError, ShapeError,
+                         _check_integer)
 from .families import FamilySpec, as_family_spec
 from .quadrature import GhRule, _adapted_grid, gh_rule
 
@@ -101,8 +102,9 @@ class FitControl:
     """Optimizer and quadrature controls for :func:`fit`.
 
     ``max_fev`` caps objective evaluations exactly; ``restarts`` reruns
-    L-BFGS-B from where it stopped.  The stopping tolerances are the
-    module constants ``_FTOL`` and ``_GTOL``.
+    L-BFGS-B from where it stopped.  Both are integers, ``max_fev`` at
+    least 1 and ``restarts`` at least 0, or a ``ConfigError``.  The
+    stopping tolerances are the module constants ``_FTOL`` and ``_GTOL``.
     """
 
     n_points: int | None = None
@@ -110,6 +112,10 @@ class FitControl:
     restarts: int = 3
     beta_start: np.ndarray | None = None
     theta_start: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        _check_integer(self.max_fev, "max_fev", 1)
+        _check_integer(self.restarts, "restarts", 0)
 
 
 @dataclass(frozen=True)
@@ -888,9 +894,7 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         theta0 = np.asarray(control.theta_start, dtype=float).copy()
         if theta0.size != k:
             raise ShapeError("theta_start has the wrong length")
-        if any(theta0[t] < 0.0 for t, (i, j) in enumerate(positions)
-               if i == j):
-            raise DomainError("theta_start must have a nonnegative diagonal")
+        _refuse_negative_diagonal(theta0, positions, "theta_start")
 
     # the last evaluation, where a restart begins, with its mode solve and
     # sweep (None when the solve failed), and the lowest one, which stands
@@ -999,7 +1003,8 @@ def load_fitted(beta, theta, data: GlmmData, family: FamilySpec,
     theta)`` cold, without optimizing, so externally estimated models get
     the full post-estimation machinery.  The marginal log-likelihood on
     the ``n_points`` rule is swept on the first read of ``loglik``; no
-    post-estimation function reads it.
+    post-estimation function reads it.  A negative diagonal entry of
+    theta is a ``DomainError``, as for :func:`fit`'s ``theta_start``.
     """
     family = as_family_spec(family)
     family.validate_support(data.y)
@@ -1013,9 +1018,15 @@ def load_fitted(beta, theta, data: GlmmData, family: FamilySpec,
             f"theta has length {theta.size}, expected "
             f"{cov.theta_length(q, structure)} for q={q} {structure}"
         )
+    _refuse_negative_diagonal(theta, cov.free_positions(q, structure), "theta")
     rule = gh_rule(default_points(q) if n_points is None else n_points, q)
     return _finalize(beta, theta, structure, data, family, rule,
                      converged=True, n_fev=0)
+
+
+def _refuse_negative_diagonal(theta, positions, name: str) -> None:
+    if any(theta[t] < 0.0 for t, (i, j) in enumerate(positions) if i == j):
+        raise DomainError(f"{name} must have a nonnegative diagonal")
 
 
 def _finalize(beta, theta, structure, data, family, rule, converged,

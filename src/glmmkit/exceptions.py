@@ -12,6 +12,8 @@ command line front end can emit machine readable error reports.  Categories:
 
 from __future__ import annotations
 
+import numbers
+
 
 class GlmmKitError(Exception):
     """Base class for all package errors."""
@@ -45,3 +47,13 @@ class SingularityError(GlmmKitError, RuntimeError):
 
 class DegenerateError(GlmmKitError, RuntimeError):
     category = "degenerate"
+
+
+def _check_integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int; ConfigError unless it is an integer, not a
+    bool, and at least ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)

@@ -1,14 +1,16 @@
 """Exponential-family kernels for the supported response distributions.
 
 The likelihood and score machinery only ever needs a handful of
-distribution-specific quantities: the inverse link, the derivative
-``d eta / d mu`` of the link, the variance function ``Var(mu)``, and the
+distribution-specific quantities: the inverse link and its first three
+derivatives in ``eta``, the variance function ``Var(mu)``, and the
 conditional log density written in exponential-family form
 
     y * kappa - h(kappa) + c(y)
 
-with dispersion fixed at 1 for both supported families.  Binomial responses
-are Bernoulli trials (0/1); Poisson responses are nonnegative counts.
+from its primitives ``canonical_parameter``, ``cumulant`` and
+``log_normalizer``, with dispersion fixed at 1 for both supported
+families.  Binomial responses are Bernoulli trials (0/1); Poisson
+responses are nonnegative counts.
 """
 
 from __future__ import annotations
@@ -102,34 +104,6 @@ class FamilySpec:
             mu = np.clip(mu, _EPS, 1.0 - _EPS)
         return mu[()] if mu.ndim == 0 else mu
 
-    def link_function(self, mu):
-        """The link g(mu), the inverse of :meth:`inverse_link`."""
-        mu = self._check_interior(mu)
-        if self.family == "poisson":
-            out = np.log(mu)
-        elif self.link == "logit":
-            out = special.logit(mu)
-        elif self.link == "probit":
-            out = special.ndtri(mu)
-        else:
-            out = np.log(-np.log1p(-mu))
-        return out[()] if out.ndim == 0 else out
-
-    def link_mu_derivative(self, mu):
-        """d eta / d mu evaluated at mu; always positive."""
-        mu = self._check_interior(mu)
-        if self.family == "poisson":
-            out = 1.0 / mu
-        elif self.link == "logit":
-            out = 1.0 / (mu * (1.0 - mu))
-        elif self.link == "probit":
-            # 1 / phi(Phi^{-1}(mu))
-            out = 1.0 / _norm_pdf(special.ndtri(mu))
-        else:
-            # eta = log(-log(1-mu)); d eta/d mu = -1 / ((1-mu) log(1-mu))
-            out = -1.0 / ((1.0 - mu) * np.log1p(-mu))
-        return out[()] if out.ndim == 0 else out
-
     def variance_function(self, mu):
         """Var(y | mu) with the dispersion a(phi) = 1."""
         mu = self._check_interior(mu)
@@ -137,18 +111,6 @@ class FamilySpec:
         return out[()] if out.ndim == 0 else out
 
     # -- densities -------------------------------------------------------
-
-    def conditional_log_density(self, y, mu):
-        """log f(y | mu) in exponential-family form.
-
-        Validates the support: Bernoulli y must be 0/1, Poisson y a
-        nonnegative integer.  mu is clamped per the family policy.
-        """
-        y = _asarray(y)
-        self.validate_support(y)
-        kappa = self.canonical_parameter(mu)
-        out = y * kappa - self.cumulant(kappa) + self.log_normalizer(y)
-        return out[()] if out.ndim == 0 else out
 
     def validate_support(self, y: np.ndarray) -> None:
         if self.family == "binomial":

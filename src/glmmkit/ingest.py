@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .design import GlmmData, _codes_by_first_appearance
-from .exceptions import ConfigError, IngestionError
+from .exceptions import ConfigError, IngestionError, _check_integer
 
 __all__ = ["ModelConfig", "IngestResult", "ingest_csv"]
 
@@ -87,8 +87,9 @@ class ModelConfig:
     categorical : tuple of str
         Columns forced to categorical even if they parse as numbers.
     nagq : int or None
-        Quadrature points per dimension.
+        Quadrature points per dimension, at least 1.
     seed : int or None
+        Echoed in the output metadata.
     structure : str
         Random-effect covariance structure.
     optimizer : dict
@@ -109,8 +110,10 @@ class ModelConfig:
     optimizer: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.nagq is not None and self.nagq < 1:
-            raise ConfigError(f"nagq must be >= 1, got {self.nagq}")
+        if self.nagq is not None:
+            _check_integer(self.nagq, "nagq", 1)
+        if self.seed is not None:
+            _check_integer(self.seed, "seed")
         if not self.fixed:
             raise ConfigError("at least one fixed-effect term is required")
         if not self.random:
@@ -127,18 +130,29 @@ class ModelConfig:
         missing = {"response", "fixed", "random", "cluster", "family"} - set(raw)
         if missing:
             raise ConfigError(f"config is missing keys {sorted(missing)}")
+
+        def names(key):
+            value = raw.get(key, ())
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {value!r}")
+            return tuple(str(t) for t in value)
+
+        optimizer = raw.get("optimizer", {})
+        if not isinstance(optimizer, dict):
+            raise ConfigError(
+                f"optimizer must be an object, got {optimizer!r}")
         return cls(
             response=str(raw["response"]),
-            fixed=tuple(str(t) for t in raw["fixed"]),
-            random=tuple(str(t) for t in raw["random"]),
+            fixed=names("fixed"),
+            random=names("random"),
             cluster=str(raw["cluster"]),
             family=str(raw["family"]),
             link=None if raw.get("link") is None else str(raw["link"]),
-            categorical=tuple(str(c) for c in raw.get("categorical", ())),
-            nagq=None if raw.get("nagq") is None else int(raw["nagq"]),
-            seed=None if raw.get("seed") is None else int(raw["seed"]),
+            categorical=names("categorical"),
+            nagq=raw.get("nagq"),
+            seed=raw.get("seed"),
             structure=str(raw.get("structure", "unstructured")),
-            optimizer=dict(raw.get("optimizer", {})),
+            optimizer=dict(optimizer),
         )
 
     @classmethod

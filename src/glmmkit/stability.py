@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._nulls import (_DM_TOL, _LM_TOL, _TAIL_EPS, _check_monte_carlo,
-                     _critical_value, _cvm_p_value, _dm_p_value, _lm_p_value)
+from ._nulls import (_DM_TOL, _LM_TOL, _TAIL_EPS, _critical_value,
+                     _cvm_p_value, _dm_p_value, _lm_p_value)
 from .derivatives import ScoreMatrix, estfun
 from .estimation import FittedGlmm
-from .exceptions import ConfigError, DegenerateError, SingularityError
+from .exceptions import (ConfigError, DegenerateError, SingularityError,
+                         _check_integer)
 
 __all__ = [
     "FluctuationPath",
@@ -70,7 +71,9 @@ class ScoreTestResult:
     ``critical_value`` (the functional's 5% critical value, exact on the
     test's grid) and ``crossings`` (the t at which the pointwise statistic
     exceeds it) are computed when first read, so a caller who reads only
-    the p-value does not pay for the critical value.
+    the p-value does not pay for the critical value.  ``n_sim`` echoes
+    the argument of :func:`sctest`; every null is exact and none is
+    simulated.
     """
 
     statistic: float
@@ -82,8 +85,7 @@ class ScoreTestResult:
     path: FluctuationPath
     parm: tuple[int, ...]
     labels: tuple[str, ...]
-    n_sim: int               # validated and kept for compatibility; unused
-    seed: int                # validated and kept for compatibility; unused
+    n_sim: int
     # the arguments of _nulls._critical_value, the divisor that puts its
     # value on the statistic's scale, and the pointwise statistic at its
     # grid times (both empty for CvM, which has no pointwise form)
@@ -244,11 +246,12 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
         Case-insensitive; "maxlm-ordinal" is accepted for "maxLMo".
     n_points : int, optional
         Quadrature points for the scores (default 5).
-    seed : int
-        Required, a non-negative integer.  Kept for compatibility: every
-        null is exact, so nothing is drawn.
+    seed : optional
+        Accepted for compatibility and ignored: every null is exact, so
+        nothing is drawn.
     n_sim : int
-        A positive integer, kept for compatibility like ``seed``.
+        A positive integer, reported as ``n_sim`` on the result and
+        otherwise unused.
     trim : (float, float)
         maxLM trimming window on the time axis.
     parameterization : {"var", "theta", "sd"}
@@ -282,7 +285,7 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
             f"unknown functional {functional!r}; expected one of "
             "DM, CvM, maxLM, maxLMo"
         ) from None
-    seed, n_sim = _check_monte_carlo(seed, n_sim, "sctest")
+    n_sim = _check_integer(n_sim, "sctest n_sim", 1)
     if not (0.0 <= trim[0] < trim[1] <= 1.0):
         raise ConfigError(f"invalid trimming window {trim}")
     if scores is None:
@@ -349,7 +352,6 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
         parm=parm_idx,
         labels=labels,
         n_sim=n_sim,
-        seed=seed,
         _critical_key=("maxLM" if name.startswith("maxLM") else name,
                        grid.tobytes(), dim),
         _critical_divisor=divisor,

@@ -7,8 +7,9 @@ null is a weighted sum of chi-square variables.  The weights come from
 the eigenvalues of a block matrix assembled from both models' score
 covariance, cross-covariance, and negative Hessians.  The tails of both
 chi-square mixtures are computed exactly, to an absolute error of 1e-9,
-by :func:`~glmmkit._nulls._chisq_mixture_tail`; the ``seed`` and
-``n_sim`` arguments are validated and reported, and drive no simulation.
+by :func:`~glmmkit._nulls._chisq_mixture_tail`, so nothing is simulated:
+``seed`` is accepted and ignored, and ``n_sim`` is validated and
+reported.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
-from ._nulls import _TAIL_EPS, _check_monte_carlo, _chisq_mixture_tail
+from ._nulls import _TAIL_EPS, _chisq_mixture_tail
 from .derivatives import _hessian_on_scale, _hessian_sweep, _refuse_boundary
 from .estimation import FittedGlmm
-from .exceptions import ConfigError, DegenerateError
+from .exceptions import ConfigError, DegenerateError, _check_integer
 
 __all__ = ["VuongResult", "vuong_variance_test", "vuong_lr_test"]
 
@@ -67,9 +68,9 @@ class VuongResult:
         Eigenvalues of the comparison matrix that weight the chi-square
         mixture (squared for the variance null); eigenvalues below 1e-6
         of the matrix's Frobenius norm are eigensolver noise and dropped.
-    n_sim, seed : int
-        The validated arguments, kept for compatibility; the tails are
-        not simulated.
+    n_sim : int
+        The validated argument, kept for compatibility; the tails are not
+        simulated.
     """
 
     test: str
@@ -83,7 +84,6 @@ class VuongResult:
     p_b: float | None
     weights: np.ndarray
     n_sim: int
-    seed: int
 
 
 def _check_same_clustering(fit1: FittedGlmm, fit2: FittedGlmm) -> None:
@@ -101,7 +101,7 @@ def _check_same_clustering(fit1: FittedGlmm, fit2: FittedGlmm) -> None:
         )
 
 
-def _differences(fit1, fit2, n_points, seed, n_sim, caller):
+def _differences(fit1, fit2, n_points, n_sim, caller):
     """Both models' Hessian sweeps, the per-cluster log-likelihood
     differences they give and the differences' variance omega2.
 
@@ -109,7 +109,7 @@ def _differences(fit1, fit2, n_points, seed, n_sim, caller):
     :func:`~glmmkit.derivatives.llcont` at the same point count, so the
     differences cost no sweep of their own.
     """
-    _check_monte_carlo(seed, n_sim, caller)
+    _check_integer(n_sim, f"{caller} n_sim", 1)
     _check_same_clustering(fit1, fit2)
     sweeps = _hessian_sweep(fit1, n_points), _hessian_sweep(fit2, n_points)
     diff = sweeps[0].ell - sweeps[1].ell
@@ -171,24 +171,25 @@ def vuong_variance_test(fit1: FittedGlmm, fit2: FittedGlmm,
         Fits on the identical clustered dataset.
     n_points : int, optional
         Quadrature points for log-likelihood and score evaluation.
-    seed : int
-        Required, a non-negative integer.  Kept for compatibility: the
-        chi-square mixture tail is exact and draws nothing.
+    seed : optional
+        Accepted for compatibility and ignored: the chi-square mixture
+        tail is exact and draws nothing.
     n_sim : int
-        At least 1; kept for compatibility, like ``seed``.
+        At least 1; reported as ``n_sim`` on the result and otherwise
+        unused.
 
     Returns
     -------
     VuongResult
         With ``test="variance"``, ``statistic = I * omega2``.
     """
-    sweeps, diff, omega2 = _differences(fit1, fit2, n_points, seed, n_sim,
+    sweeps, diff, omega2 = _differences(fit1, fit2, n_points, n_sim,
                                         "vuong_variance_test")
-    return _variance_result(fit1, fit2, sweeps, diff, omega2, seed, n_sim,
+    return _variance_result(fit1, fit2, sweeps, diff, omega2, n_sim,
                             parameterization)
 
 
-def _variance_result(fit1, fit2, sweeps, diff, omega2, seed, n_sim,
+def _variance_result(fit1, fit2, sweeps, diff, omega2, n_sim,
                      parameterization):
     """The variance test on precomputed Hessian sweeps and per-cluster
     differences (``_differences``)."""
@@ -207,7 +208,6 @@ def _variance_result(fit1, fit2, sweeps, diff, omega2, seed, n_sim,
         p_b=None,
         weights=weights,
         n_sim=n_sim,
-        seed=int(seed),
     )
 
 
@@ -221,8 +221,8 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
     by sqrt(I)*omega_hat, with directional normal p-values (small p_a
     favors model 1).  Nested: LR = 2 * sum of differences against the
     weighted chi-square null; model 2 must be the reduction of model 1.
-    ``seed`` and ``n_sim`` are validated as in :func:`vuong_variance_test`
-    and draw nothing: both mixture tails are exact.
+    ``seed`` and ``n_sim`` are treated as in :func:`vuong_variance_test`:
+    both mixture tails are exact and draw nothing.
 
     The variance test runs first and its p-value is reported alongside.
 
@@ -234,7 +234,7 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
         omega2 are attached as ``.differences``, and both models' Hessian
         sweeps as ``.sweeps``.
     """
-    sweeps, diff, omega2 = _differences(fit1, fit2, n_points, seed, n_sim,
+    sweeps, diff, omega2 = _differences(fit1, fit2, n_points, n_sim,
                                         "vuong_lr_test")
     if not nested and omega2 == 0.0:
         err = DegenerateError(
@@ -271,5 +271,4 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
         p_b=p_b,
         weights=weights,
         n_sim=n_sim,
-        seed=int(seed),
     )

@@ -153,7 +153,7 @@ def cluster_scores(fit, cluster, n_points=5):
     """
     data = fit.data
     idx = _cluster_position(fit, cluster)
-    rows = data.rows(idx)
+    rows = slice(data.offsets[idx], data.offsets[idx + 1])
     y, x, z = data.y[rows], data.X[rows], data.Z[rows]
     q = data.n_random
     lam = fit.lambda_matrix
@@ -274,7 +274,7 @@ _FD_STEP = 1e-5
 def _parameter_vector(fit: FittedGlmm, parameterization: str) -> np.ndarray:
     if parameterization == "theta":
         return np.concatenate([fit.beta, fit.theta])
-    G = fit.relcov.G
+    G = cov.lambda_to_G(fit.lambda_matrix)
     positions = cov.var_positions(fit.data.n_random, fit.structure)
     if parameterization == "var":
         tail = [G[i, j] for i, j in positions]
@@ -311,7 +311,7 @@ def _theta_from_vector(tail: np.ndarray, q: int, structure: str,
         lam = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return None
-    return cov.lambda_to_theta(lam, structure)
+    return np.array([lam[i, j] for i, j in cov.free_positions(q, structure)])
 
 
 def _gradient_at(vector: np.ndarray, fit: FittedGlmm, parameterization: str,

@@ -223,6 +223,32 @@ def test_nonpositive_n_sim_is_a_config_error(workdir, capsys, command):
         assert "n_sim" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["sctest", "vuong"])
+def test_seed_is_optional_and_echoed(workdir, capsys, command):
+    # every null is exact, so a run without --seed gives the same answer,
+    # with a null seed in its metadata
+    if command == "sctest":
+        argv = ["sctest", "--data", str(workdir / "data.csv"),
+                "--config", str(workdir / "config.json"),
+                "--fit", str(workdir / "fit.json"), "--order-by", "age"]
+    else:
+        argv = ["vuong", "--data", str(workdir / "data.csv"),
+                "--fit1", str(workdir / "fit.json"),
+                "--config1", str(workdir / "config.json"),
+                "--fit2", str(workdir / "fit_reduced.json"),
+                "--config2", str(workdir / "reduced.json"), "--nested"]
+    code, unseeded = _run_json(argv, capsys)
+    assert code == 0
+    _validate(unseeded, command)
+    code, seeded = _run_json(argv + ["--seed", "5"], capsys)
+    assert code == 0
+    assert (unseeded["metadata"].pop("seed"),
+            seeded["metadata"].pop("seed")) == (None, 5)
+    unseeded["metadata"].pop("timestamp")
+    seeded["metadata"].pop("timestamp")
+    assert unseeded == seeded
+
+
 def test_cluster_level_values_and_first_varying_cluster():
     data = make_glmm_data("binomial", n_clusters=6, cluster_size=3,
                           seed=4).data
@@ -353,6 +379,63 @@ def test_missing_data_column_gives_error_json(workdir, capsys, tmp_path):
     _validate(payload, "error")
     assert payload["error"]["category"] == "ingestion"
     assert "nope" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("change", [
+    {"optimizer": {"restarts": "3"}},
+    {"optimizer": {"max_fev": "50"}},
+    {"optimizer": {"restarts": 1.5}},
+    {"optimizer": {"restarts": True}},
+    {"optimizer": {"restarts": -1}},
+    {"optimizer": {"max_fev": 0}},
+    {"optimizer": 5},
+    {"nagq": "x"},
+    {"nagq": 2.7},
+    {"seed": "x"},
+    {"fixed": 5},
+    {"random": "1"},
+], ids=json.dumps)
+def test_malformed_config_gives_config_error_json(workdir, capsys, tmp_path,
+                                                  change):
+    config = json.loads((workdir / "config.json").read_text()) | change
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(config))
+    code, payload = _run_json(
+        ["fit", "--data", str(workdir / "data.csv"),
+         "--config", str(bad_path)], capsys)
+    assert code == 1
+    _validate(payload, "error")
+    assert payload["error"]["category"] == "config"
+    # the message names the offending field
+    (key, value), = change.items()
+    if isinstance(value, dict):
+        (key, _), = value.items()
+    assert key in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["hessian", "vuong"])
+def test_negative_theta_diagonal_in_a_fit_file_fails_at_load(
+        workdir, capsys, tmp_path, command):
+    stored = json.loads((workdir / "fit.json").read_text())
+    stored["estimate"]["theta"] = [-0.7]
+    bad_fit = tmp_path / "negative.json"
+    bad_fit.write_text(json.dumps(stored))
+    if command == "hessian":
+        argv = ["hessian", "--data", str(workdir / "data.csv"),
+                "--config", str(workdir / "config.json"),
+                "--fit", str(bad_fit)]
+    else:
+        argv = ["vuong", "--data", str(workdir / "data.csv"),
+                "--fit1", str(bad_fit),
+                "--config1", str(workdir / "config.json"),
+                "--fit2", str(workdir / "fit_reduced.json"),
+                "--config2", str(workdir / "reduced.json"), "--nested"]
+    code, payload = _run_json(argv, capsys)
+    assert code == 1
+    _validate(payload, "error")
+    assert payload["error"]["category"] == "config"
+    assert ("theta must have a nonnegative diagonal"
+            in payload["error"]["message"])
 
 
 def test_non_utf8_data_gives_error_json(workdir, capsys, tmp_path):

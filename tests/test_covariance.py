@@ -32,11 +32,11 @@ def test_lambda_to_G_is_lam_lam_t():
     np.testing.assert_allclose(lambda_to_G(lam), lam @ lam.T, rtol=1e-15)
 
 
-def test_round_trip_lambda_to_theta():
+def test_theta_reads_back_at_the_free_positions():
     theta = np.array([1.3, -0.2, 0.8])
     lam = theta_to_lambda(theta, 2)
-    np.testing.assert_allclose(cov.lambda_to_theta(lam, "unstructured"),
-                               theta, rtol=1e-15)
+    np.testing.assert_array_equal(
+        [lam[i, j] for i, j in cov.free_positions(2, "unstructured")], theta)
 
 
 def test_wrong_theta_length_raises():
@@ -85,17 +85,17 @@ def test_dG_dtheta_jacobian_matches_finite_difference():
 
 
 @pytest.mark.parametrize("target", ["var", "sd"])
-def test_reparameterize_scores_q1_chain_rule(target):
+def test_theta_chain_maps_q1_scores(target):
     # q = 1: var = lam^2 and sd = |lam|, so the chain rule has the closed
     # forms s_var = s_theta / (2 lam) and s_sd = s_theta (lam > 0)
     lam = np.array([[0.8]])
     s_theta = np.array([[2.0], [-0.6], [0.1]])
-    out = cov.reparameterize_scores(s_theta, lam, target)
+    out = s_theta @ cov.theta_chain(lam, target)[0]
     expect = s_theta / (2 * 0.8) if target == "var" else s_theta
     np.testing.assert_allclose(out, expect, rtol=1e-12)
 
 
-def test_reparameterize_scores_q2_var_scale_via_fd():
+def test_theta_chain_maps_q2_var_scores_as_differences():
     # numeric check of d theta / d (var-scale parameters): build the
     # composite map var(theta) and verify s_var = s_theta J^{-1}
     theta = np.array([0.9, -0.3, 0.5])
@@ -109,14 +109,15 @@ def test_reparameterize_scores_q2_var_scale_via_fd():
                                        h=1e-6) for r in range(3)]).T
     s_theta = np.array([[1.0, 2.0, -3.0]])
     expect = s_theta @ np.linalg.inv(jac)
-    out = cov.reparameterize_scores(s_theta, lam, "var")
+    out = s_theta @ cov.theta_chain(lam, "var")[0]
     np.testing.assert_allclose(out, expect, rtol=1e-7, atol=1e-10)
 
 
-def test_reparameterize_theta_is_identity():
-    lam = theta_to_lambda([0.9, -0.3, 0.5], 2)
-    s = np.array([[1.0, 2.0, 3.0]])
-    np.testing.assert_allclose(cov.reparameterize_scores(s, lam, "theta"), s)
+def test_theta_chain_on_the_theta_scale_is_the_identity():
+    jac, second = cov.theta_chain(theta_to_lambda([0.9, -0.3, 0.5], 2),
+                                  "theta")
+    np.testing.assert_array_equal(jac, np.eye(3))
+    np.testing.assert_array_equal(second, 0.0)
 
 
 def test_relcov_factor_labels():
@@ -130,16 +131,22 @@ def test_relcov_factor_labels():
         "sd[(Intercept)]", "sd[x1]", "cor[x1,(Intercept)]"]
 
 
-def test_relcov_factor_matrix_and_G():
+def test_relcov_factor_matrix():
     r = cov.RelCovFactor(2, np.array([0.7, 0.2, 0.4]))
     np.testing.assert_allclose(r.matrix, [[0.7, 0.0], [0.2, 0.4]])
-    np.testing.assert_allclose(r.G, r.matrix @ r.matrix.T)
 
 
 def test_validate_parameterization():
     cov.validate_parameterization("var")
     with pytest.raises(ConfigError):
         cov.validate_parameterization("variance")
+
+
+def _from_g(g, structure):
+    """theta read off the Cholesky factor of G at its free positions."""
+    lam = np.linalg.cholesky(g)
+    return np.array([lam[i, j]
+                     for i, j in cov.free_positions(len(g), structure)])
 
 
 def _theta_of(v, q, structure, target):
@@ -150,7 +157,7 @@ def _theta_of(v, q, structure, target):
     G[np.diag_indices(q)] = sd ** 2
     for value, (i, j) in zip(v[q:], positions[q:]):
         G[i, j] = G[j, i] = value if target == "var" else value * sd[i] * sd[j]
-    return cov.lambda_to_theta(np.linalg.cholesky(G), structure)
+    return _from_g(G, structure)
 
 
 @pytest.mark.parametrize("target", ["var", "sd"])
@@ -200,7 +207,7 @@ def test_sd_scale_scores_include_the_correlation_cross_terms():
         for t in range(3)]).T
     s_theta = np.array([[1.0, 2.0, -3.0]])
     np.testing.assert_allclose(
-        cov.reparameterize_scores(s_theta, lam, "sd"), s_theta @ jac,
+        s_theta @ cov.theta_chain(lam, "sd")[0], s_theta @ jac,
         rtol=1e-7, atol=1e-10)
 
 
@@ -220,10 +227,6 @@ def thetas(draw):
              else draw(st.floats(-2.0, 2.0))
              for i, j in cov.free_positions(q, structure)]
     return np.array(theta), q, structure
-
-
-def _from_g(g, structure):
-    return cov.lambda_to_theta(np.linalg.cholesky(g), structure)
 
 
 @settings(max_examples=50, deadline=None)

@@ -64,7 +64,7 @@ def test_estfun_matches_simpson_scores(binom_fit):
     scores = estfun(binom_fit, parameterization="theta", n_points=21)
     data = binom_fit.data
     for i in (0, 7, 23):
-        rows = data.rows(i)
+        rows = slice(data.offsets[i], data.offsets[i + 1])
         _, beta_s, theta_s = simpson_cluster(
             data.y[rows], data.X[rows], data.Z[rows][:, 0], binom_fit.beta,
             binom_fit.theta[0], "binomial", "logit")

@@ -43,7 +43,6 @@ def test_sizes():
     assert data.n_clusters == 3
     assert data.n_fixed == 2
     assert data.n_random == 1
-    np.testing.assert_array_equal(data.cluster_sizes, [3, 2, 1])
 
 
 def test_sum_by_cluster():
@@ -51,13 +50,6 @@ def test_sum_by_cluster():
     data = GlmmData.from_arrays(y, X, Z, cluster)
     np.testing.assert_allclose(data.sum_by_cluster(np.ones(6)), [3, 2, 1])
     np.testing.assert_allclose(data.sum_by_cluster(data.y), [2.0, 1.0, 0.0])
-
-
-def test_rows_slices():
-    y, X, Z, cluster = _interleaved()
-    data = GlmmData.from_arrays(y, X, Z, cluster)
-    assert data.rows(0) == slice(0, 3)
-    assert data.rows(2) == slice(5, 6)
 
 
 def test_arrays_are_read_only():

@@ -53,7 +53,7 @@ def test_modes_are_stationary_points():
     lam = cov.theta_to_lambda(sim.theta, 2)
     modes, _ = conditional_modes(sim.beta, lam, data, family)
     for i in range(data.n_clusters):
-        rows = data.rows(i)
+        rows = slice(data.offsets[i], data.offsets[i + 1])
         eta = data.X[rows] @ sim.beta + data.Z[rows] @ (lam @ modes[i])
         mu = family.inverse_link(eta)
         resid = ((data.y[rows] - mu) * family._dmu_deta(eta)
@@ -119,7 +119,7 @@ def test_marginal_loglik_matches_simpson_oracle():
     total = marginal_loglik(sim.beta, lam, sim.data, family, n_points=15)
     oracle = 0.0
     for i in range(8):
-        rows = sim.data.rows(i)
+        rows = slice(sim.data.offsets[i], sim.data.offsets[i + 1])
         ll, _, _ = simpson_cluster(sim.data.y[rows], sim.data.X[rows],
                                    sim.data.Z[rows][:, 0], sim.beta,
                                    sim.theta[0], "binomial", "logit")
@@ -229,6 +229,19 @@ def test_bad_start_lengths_raise(binom_fit):
     with pytest.raises(ShapeError):
         fit(binom_fit.data, "binomial",
             control=FitControl(theta_start=np.zeros(3)))
+
+
+def test_load_fitted_refuses_a_negative_theta_diagonal(binom_fit, slope_fit):
+    # as fit refuses such a theta_start; accepted, it would read as a
+    # boundary fit whose scores and Hessian then fail
+    with pytest.raises(DomainError, match="theta must have a nonnegative"):
+        load_fitted(binom_fit.beta, [-0.7], binom_fit.data, "binomial")
+    with pytest.raises(DomainError, match="nonnegative diagonal"):
+        load_fitted(slope_fit.beta, [0.5, 0.3, -0.4], slope_fit.data,
+                    "binomial")
+    # a negative off-diagonal entry is a valid factor
+    assert not load_fitted(slope_fit.beta, [0.5, -0.3, 0.4], slope_fit.data,
+                           "binomial").boundary
 
 
 def test_negative_theta_start_diagonal_is_a_domain_error(binom_fit):

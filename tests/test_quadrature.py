@@ -11,10 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
-from glmmkit import (ConfigError, DomainError, ShapeError, SingularityError,
-                     adapt_rule, gh_rule, integrate_cluster)
+from glmmkit import ConfigError, gh_rule
+from glmmkit.quadrature import _adapted_grid
 
 
 def test_one_point_rule():
@@ -78,44 +81,41 @@ def test_rule_bounds_validated():
 
 
 # ---------------------------------------------------------------------------
-# adapted rules
+# adapted rules: _adapted_grid, the one kernel the sweeps integrate on
+
+
+def _one_cluster(m, center, chol):
+    """``_adapted_grid`` for a single cluster: its log weights (M**d,) and
+    node locations (M**d, d)."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    chol = np.atleast_2d(np.asarray(chol, dtype=float))
+    log_w, locations = _adapted_grid(gh_rule(m, center.size), center[None],
+                                     chol[None])
+    return log_w[0], locations[:, 0].T
 
 
 def test_adapted_weight_single_node_closed_form():
     # one node at the anchor: w* = det(C) exp(-||a||^2 / 2) for the
     # identity prior; a = 1, C = 2 gives 2 exp(-1/2)
-    adapted = adapt_rule(gh_rule(1), np.array([1.0]), np.array([[2.0]]),
-                         np.eye(1))
-    np.testing.assert_allclose(adapted.locations, [[1.0]])
-    np.testing.assert_allclose(adapted.weights, [2.0 * math.exp(-0.5)],
+    log_w, locations = _one_cluster(1, 1.0, 2.0)
+    np.testing.assert_allclose(locations, [[1.0]])
+    np.testing.assert_allclose(np.exp(log_w), [2.0 * math.exp(-0.5)],
                                rtol=1e-14)
 
 
 def test_adapted_weights_three_node_hand_values():
     # log w* = log w + log C + ||x||^2/2 - ||a + Cx||^2/2, computed by
     # hand for a = 1, C = 2 at the M = 3 nodes {-sqrt(3), 0, sqrt(3)}
-    adapted = adapt_rule(gh_rule(3), np.array([1.0]), np.array([[2.0]]),
-                         np.eye(1))
+    log_w, locations = _one_cluster(3, 1.0, 2.0)
     root = math.sqrt(3.0)
     locs = np.array([1.0 - 2 * root, 1.0, 1.0 + 2 * root])
-    np.testing.assert_allclose(adapted.locations.ravel(), locs, rtol=1e-14)
+    np.testing.assert_allclose(locations.ravel(), locs, rtol=1e-14)
     expected = np.array([
         math.log(1 / 6) + math.log(2) + 1.5 - 0.5 * locs[0] ** 2,
         math.log(2 / 3) + math.log(2) + 0.0 - 0.5,
         math.log(1 / 6) + math.log(2) + 1.5 - 0.5 * locs[2] ** 2,
     ])
-    np.testing.assert_allclose(adapted.log_weights, expected, rtol=1e-13)
-    np.testing.assert_allclose(adapted.weights, np.exp(expected), rtol=1e-13)
-
-
-def test_adapted_rule_validation():
-    rule = gh_rule(3)
-    with pytest.raises(ShapeError):
-        adapt_rule(rule, np.zeros(2), np.eye(1), np.eye(1))
-    with pytest.raises(DomainError):
-        adapt_rule(rule, np.zeros(1), -np.eye(1), np.eye(1))
-    with pytest.raises(SingularityError):
-        adapt_rule(rule, np.zeros(1), np.eye(1), np.zeros((1, 1)))
+    np.testing.assert_allclose(log_w, expected, rtol=1e-13)
 
 
 def test_exponential_integrand_exact_at_one_node():
@@ -125,8 +125,8 @@ def test_exponential_integrand_exact_at_one_node():
     c = 1.3
     expect = math.exp(c * c / 2.0)
     for m in (1, 2, 5, 9):
-        adapted = adapt_rule(gh_rule(m), np.array([c]), np.eye(1), np.eye(1))
-        value = integrate_cluster(lambda u: math.exp(c * u[0]), adapted)
+        log_w, locations = _one_cluster(m, c, 1.0)
+        value = np.sum(np.exp(log_w) * np.exp(c * locations[:, 0]))
         np.testing.assert_allclose(value, expect, rtol=1e-13)
 
 
@@ -139,31 +139,32 @@ def test_gaussian_conditional_exact_at_one_node():
     mode = (m_f / s_f ** 2) / precision
     expect = norm.pdf(m_f, 0.0, math.sqrt(1.0 + s_f ** 2))
     for m in (1, 3):
-        adapted = adapt_rule(gh_rule(m), np.array([mode]),
-                             np.array([[precision ** -0.5]]), np.eye(1))
-        value = integrate_cluster(lambda u: norm.pdf(u[0], m_f, s_f),
-                                  adapted)
+        log_w, locations = _one_cluster(m, mode, precision ** -0.5)
+        value = np.sum(np.exp(log_w) * norm.pdf(locations[:, 0], m_f, s_f))
         np.testing.assert_allclose(value, expect, rtol=1e-13)
 
 
-def test_general_prior_mass_is_one():
-    # f = 1 integrated against phi(. | 0, G): anchoring at the prior mode
-    # with the prior Cholesky factor is exact at any M
-    g_chol = np.array([[1.4, 0.0], [0.3, 0.6]])
-    prior = g_chol @ g_chol.T
-    adapted = adapt_rule(gh_rule(1, 2), np.zeros(2), g_chol, prior)
-    np.testing.assert_allclose(integrate_cluster(lambda u: 1.0, adapted),
-                               1.0, rtol=1e-13)
-    # a mis-placed anchor still converges, just not exactly
-    shifted = adapt_rule(gh_rule(10, 2), np.array([0.4, -0.2]), g_chol, prior)
-    np.testing.assert_allclose(integrate_cluster(lambda u: 1.0, shifted),
-                               1.0, rtol=1e-8)
-
-
-def test_integrand_must_be_finite():
-    adapted = adapt_rule(gh_rule(2), np.zeros(1), np.eye(1), np.eye(1))
-    with pytest.raises(DomainError):
-        integrate_cluster(lambda u: math.inf, adapted)
+@settings(max_examples=100, deadline=None)
+@given(q=st.integers(1, 3), m=st.integers(1, 5),
+       anchor=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       diagonal=st.lists(st.floats(0.3, 2.0), min_size=3, max_size=3),
+       lower=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_anchored_rule_integrates_a_normal_density_ratio_exactly(
+        q, m, anchor, diagonal, lower):
+    # f = phi(u; b, CC') / phi(u; 0, I) integrates to one against the
+    # N(0, I) prior, and on the grid anchored at b with factor C every
+    # node's w* f(a*) is that node's base weight: the sum is exact at any
+    # M.  The densities are taken through C itself; scipy's logpdf
+    # factors CC' again and loses 1e-12 where C is ill-conditioned.
+    center = np.array(anchor[:q])
+    chol = np.diag(diagonal[:q])
+    chol[np.tril_indices(q, -1)] = lower[:q * (q - 1) // 2]
+    log_w, locations = _one_cluster(m, center, chol)
+    z = solve_triangular(chol, (locations - center).T, lower=True)
+    log_ratio = (0.5 * np.sum(locations ** 2, axis=1)
+                 - 0.5 * np.sum(z ** 2, axis=0)
+                 - np.sum(np.log(np.diag(chol))))
+    assert abs(np.sum(np.exp(log_w + log_ratio)) - 1.0) <= 1e-12
 
 
 def test_monomial_exactness_light():
