@@ -88,6 +88,16 @@ def theta_to_lambda(theta, q: int, structure: str = "unstructured") -> np.ndarra
     return lam
 
 
+def _nonnegative_factor(theta, q: int, structure: str,
+                        name: str = "theta") -> np.ndarray:
+    """The factor of ``theta``; a ``DomainError`` naming ``name`` if its
+    diagonal has a negative entry."""
+    lam = theta_to_lambda(theta, q, structure)
+    if np.any(np.diag(lam) < 0.0):
+        raise DomainError(f"{name} must have a nonnegative diagonal")
+    return lam
+
+
 def lambda_to_G(lam) -> np.ndarray:
     """The covariance matrix G = Lambda Lambda'."""
     lam = np.asarray(lam, dtype=float)
@@ -212,10 +222,8 @@ class RelCovFactor:
     def __post_init__(self) -> None:
         theta = np.asarray(self.theta, dtype=float).ravel()
         object.__setattr__(self, "theta", theta)
-        lam = theta_to_lambda(theta, self.q, self.structure)
-        if np.any(np.diag(lam) < 0.0):
-            raise DomainError("diagonal entries of the factor must be nonnegative")
-        object.__setattr__(self, "matrix", lam)
+        object.__setattr__(self, "matrix",
+                           _nonnegative_factor(theta, self.q, self.structure))
 
     def labels(self, z_names: list[str], target: str = "theta") -> list[str]:
         """Score column labels on the requested scale."""

@@ -60,7 +60,7 @@ from scipy.optimize import minimize
 
 from . import covariance as cov
 from .design import GlmmData
-from .exceptions import (ConfigError, DomainError, EstimationError, ShapeError,
+from .exceptions import (ConfigError, EstimationError, ShapeError,
                          _check_integer)
 from .families import FamilySpec, as_family_spec
 from .quadrature import GhRule, _adapted_grid, gh_rule
@@ -103,8 +103,9 @@ class FitControl:
 
     ``max_fev`` caps objective evaluations exactly; ``restarts`` reruns
     L-BFGS-B from where it stopped.  Both are integers, ``max_fev`` at
-    least 1 and ``restarts`` at least 0, or a ``ConfigError``.  The
-    stopping tolerances are the module constants ``_FTOL`` and ``_GTOL``.
+    least 1 and ``restarts`` at least 0, or a ``ConfigError``; so is
+    ``n_points``, when given, at least 1.  The stopping tolerances are
+    the module constants ``_FTOL`` and ``_GTOL``.
     """
 
     n_points: int | None = None
@@ -116,6 +117,8 @@ class FitControl:
     def __post_init__(self) -> None:
         _check_integer(self.max_fev, "max_fev", 1)
         _check_integer(self.restarts, "restarts", 0)
+        if self.n_points is not None:
+            _check_integer(self.n_points, "n_points", 1)
 
 
 @dataclass(frozen=True)
@@ -894,7 +897,7 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         theta0 = np.asarray(control.theta_start, dtype=float).copy()
         if theta0.size != k:
             raise ShapeError("theta_start has the wrong length")
-        _refuse_negative_diagonal(theta0, positions, "theta_start")
+        cov._nonnegative_factor(theta0, q, structure, "theta_start")
 
     # the last evaluation, where a restart begins, with its mode solve and
     # sweep (None when the solve failed), and the lowest one, which stands
@@ -1018,15 +1021,10 @@ def load_fitted(beta, theta, data: GlmmData, family: FamilySpec,
             f"theta has length {theta.size}, expected "
             f"{cov.theta_length(q, structure)} for q={q} {structure}"
         )
-    _refuse_negative_diagonal(theta, cov.free_positions(q, structure), "theta")
+    cov._nonnegative_factor(theta, q, structure)
     rule = gh_rule(default_points(q) if n_points is None else n_points, q)
     return _finalize(beta, theta, structure, data, family, rule,
                      converged=True, n_fev=0)
-
-
-def _refuse_negative_diagonal(theta, positions, name: str) -> None:
-    if any(theta[t] < 0.0 for t, (i, j) in enumerate(positions) if i == j):
-        raise DomainError(f"{name} must have a nonnegative diagonal")
 
 
 def _finalize(beta, theta, structure, data, family, rule, converged,

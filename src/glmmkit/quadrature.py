@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, _check_integer
 
 __all__ = ["GhRule", "gh_rule"]
 
@@ -68,11 +68,12 @@ def gh_rule(points_per_dim: int, dim: int = 1) -> GhRule:
     Parameters
     ----------
     points_per_dim : int
-        Number of quadrature points per dimension, between 1 and 25.
+        Number of quadrature points per dimension, an integer between 1
+        and 25.
     dim : int
         Random-effect dimension, between 1 and 3 (grids grow as M**d).
     """
-    m, d = int(points_per_dim), int(dim)
+    m, d = _check_integer(points_per_dim, "points per dimension"), int(dim)
     if not 1 <= m <= _MAX_POINTS:
         raise ConfigError(f"points per dimension must be in [1, {_MAX_POINTS}], got {m}")
     if not 1 <= d <= _MAX_DIM:

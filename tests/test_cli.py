@@ -388,6 +388,9 @@ def test_missing_data_column_gives_error_json(workdir, capsys, tmp_path):
     {"optimizer": {"restarts": True}},
     {"optimizer": {"restarts": -1}},
     {"optimizer": {"max_fev": 0}},
+    {"optimizer": {"n_points": 2.7}},
+    {"optimizer": {"n_points": "x"}},
+    {"optimizer": {"restart": 1}},
     {"optimizer": 5},
     {"nagq": "x"},
     {"nagq": 2.7},

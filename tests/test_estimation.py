@@ -186,6 +186,17 @@ def test_load_fitted_validates_lengths(binom_fit):
                     "binomial")
 
 
+def test_point_counts_must_be_integers(binom_fit):
+    # a non-integer count is refused, not truncated to M = 2
+    with pytest.raises(ConfigError, match="n_points"):
+        FitControl(n_points=2.7)
+    with pytest.raises(ConfigError, match="n_points"):
+        FitControl(n_points=0)
+    with pytest.raises(ConfigError, match="integer"):
+        load_fitted(binom_fit.beta, binom_fit.theta, binom_fit.data,
+                    "binomial", n_points=2.7)
+
+
 def test_fit_rejects_tiny_cluster_counts():
     sim = make_glmm_data("binomial", random="slope", n_clusters=2,
                          cluster_size=4, seed=3)

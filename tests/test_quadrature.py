@@ -74,6 +74,8 @@ def test_rule_bounds_validated():
         gh_rule(0)
     with pytest.raises(ConfigError):
         gh_rule(26)
+    with pytest.raises(ConfigError, match="integer"):
+        gh_rule(2.7)    # not truncated to 2
     with pytest.raises(ConfigError):
         gh_rule(3, 0)
     with pytest.raises(ConfigError):
