@@ -18,10 +18,10 @@ pass.  The mode solver evaluates the same density the same way: eta
 from ``_build_eta`` and ``y kappa - h(kappa) + c(y)`` at the
 family's natural parameter of eta.
 
-The outer maximization over ``(beta, theta)`` is L-BFGS-B on the exact
-gradient of that objective.  The paper's casewise scores hold the
-quadrature anchors fixed; the fit objective moves its anchors with the
-parameters, so the sweep adds the derivative through the mode (implicit
+The outer maximization over ``(beta, theta)`` uses the exact gradient
+of that objective.  The paper's casewise scores hold the quadrature
+anchors fixed; the fit objective moves its anchors with the parameters,
+so the sweep adds the derivative through the mode (implicit
 differentiation of the penalized score) and through the conditional
 factor (differentiated through its Cholesky).  The scores themselves
 stay independently checked: acceptance gates 1 and 2 test the
@@ -31,6 +31,15 @@ differences of the re-anchored log-likelihood.  The Hessian is the
 derivative of the fixed-anchor scores with the anchors moving, from the
 same implicit derivatives (``_anchored_hessian``); the anchor terms of
 both read the rows' state at the modes (``_ModeState``).
+
+The maximizer is L-BFGS-B.  A refit with several random effects, on a
+rule of at least two points per dimension and from a given start inside
+the bounds (lme4's second stage, after a Laplace fit), first takes
+Newton steps on that Hessian (``_newton_phase``), from the same sweep
+as the gradient; L-BFGS-B then confirms where they stop or carries on
+from there.  The Hessian leaves out the derivative of the anchor terms,
+so it is not the objective's own; it is closest on finer rules and near
+the optimum, which is why the steps need both.
 
 Each fit evaluation computes the rows at the modes once.  The mode
 solve starts every Newton iteration from its last accepted trial and
@@ -56,6 +65,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from . import covariance as cov
@@ -70,11 +80,17 @@ __all__ = ["FitControl", "FittedGlmm", "conditional_modes", "marginal_loglik",
 
 _MODE_TOL = 1e-10
 _MODE_MAX_ITER = 200
+# the gradient tolerance after the last mode-solver iteration; a cluster
+# that cannot settle fails at once above it
+_MODE_LAST_TOL = 1e-8
 _BOUNDARY_TOL = 1e-6
 # L-BFGS-B stopping tolerances: relative reduction of the objective and
 # largest entry of the projected gradient
 _FTOL = 1e-12
 _GTOL = 1e-6
+# the Newton phase before L-BFGS-B (see fit): steps, and halvings per step
+_NEWTON_ITER = 8
+_NEWTON_HALVINGS = 4
 # (row, node) entries per block of the quadrature sweep: many nodes per
 # block save numpy call overhead on small data; from 16,384 rows on each
 # block is one node, which measured faster at 20,000 and 50,000 rows.
@@ -101,7 +117,8 @@ def default_points(q: int, stage: str = "estimation") -> int:
 class FitControl:
     """Optimizer and quadrature controls for :func:`fit`.
 
-    ``max_fev`` caps objective evaluations exactly; ``restarts`` reruns
+    ``max_fev`` caps objective evaluations exactly, the second-order
+    sweeps of :func:`fit`'s Newton steps included; ``restarts`` reruns
     L-BFGS-B from where it stopped.  Both are integers, ``max_fev`` at
     least 1 and ``restarts`` at least 0, or a ``ConfigError``; so is
     ``n_points``, when given, at least 1.  The stopping tolerances are
@@ -266,7 +283,7 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
         grad = data.sum_by_cluster(data.Z * resid[:, None]) @ lam - u
         # after the last step a looser gradient is still accepted
         if np.max(np.abs(grad)) <= (_MODE_TOL if iteration < _MODE_MAX_ITER
-                                    else 1e-8):
+                                    else _MODE_LAST_TOL):
             break
         if iteration == _MODE_MAX_ITER:
             worst = int(np.argmax(np.max(np.abs(grad), axis=1)))
@@ -292,8 +309,17 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
                 break
             scale[~settled] *= 0.5
         halvings += halving
-        # clusters that never improved keep a vanishing step; the next
-        # gradient check decides whether that is acceptable
+        # a cluster that never improved keeps its rows, so its next step
+        # would be this one again: past the loosest tolerance it cannot
+        # settle.  Below that it keeps a vanishing step, and the gradient
+        # check after the last iteration decides.
+        if not np.all(settled):
+            stuck = np.where(settled, 0.0, np.max(np.abs(grad), axis=1))
+            if stuck.max() > _MODE_LAST_TOL:
+                raise EstimationError(
+                    "conditional mode search did not converge for cluster "
+                    f"{data.cluster_ids[int(np.argmax(stuck))]!r}"
+                )
         scale[~settled] = 0.0
         u = u + scale * direction
         # the last trial ran at the new modes of every cluster that settled
@@ -856,6 +882,41 @@ def _glm_start(data: GlmmData, family: FamilySpec) -> np.ndarray:
     return beta
 
 
+def _newton_phase(objective, x: np.ndarray, diagonal: list[int]) -> np.ndarray:
+    """Safeguarded Newton steps on the fit objective from ``x``; returns
+    the last point accepted.
+
+    ``objective(x, second=True)`` returns the objective, its gradient and
+    its Hessian (None where the evaluation failed).  A step that raises
+    the objective is halved up to ``_NEWTON_HALVINGS`` times.  The steps
+    stop once every gradient entry is within ``_GTOL``, and hand the point
+    over early when the Hessian is missing or not positive definite, a
+    step would take a ``diagonal`` entry below zero, a step gains nothing
+    after its halvings, or ``_NEWTON_ITER`` steps are spent.
+    """
+    f, grad, hess = objective(x, second=True)
+    for _ in range(_NEWTON_ITER):
+        if hess is None or np.max(np.abs(grad)) <= _GTOL:
+            break
+        try:
+            step = -cho_solve((np.linalg.cholesky(hess), True), grad)
+        except np.linalg.LinAlgError:
+            break
+        if (not np.all(np.isfinite(step))
+                or np.any(x[diagonal] + step[diagonal] < 0.0)):
+            break
+        for _ in range(_NEWTON_HALVINGS + 1):
+            trial = x + step
+            f_trial, grad_trial, hess_trial = objective(trial, second=True)
+            if f_trial <= f + _FTOL * max(1.0, abs(f)):
+                break
+            step = 0.5 * step
+        else:
+            break
+        x, f, grad, hess = trial, f_trial, grad_trial, hess_trial
+    return x
+
+
 def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         control: FitControl | None = None) -> FittedGlmm:
     """Maximize the marginal log-likelihood over (beta, theta).
@@ -866,6 +927,20 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     the anchors differentiated too (``_quadrature_sweep(exact=True)``).
     The diagonal theta entries are bounded below by zero, so a
     ``theta_start`` with a negative diagonal entry is a ``DomainError``.
+
+    With q >= 2 random effects, at least two points per dimension and a
+    ``theta_start`` whose diagonal entries are all at least
+    ``_BOUNDARY_TOL``, Newton steps come first (``_newton_phase``): each
+    evaluation's sweep also returns the Jacobian of the scores
+    (``second=True``), and the steps run until every gradient entry is
+    within ``_GTOL``, or hand over early.  Their evaluations count
+    against ``max_fev`` like any other.  L-BFGS-B starts where they
+    stopped, and at a point they converged on it re-reads their last
+    evaluation and stops there.  Other fits run L-BFGS-B alone: at q = 1 a
+    second-order evaluation costs several first-order ones, on the Laplace
+    rule the Jacobian is furthest from the objective's Hessian, and from
+    the default start the steps save little.
+
     A restart reruns from where the previous run stopped, and the loop
     stops once a restart gains less than 1e-6; the last allowed restart
     that gains less than that confirms the point even when L-BFGS-B
@@ -900,20 +975,22 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         cov._nonnegative_factor(theta0, q, structure, "theta_start")
 
     # the last evaluation, where a restart begins, with its mode solve and
-    # sweep (None when the solve failed), and the lowest one, which stands
-    # when the budget runs out
-    last = {"x": None, "f": np.inf, "g": None, "sweep": None}
+    # sweep (None when the solve failed) and, from a second-order sweep,
+    # the objective's Hessian; and the lowest one, which stands when the
+    # budget runs out
+    last = {"x": None, "f": np.inf, "g": None, "h": None, "sweep": None}
     best = {"x": None, "f": np.inf}
     warm: dict = {"u": None}
     n_eval = [0]
 
-    def objective(x: np.ndarray):
+    def objective(x: np.ndarray, second: bool = False):
         if np.array_equal(x, last["x"]):
-            return last["f"], last["g"]
+            f, grad, hess = last["f"], last["g"], last["h"]
+            return (f, grad, hess) if second else (f, grad)
         if n_eval[0] >= control.max_fev:
             raise _BudgetSpent
         n_eval[0] += 1
-        f, grad = np.inf, np.zeros_like(x)
+        f, grad, hess = np.inf, np.zeros_like(x), None
         beta, theta = x[:p], x[p:]
         lam = cov.theta_to_lambda(theta, q, structure)
         swept = None
@@ -924,15 +1001,17 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
             warm["u"] = None
         else:
             warm["u"] = solve.modes
-            ell, scores = _quadrature_sweep(beta, lam, data, family,
-                                            solve.modes, solve.cond_chol,
-                                            rule, positions, exact=True,
-                                            state=solve.state)
-            gradient = scores.sum(axis=0)
+            out = _quadrature_sweep(beta, lam, data, family, solve.modes,
+                                    solve.cond_chol, rule, positions,
+                                    exact=True, second=second,
+                                    state=solve.state)
+            ell, gradient = out[0], out[1].sum(axis=0)
             swept = solve, ell, gradient
             total = float(np.sum(ell))
             if np.isfinite(total):
                 f, grad = -total, -gradient
+                if second:
+                    hess = -0.5 * (out[2] + out[2].T)
         if np.isfinite(f):
             if f < best["f"]:
                 best.update(x=x.copy(), f=f)
@@ -942,40 +1021,45 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
             gap = x - best["x"]
             scale = 1.0 + abs(best["f"])
             f, grad = best["f"] + scale * (gap @ gap), 2.0 * scale * gap
-        last.update(x=x.copy(), f=f, g=grad, sweep=swept)
-        return f, grad
+        last.update(x=x.copy(), f=f, g=grad, h=hess, sweep=swept)
+        return (f, grad, hess) if second else (f, grad)
 
     x_hat = np.concatenate([beta0, theta0])
     f_hat = np.inf
     success, message = False, "no evaluation budget"
-    for attempt in range(control.restarts + 1):
-        remaining = control.max_fev - n_eval[0]
-        if remaining <= 0:
-            break
-        try:
+    diagonal = [p + t for t, (i, j) in enumerate(positions) if i == j]
+    try:
+        if (q >= 2 and rule.points_per_dim >= 2
+                and control.theta_start is not None
+                and np.all(x_hat[diagonal] >= _BOUNDARY_TOL)):
+            x_hat = _newton_phase(objective, x_hat, diagonal)
+        for attempt in range(control.restarts + 1):
+            remaining = control.max_fev - n_eval[0]
+            if remaining <= 0:
+                break
             result = minimize(objective, x_hat, jac=True, method="L-BFGS-B",
                               bounds=bounds,
                               options={"maxfun": remaining, "ftol": _FTOL,
                                        "gtol": _GTOL})
-        except _BudgetSpent:
-            if best["x"] is not None:
-                x_hat = best["x"]
-            success = False
-            break
-        improvement = f_hat - result.fun
-        x_hat, f_hat = result.x, float(result.fun)
-        # a restart from a converged point may end in a failed line search
-        # at the round-off floor; without a real gain the fit stays
-        # converged.  The last allowed restart confirms a point that way
-        # even when no run reported success: it stopped where it began.
-        finite = bool(np.isfinite(f_hat))
-        confirms = improvement < 1e-6 and (success
-                                           or attempt == control.restarts)
-        success = finite and (bool(result.success) or confirms)
-        message = (result.message if finite
-                   else "the objective is not finite there")
-        if success and attempt > 0 and improvement < 1e-6:
-            break
+            improvement = f_hat - result.fun
+            x_hat, f_hat = result.x, float(result.fun)
+            # a restart from a converged point may end in a failed line
+            # search at the round-off floor; without a real gain the fit
+            # stays converged.  The last allowed restart confirms a point
+            # that way even when no run reported success: it stopped where
+            # it began.
+            finite = bool(np.isfinite(f_hat))
+            confirms = improvement < 1e-6 and (success
+                                               or attempt == control.restarts)
+            success = finite and (bool(result.success) or confirms)
+            message = (result.message if finite
+                       else "the objective is not finite there")
+            if success and attempt > 0 and improvement < 1e-6:
+                break
+    except _BudgetSpent:
+        if best["x"] is not None:
+            x_hat = best["x"]
+        success = False
 
     # the optimum is usually the last point evaluated; if that solve met
     # the tight tolerance, a warm re-solve from its modes would stop at

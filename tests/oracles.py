@@ -444,8 +444,10 @@ def plain_conditional_modes(beta, lam, data, family, start=None):
 
     Returns the modes, the conditional factors and the counts: Newton
     iterations, step-halving trials after full steps, and (iteration,
-    cluster) pairs whose step never improved the objective.  A failed
-    solve raises with the counts as ``.counts``.
+    cluster) pairs whose step never improved the objective.  A solve fails
+    after its last iteration, or at the first step that leaves a cluster
+    unsettled with a gradient entry above 1e-8; it raises with the counts
+    as ``.counts``.
     """
     xbeta = data.X @ np.asarray(beta, dtype=float).ravel()
     n_cl, q = data.n_clusters, data.n_random
@@ -496,6 +498,15 @@ def plain_conditional_modes(beta, lam, data, family, start=None):
             scale[~settled] *= 0.5
         counts["halvings"] += halving
         counts["unsettled"] += int(np.sum(~settled))
+        # an unsettled cluster keeps its modes, so it would take this same
+        # step again: past the loose tolerance the solve fails here
+        stuck = np.where(settled, 0.0, np.max(np.abs(grad), axis=1))
+        if stuck.max() > 1e-8:
+            err = EstimationError(
+                "conditional mode search did not converge for cluster "
+                f"{data.cluster_ids[int(np.argmax(stuck))]!r}")
+            err.counts = counts
+            raise err
         scale[~settled] = 0.0
         u = u + scale * direction
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -21,6 +21,7 @@ from oracles import (_dmu_deta, _inverse_link, _variance,
                      lapack_conditional_factor, lapack_penalized_curvature,
                      nelder_mead_loglik, plain_conditional_modes,
                      simpson_cluster)
+from test_edge_datasets import _q3
 
 
 def test_default_points():
@@ -404,8 +405,9 @@ def test_unsettled_clusters_fail_like_the_plain_newton_loop(
     # mean clamp, where log f is flat but d log f / d eta is not: from
     # u = 0.7 every trial step lowers the objective, through the penalty,
     # by more than the floor allows, so the cluster never settles and
-    # keeps its rows.  Both solvers fail on it after reading the same
-    # rows, eta and mean, at the top of every iteration.
+    # keeps its rows.  Its gradient is far above the loose tolerance, so
+    # both solvers fail on it at that first step, after reading the same
+    # rows, eta and mean.
     rng = np.random.default_rng(3)
     cluster = np.repeat(np.arange(4), 6)
     y = np.where(cluster == 0, 1.0, (rng.random(24) < 0.5).astype(float))
@@ -423,7 +425,9 @@ def test_unsettled_clusters_fail_like_the_plain_newton_loop(
         rows.append(mu.copy()), variance(self, mu))[1])
     with pytest.raises(EstimationError) as plain:
         plain_conditional_modes(beta, lam, data, spec, start)
-    assert plain.value.counts["unsettled"] == estimation._MODE_MAX_ITER
+    assert plain.value.counts == {"iterations": 0, "halvings": 29,
+                                  "unsettled": 1}
+    assert "cluster 0" in str(plain.value)
     plain_rows = rows[:]
     rows.clear()
     with pytest.raises(EstimationError) as ours:
@@ -431,6 +435,14 @@ def test_unsettled_clusters_fail_like_the_plain_newton_loop(
     assert str(ours.value) == str(plain.value)
     assert len(rows) == len(plain_rows)
     assert all(_same_bits(a, b) for a, b in zip(rows, plain_rows))
+    # with a gradient inside the loose tolerance the cluster keeps its
+    # modes to the last iteration, where that tolerance accepts them
+    monkeypatch.setattr(estimation, "_MODE_LAST_TOL", 1e3)
+    monkeypatch.setattr(estimation, "_MODE_MAX_ITER", 4)
+    solve = conditional_modes(beta, lam, data, spec, start=start,
+                              record=True)
+    assert solve.iterations == 4
+    assert solve.modes[0, 0] == 0.7
 
 
 @pytest.mark.parametrize("tight", [True, False])
@@ -606,3 +618,152 @@ def test_loglik_is_swept_on_first_read_only(binom_fit, monkeypatch):
     moved = dataclasses.replace(again, beta=again.beta + 0.1)
     assert moved.loglik != again.loglik
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# Newton steps before L-BFGS-B: q >= 2, M >= 2, from an interior start
+
+
+def _count_second_order_sweeps(monkeypatch):
+    """Record each second-order sweep the fit objective runs."""
+    calls = []
+    sweep = estimation._quadrature_sweep
+
+    def counting(*args, **kwargs):
+        if kwargs.get("second"):
+            calls.append(None)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_quadrature_sweep", counting)
+    return calls
+
+
+def _slope_data(family, link, seed):
+    beta = (0.2, 0.8) if family == "binomial" else (0.5, 0.3)
+    return make_glmm_data(family, link=link, beta=beta, random="slope",
+                          theta=(1.0, 0.0, 1.0), n_clusters=40,
+                          cluster_size=10, seed=seed).data
+
+
+def _q3_binary_data(link, seed):
+    """Three random effects, on the intercept and both covariates."""
+    rng = np.random.default_rng(seed)
+    n_clusters, size = 60, 10
+    n = n_clusters * size
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+    cluster = np.repeat(np.arange(n_clusters), size)
+    u = rng.standard_normal((n_clusters, 3)) * [0.8, 0.4, 0.3]
+    eta = x @ [0.2, 0.5, -0.3] + np.einsum("nj,nj->n", x, u[cluster])
+    y = rng.random(n) < family_spec("binomial", link).inverse_link(eta)
+    return GlmmData.from_arrays(y.astype(float), x, x.copy(), cluster)
+
+
+@pytest.mark.parametrize("case,family,link,structure,n_points", [
+    ("slope", "binomial", "logit", "unstructured", 7),
+    ("slope", "binomial", "probit", "unstructured", 5),
+    ("slope", "poisson", "log", "unstructured", 5),
+    ("slope", "binomial", "logit", "diagonal", 7),
+    ("q3", "binomial", "probit", "unstructured", 3)])
+def test_refit_from_the_laplace_fit_takes_newton_steps(
+        case, family, link, structure, n_points, monkeypatch):
+    # lme4's two stages: the Laplace fit, then a refit from it.  Newton
+    # steps on the sweep's Hessian reach the optimum the default start
+    # reaches with L-BFGS-B alone, and L-BFGS-B confirms the last Newton
+    # point from the cached evaluation, with no sweep of its own
+    data = (_slope_data(family, link, 11) if case == "slope"
+            else _q3_binary_data(link, 301))
+    spec = family_spec(family, link)
+    second = _count_second_order_sweeps(monkeypatch)
+    laplace = fit(data, spec, structure)
+    default = fit(data, spec, structure, FitControl(n_points=n_points))
+    assert second == []
+    refit = fit(data, spec, structure,
+                FitControl(n_points=n_points, beta_start=laplace.beta,
+                           theta_start=laplace.theta))
+    assert refit.converged and not laplace.boundary
+    assert len(second) == refit.n_fev <= 6 < default.n_fev
+    assert refit.loglik == pytest.approx(default.loglik, rel=1e-9)
+    np.testing.assert_allclose(refit.theta, default.theta, rtol=0, atol=1e-5)
+    assert refit.loglik == float(np.sum(llcont(refit, n_points)))
+    assert refit.grad_norm < 1e-5
+
+
+@pytest.mark.parametrize("case", ["q = 1", "M = 1", "no start",
+                                  "boundary start", "q = 3 boundary"])
+def test_newton_steps_need_q2_m2_and_an_interior_start(case, binom_fit,
+                                                       monkeypatch):
+    slope = _slope_data("binomial", "logit", 11)
+    if case == "q = 1":
+        data, control = binom_fit.data, FitControl(
+            beta_start=binom_fit.beta, theta_start=binom_fit.theta)
+    elif case == "M = 1":
+        data, control = slope, FitControl(theta_start=[1.2, 0.1, 0.9])
+    elif case == "no start":
+        data, control = slope, FitControl(n_points=3)
+    elif case == "boundary start":
+        data, control = slope, FitControl(n_points=3,
+                                          theta_start=[1.2, 0.1, 0.0])
+    else:
+        # the Laplace fit of this q = 3 dataset has a zero theta diagonal
+        laplace = fit(_q3(), "binomial")
+        assert laplace.boundary
+        data, control = laplace.data, FitControl(
+            n_points=3, beta_start=laplace.beta, theta_start=laplace.theta)
+    second = _count_second_order_sweeps(monkeypatch)
+    fitted = fit(data, "binomial", control=control)
+    assert fitted.converged
+    assert second == []
+
+
+@pytest.mark.parametrize("center,curvature,stops_at", [
+    ([1.0, 2.0], 2.0, "center"),    # one step, then the gradient is zero
+    ([1.0, -1.0], 2.0, "start"),    # the step would cross the bound
+    ([1.0, 2.0], -2.0, "start")])   # no descent direction
+def test_newton_phase_steps_or_hands_over(center, curvature, stops_at):
+    # f = c |x - center|^2 / 2 with the second entry a theta diagonal
+    center, calls = np.array(center), []
+
+    def objective(x, second=False):
+        calls.append(x.copy())
+        gap = x - center
+        return (0.5 * curvature * (gap @ gap), curvature * gap,
+                curvature * np.eye(2))
+
+    start = np.array([0.0, 0.5])
+    stop = estimation._newton_phase(objective, start, [1])
+    np.testing.assert_allclose(stop, center if stops_at == "center"
+                               else start, rtol=1e-15)
+    assert len(calls) == (2 if stops_at == "center" else 1)
+
+
+def test_newton_sweeps_count_against_the_budget(monkeypatch):
+    data = _slope_data("binomial", "logit", 11)
+    laplace = fit(data, "binomial")
+    second = _count_second_order_sweeps(monkeypatch)
+    with pytest.raises(EstimationError, match="within 2 evaluations") as info:
+        fit(data, "binomial",
+            control=FitControl(n_points=7, max_fev=2, beta_start=laplace.beta,
+                               theta_start=laplace.theta))
+    best = info.value.best
+    assert len(second) == best.n_fev == 2
+    assert not best.converged
+    assert best.m_used == 7 and np.isfinite(best.loglik)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_two_stage_fit_is_no_worse_than_the_default_start(seed):
+    # from a Laplace fit with a zero theta diagonal no Newton step runs,
+    # and L-BFGS-B cannot leave that entry: the log-likelihood depends on
+    # it through its square, so its derivative there is zero
+    data = make_glmm_data("binomial", beta=(0.2, 0.8), random="slope",
+                          theta=(1.0, 0.0, 1.0), n_clusters=25,
+                          cluster_size=8, seed=seed).data
+    laplace = fit(data, "binomial")
+    assume(not laplace.boundary)
+    refit = fit(data, "binomial",
+                control=FitControl(n_points=3, beta_start=laplace.beta,
+                                   theta_start=laplace.theta))
+    default = fit(data, "binomial", control=FitControl(n_points=3))
+    assert refit.loglik >= (default.loglik
+                            - 1e-6 * max(1.0, abs(default.loglik)))
