@@ -51,16 +51,20 @@ sweep are the fit.  A rehydrated fit (``load_fitted``) sweeps for its
 log-likelihood only when ``loglik`` is read.
 
 With one random effect (q = 1) every curvature, Newton step and
-conditional factor is a scalar per cluster, and batched LAPACK calls on
-1 x 1 stacks cost more in call overhead than in arithmetic.  There the
-mode solver and the conditional factor use the scalar closed forms
-(``_penalized_curvature``, ``_newton_step``, ``_cholesky``,
-``_conditional_factor``), which return the LAPACK and einsum results bit
-for bit and fail where they fail; q >= 2 keeps the batched calls.
+conditional factor is a scalar per cluster, and batched LAPACK calls and
+matrix products on 1 x 1 stacks cost more in call overhead than in
+arithmetic.  There every step of a fit evaluation uses scalar closed
+forms: the mode solver and the conditional factor (``_penalized_curvature``,
+``_newton_step``, ``_cholesky``, ``_conditional_factor``), the adapted
+grid (``quadrature._adapted_grid``), the sweep's products with Lambda,
+and the exact gradient's anchor terms (``_scalar_anchor_terms``).  Their
+results are the LAPACK, matmul and einsum results bit for bit, and they
+fail where those fail; q >= 2 keeps the matrix forms.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -305,7 +309,7 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
             mu_c = None if family.canonical else family.inverse_link(eta_c)
             objective_c = objective_at(eta_c, mu_c, candidate)
             settled |= objective_c >= floor
-            if np.all(settled):
+            if settled.all():
                 break
             scale[~settled] *= 0.5
         halvings += halving
@@ -313,7 +317,7 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
         # would be this one again: past the loosest tolerance it cannot
         # settle.  Below that it keeps a vanishing step, and the gradient
         # check after the last iteration decides.
-        if not np.all(settled):
+        if not settled.all():
             stuck = np.where(settled, 0.0, np.max(np.abs(grad), axis=1))
             if stuck.max() > _MODE_LAST_TOL:
                 raise EstimationError(
@@ -323,7 +327,7 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
         scale[~settled] = 0.0
         u = u + scale * direction
         # the last trial ran at the new modes of every cluster that settled
-        if np.all(settled):
+        if settled.all():
             eta, mu, objective = eta_c, mu_c, objective_c
         else:
             rows = settled[data.cluster_index]
@@ -550,7 +554,12 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     log_w, locations = _adapted_grid(rule, modes, chols)
     y, n_nodes, p = data.y, rule.size, data.n_fixed
     xbeta = data.X @ np.asarray(beta, dtype=float)
-    effects = np.tensordot(lam, locations, axes=1)  # Lambda u, (q, I, M)
+    # Lambda u, (q, I, M).  At q = 1 it and Lambda' Z' r below are
+    # products of scalars; at lambda = 0 their zeros keep the sign that
+    # the matrix product drops, which no sum they feed can see
+    scalar = data.n_random == 1
+    effects = (lam[0, 0] * locations if scalar
+               else np.tensordot(lam, locations, axes=1))
     joint = log_w + data.sum_by_cluster(family.log_normalizer(y))[:, None]
     scores = positions is not None
     if scores:
@@ -606,7 +615,9 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
                               *s_theta])
     if exact or second:
         # grad g = Lambda' Z' r - u at every node
-        grad_g = np.tensordot(lam.T, kernel[p:], axes=1) - locations
+        grad_g = ((lam[0, 0] * kernel[p:] if scalar
+                   else np.tensordot(lam.T, kernel[p:], axes=1))
+                  - locations)
     if second:
         # the row-level arrays are done with: free them before the
         # cluster-by-node algebra, which would otherwise add to the peak
@@ -645,7 +656,13 @@ def _anchor_terms(lam, data: GlmmData, modes, chols, positions,
     terms come back to per-row weights, so every parameter costs one
     segment sum.  ``state`` holds the rows at the modes.  Returns shape
     (I, p + k).
+
+    At q = 1 every matrix is a scalar per cluster or row, and the terms
+    are formed from those scalars (``_scalar_anchor_terms``).
     """
+    if data.n_random == 1:
+        return _scalar_anchor_terms(lam, data, modes, chols, state,
+                                    grad_mean, grad_outer)
     rows = data.cluster_index
     q = data.n_random
     weight, slope = state.weight, state.slope
@@ -681,6 +698,41 @@ def _anchor_terms(lam, data: GlmmData, modes, chols, positions,
     return np.column_stack([-data.sum_by_cluster(data.X
                                                  * row_weight[:, None]),
                             *s_theta])
+
+
+def _scalar_anchor_terms(lam, data: GlmmData, modes, chols,
+                         state: _ModeState, grad_mean, grad_outer):
+    """``_anchor_terms`` at q = 1, from per-cluster and per-row scalars.
+
+    The products come in the general form's order, so they round alike;
+    where that form sums a single product (a 1 x 1 matmul or einsum, a
+    sum over one column), the sum starts from +0, and so does ``0.0 +``
+    here: a zero product is +0, never -0.  B is the scalar c (c (G +
+    1/c) / 2) c, symmetric as it stands, and the expected-curvature
+    fallback divides by the observed penalized curvature
+    (``_newton_step``).  The result is the general form's, bit for bit.
+    """
+    rows = data.cluster_index
+    weight, slope = state.weight, state.slope
+    z = data.Z[:, 0]
+    c = chols[:, 0, 0]
+    b = c * (0.5 * (c * (grad_outer[:, 0, 0] + 1.0 / c))) * c
+    zl = (data.Z @ lam)[:, 0]                           # rows of Z Lambda
+    zlb = 0.0 + zl * b[rows]
+    slope_b = slope * (0.0 + zlb * zl)
+    pull = grad_mean[:, 0] - data.sum_by_cluster(zl * slope_b)
+    if state.observed:
+        nu = c * c * pull
+    else:
+        nu = _newton_step(_penalized_curvature(state.m_obs, lam, data),
+                          pull[:, None])[:, 0]
+    row_weight = state.m_obs * (0.0 + zl * nu[rows]) + slope_b
+    zr = data.sum_by_cluster(z * state.resid)
+    zw = data.sum_by_cluster(z * row_weight)
+    zwb = data.sum_by_cluster(z * weight * zlb)
+    return np.column_stack([
+        -data.sum_by_cluster(data.X * row_weight[:, None]),
+        nu * zr - modes[:, 0] * zw - 2.0 * zwb])
 
 
 def _anchor_motion(lam, data: GlmmData, modes, chols, positions,
@@ -882,6 +934,21 @@ def _glm_start(data: GlmmData, family: FamilySpec) -> np.ndarray:
     return beta
 
 
+def _warn_if_every_cluster_separated(data: GlmmData) -> None:
+    """Warn when every cluster's binary response is constant (all 0 or all
+    1) and some cluster has two rows or more.  The marginal likelihood
+    then approaches its supremum only as theta grows without bound, so
+    the theta a fit stops at is set by the quadrature, not by the data.
+    A cluster of one row is constant whatever the model, so data made
+    only of those gets no warning."""
+    sizes = np.diff(data.offsets)
+    ones = data.sum_by_cluster(data.y)
+    if ((ones == 0.0) | (ones == sizes)).all() and (sizes > 1).any():
+        warnings.warn("every cluster's response is constant (all 0 or all "
+                      "1): the likelihood has no finite maximum in theta",
+                      UserWarning, stacklevel=3)
+
+
 def _newton_phase(objective, x: np.ndarray, diagonal: list[int]) -> np.ndarray:
     """Safeguarded Newton steps on the fit objective from ``x``; returns
     the last point accepted.
@@ -927,6 +994,9 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     the anchors differentiated too (``_quadrature_sweep(exact=True)``).
     The diagonal theta entries are bounded below by zero, so a
     ``theta_start`` with a negative diagonal entry is a ``DomainError``.
+    A binomial fit whose every cluster has a constant response, some
+    cluster with two rows or more, warns (``UserWarning``) that the
+    likelihood has no finite maximum in theta, and runs on.
 
     With q >= 2 random effects, at least two points per dimension and a
     ``theta_start`` whose diagonal entries are all at least
@@ -953,6 +1023,8 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     control = control or FitControl()
     family = as_family_spec(family)
     family.validate_support(data.y)
+    if family.family == "binomial":
+        _warn_if_every_cluster_separated(data)
     p, q = data.n_fixed, data.n_random
     if data.n_clusters <= q:
         raise ConfigError("need more clusters than random-effect dimensions")

@@ -89,7 +89,7 @@ class FamilySpec:
         boundary of the mean space (binomial: [eps, 1-eps], poisson:
         [eps, inf)).  Non-finite eta raises DomainError."""
         eta = _asarray(eta)
-        if not np.all(np.isfinite(eta)):
+        if not np.isfinite(eta).all():
             raise DomainError("non-finite linear predictor")
         if self.family == "poisson":
             mu = np.exp(np.minimum(eta, _ETA_MAX))
@@ -101,7 +101,7 @@ class FamilySpec:
         else:  # cloglog
             mu = -np.expm1(-np.exp(np.minimum(eta, _ETA_MAX)))
         if self.family == "binomial":
-            mu = np.clip(mu, _EPS, 1.0 - _EPS)
+            mu = mu.clip(_EPS, 1.0 - _EPS)
         return mu[()] if mu.ndim == 0 else mu
 
     def variance_function(self, mu):
@@ -157,13 +157,13 @@ class FamilySpec:
         """
         if not self.canonical:
             return self.canonical_parameter(mu)
-        if mu is None and not np.all(np.isfinite(eta)):
+        if mu is None and not np.isfinite(eta).all():
             raise DomainError("non-finite linear predictor")
-        return np.clip(eta, *_KAPPA_RANGE[self.family])
+        return eta.clip(*_KAPPA_RANGE[self.family])
 
     def _clamp(self, mu: np.ndarray) -> np.ndarray:
         if self.family == "binomial":
-            return np.clip(mu, _EPS, 1.0 - _EPS)
+            return mu.clip(_EPS, 1.0 - _EPS)
         return np.maximum(mu, _EPS)
 
     def _check_interior(self, mu) -> np.ndarray:
@@ -171,7 +171,7 @@ class FamilySpec:
         bad = (mu <= 0.0) | ~np.isfinite(mu)
         if self.family == "binomial":
             bad |= mu >= 1.0
-        if np.any(bad):
+        if bad.any():
             raise DomainError("mu must lie strictly inside the mean space")
         return mu
 

@@ -99,7 +99,19 @@ def _adapted_grid(rule: GhRule, centers: np.ndarray, chols: np.ndarray):
     ``centers`` is (I, d) and ``chols`` (I, d, d) lower triangular.
     Returns log weights (I, M**d) and locations component-major, shape
     (d, I, M**d), so each coordinate of every node is one contiguous block.
+
+    At d = 1 every factor is a scalar per cluster, and the grid is formed
+    from scalars, ``b + c z`` and ``log w + z^2 / 2 + log c - (b + c
+    z)^2 / 2``: the same products in the same order as the matrix form,
+    so the same bits, without its per-call overhead.
     """
+    if rule.dim == 1:
+        z = rule.nodes[:, 0]
+        scale = chols[:, 0]                                   # (I, 1)
+        locations = centers + scale * z
+        log_w = (np.log(rule.weights) + 0.5 * (z * z) + np.log(scale)
+                 - 0.5 * (locations * locations))
+        return log_w, locations[None]
     locations = np.stack([centers[:, a, None] + chols[:, a, :] @ rule.nodes.T
                           for a in range(rule.dim)])
     logdet = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)

@@ -3,10 +3,12 @@
 Everything here is written directly from model definitions with scipy
 primitives, deliberately sharing no quadrature or derivative code with
 the package, so agreement between the two is evidence and not tautology.
-The one exception is the reference mode solver, a plain replay of the
-package's Newton loop on its own family primitives and on batched LAPACK
-linear algebra at every q, against which the package, with its scalar
-closed forms at q = 1, must agree bit for bit.
+The one exception is the reference replays: the package's mode solver as
+a plain Newton loop on its own family primitives and batched LAPACK
+linear algebra at every q, and its adapted grid and exact-gradient anchor
+terms in their general matrix form at every q.  The package forms all of
+these from scalar closed forms at q = 1, and must agree with the replays
+bit for bit.
 """
 
 from __future__ import annotations
@@ -512,6 +514,63 @@ def plain_conditional_modes(beta, lam, data, family, start=None):
 
     m_obs, m_exp = _curvatures(eta, mu, dmu, var, y, family)
     return u, lapack_conditional_factor(m_obs, m_exp, lam, data), counts
+
+
+# ---------------------------------------------------------------------------
+# the general matrix forms of the adapted grid and the anchor terms
+
+
+def matrix_adapted_grid(rule, centers, chols):
+    """``quadrature._adapted_grid`` in its matrix form at every d: log
+    weights (I, M**d) and locations (d, I, M**d)."""
+    locations = np.stack([centers[:, a, None] + chols[:, a, :] @ rule.nodes.T
+                          for a in range(rule.dim)])
+    logdet = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    half_sq = 0.5 * np.sum(rule.nodes ** 2, axis=1)
+    log_w = (np.log(rule.weights) + half_sq + logdet[:, None]
+             - 0.5 * np.sum(locations ** 2, axis=0))
+    return log_w, locations
+
+
+def matrix_anchor_terms(lam, data, modes, chols, positions, state,
+                        grad_mean, grad_outer):
+    """``estimation._anchor_terms`` in its matrix form at every q, the
+    Newton step of the expected-curvature fallback by LAPACK: the part of
+    the exact per-cluster gradient through the modes and the conditional
+    factors, shape (I, p + k)."""
+    rows = data.cluster_index
+    q = data.n_random
+    weight, slope = state.weight, state.slope
+
+    diag = np.arange(q)
+    chol_t = np.swapaxes(chols, 1, 2)
+    g = np.tril(grad_outer)
+    g[:, diag, diag] += 1.0 / chols[:, diag, diag]
+    inner = np.tril(chol_t @ g)
+    inner[:, diag, diag] *= 0.5
+    b_mat = chols @ inner @ chol_t
+    b_mat = 0.5 * (b_mat + np.swapaxes(b_mat, 1, 2))
+    zl = data.Z @ lam
+    zlb = np.einsum("nj,njk->nk", zl, b_mat[rows])
+    slope_b = slope * np.sum(zlb * zl, axis=1)
+
+    pull = grad_mean - data.sum_by_cluster(zl * slope_b[:, None])
+    if state.observed:
+        nu = np.einsum("ijk,ilk,il->ij", chols, chols, pull)
+    else:
+        nu = np.linalg.solve(lapack_penalized_curvature(state.m_obs, lam,
+                                                        data),
+                             pull[..., None])[..., 0]
+    row_weight = state.m_obs * np.sum(zl * nu[rows], axis=1) + slope_b
+    zr = data.sum_by_cluster(data.Z * state.resid[:, None])
+    zw = data.sum_by_cluster(data.Z * row_weight[:, None])
+    zwb = data.sum_by_cluster((data.Z * weight[:, None])[:, :, None]
+                              * zlb[:, None, :])
+    s_theta = [nu[:, b] * zr[:, a] - modes[:, b] * zw[:, a]
+               - 2.0 * zwb[:, a, b] for a, b in positions]
+    return np.column_stack([-data.sum_by_cluster(data.X
+                                                 * row_weight[:, None]),
+                            *s_theta])
 
 
 # ---------------------------------------------------------------------------

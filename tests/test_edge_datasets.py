@@ -5,8 +5,10 @@ Each must give a finite, consistent answer (llcont sums to the fit's
 log-likelihood) or a typed GlmmKitError, never a meaningless number.
 Known limit: when every cluster is separated (all 0 or all 1) the fit
 stops at a large finite theta that the quadrature's own maximum puts
-there, with no flag; CHANGES.md records it.
+there; it warns that the likelihood has no finite maximum in theta.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -101,3 +103,32 @@ def test_edge_dataset_is_consistent_or_a_typed_error(case):
     assert np.all(np.isfinite(hess.values))
     assert np.isfinite(result.statistic)
     assert 0.0 <= result.p_value <= 1.0
+
+
+def _every_cluster_separated():
+    # every cluster answers its own parity: all 0 or all 1
+    d = make_glmm_data("binomial", n_clusters=50, cluster_size=6,
+                       seed=5).data
+    y = (d.cluster_index % 2).astype(float)
+    return GlmmData.from_arrays(y, d.X, d.Z, d.cluster_index,
+                                x_names=d.x_names)
+
+
+def test_fit_warns_when_every_cluster_is_separated():
+    with pytest.warns(UserWarning, match="no finite maximum in theta"):
+        fitted = fit(_every_cluster_separated(), "binomial",
+                     control=FitControl(restarts=1))
+    assert fitted.theta[0] > 100.0
+
+
+@pytest.mark.parametrize("case", ["separated clusters",
+                                  "binomial clusters of size 1",
+                                  "binomial mixed sizes"])
+def test_fit_does_not_warn_while_some_cluster_varies(case):
+    # ten of fifty clusters separated; clusters of one row, which are
+    # constant whatever the model; one-row and four-row clusters mixed
+    family, make = CASES[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit(make(), family, control=FitControl(restarts=1))
+    assert not [w for w in caught if "no finite maximum" in str(w.message)]

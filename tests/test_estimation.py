@@ -19,6 +19,7 @@ from glmmkit.families import FamilySpec
 from glmmkit.quadrature import gh_rule
 from oracles import (_dmu_deta, _inverse_link, _variance,
                      lapack_conditional_factor, lapack_penalized_curvature,
+                     matrix_adapted_grid, matrix_anchor_terms,
                      nelder_mead_loglik, plain_conditional_modes,
                      simpson_cluster)
 from test_edge_datasets import _q3
@@ -540,6 +541,59 @@ def test_scalar_curvature_and_factor_equal_the_batched_einsum(planted,
     assert observed == (planted != -50.0 or scale == 0.0)
     assert _same_bits(estimation._conditional_factor(chol_h),
                       lapack_conditional_factor(m_obs, m_exp, lam, data))
+
+
+@pytest.mark.parametrize("slope", [False, True])
+@pytest.mark.parametrize("planted", [None, -50.0])
+@pytest.mark.parametrize("scale", [0.0, 0.7, 40.0])
+@pytest.mark.parametrize("family,link", [("binomial", "logit"),
+                                         ("binomial", "cloglog"),
+                                         ("poisson", "log")])
+def test_scalar_grid_and_anchor_terms_equal_the_matrix_forms(
+        family, link, scale, planted, slope, monkeypatch):
+    # the anchor terms see the moments an exact sweep forms; a strongly
+    # negative observed curvature on one cluster puts the factor on the
+    # expected curvature, except at lambda = 0, where H is I.  A random
+    # slope on a covariate with zero entries gives rows of Z Lambda that
+    # are 0 or negative, where a zero product could come out as -0
+    data, spec, beta, _ = _gradient_case(family, link, 1, "unstructured")
+    if slope:
+        z = data.X[:, 1:2].copy()
+        z[7::4] = 0.0
+        data = GlmmData.from_arrays(data.y, data.X, z, data.cluster_index)
+    lam = np.array([[scale]])
+    solve = conditional_modes(beta, lam, data, spec, record=True)
+    state, chols = solve.state, solve.cond_chol
+    if planted is not None:
+        m_obs = state.m_obs.copy()
+        m_obs[:6] = planted
+        chol_h, observed = estimation._factor_curvature(m_obs, state.m_exp,
+                                                        lam, data)
+        state = dataclasses.replace(state, m_obs=m_obs, observed=observed)
+        chols = estimation._conditional_factor(chol_h)
+    assert state.observed == (planted is None or scale == 0.0)
+    anchor_terms, calls = estimation._anchor_terms, []
+
+    def recording(*args):
+        calls.append(args)
+        return anchor_terms(*args)
+
+    monkeypatch.setattr(estimation, "_anchor_terms", recording)
+    for n_points in (1, 5):
+        rule = gh_rule(n_points, 1)
+        grid = estimation._adapted_grid(rule, solve.modes, chols)
+        reference = matrix_adapted_grid(rule, solve.modes, chols)
+        assert all(map(_same_bits, grid, reference))
+        _quadrature_sweep(beta, lam, data, spec, solve.modes, chols, rule,
+                          cov.free_positions(1, "unstructured"), exact=True,
+                          state=state)
+        args = calls.pop()
+        assert _same_bits(anchor_terms(*args), matrix_anchor_terms(*args))
+    # moments of either sign, where the sweep's are near 0 at lambda = 0
+    rng = np.random.default_rng(3)
+    args = (*args[:-2], rng.standard_normal((data.n_clusters, 1)),
+            rng.standard_normal((data.n_clusters, 1, 1)))
+    assert _same_bits(anchor_terms(*args), matrix_anchor_terms(*args))
 
 
 # ---------------------------------------------------------------------------

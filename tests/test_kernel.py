@@ -1,6 +1,6 @@
-"""The shared quadrature kernel behind loglik, llcont, estfun and the
-Hessian: its node blocking must not change any number, and relabelling
-clusters only reorders its per-cluster rows."""
+"""The shared quadrature kernel behind loglik, llcont, estfun, the fit
+objective and the Hessian: its node blocking must not change any number,
+and relabelling clusters only reorders its per-cluster rows."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import glmmkit.estimation as estimation
 from glmmkit import (GlmmData, estfun, family_spec, llcont, load_fitted,
                      make_glmm_data, theta_to_lambda)
+from glmmkit.covariance import free_positions
+from glmmkit.quadrature import gh_rule
 
 FAMILIES = [("binomial", "logit"), ("binomial", "probit"), ("poisson", "log")]
 
@@ -44,15 +46,20 @@ def _fit(family, link, q):
 @pytest.mark.parametrize("q", [1, 2, 3])
 @pytest.mark.parametrize("family,link", FAMILIES)
 def test_block_size_changes_no_result(family, link, q, monkeypatch):
+    # llcont, estfun and the fit objective's exact sweep
     fitted = _fit(family, link, q)
+    positions = free_positions(q, fitted.structure)
     results = []
     for budget in (1, 10 ** 9):     # one node per block; all in one block
         monkeypatch.setattr(estimation, "_BLOCK_ELEMENTS", budget)
+        exact = estimation._quadrature_sweep(
+            fitted.beta, fitted.lambda_matrix, fitted.data, fitted.family,
+            fitted.modes, fitted.cond_chol, gh_rule(5, q), positions,
+            exact=True)
         results.append((llcont(fitted, 5),
-                        estfun(fitted, "theta", n_points=5).values))
-    (ll_one, s_one), (ll_all, s_all) = results
-    np.testing.assert_array_equal(ll_one, ll_all)
-    np.testing.assert_array_equal(s_one, s_all)
+                        estfun(fitted, "theta", n_points=5).values, *exact))
+    for one, whole in zip(*results):
+        np.testing.assert_array_equal(one, whole)
 
 
 def _relabelled(sim, order):
