@@ -32,14 +32,17 @@ derivative of the fixed-anchor scores with the anchors moving, from the
 same implicit derivatives (``_anchored_hessian``); the anchor terms of
 both read the rows' state at the modes (``_ModeState``).
 
-The maximizer is L-BFGS-B.  A refit with several random effects, on a
-rule of at least two points per dimension and from a given start inside
-the bounds (lme4's second stage, after a Laplace fit), first takes
-Newton steps on that Hessian (``_newton_phase``), from the same sweep
-as the gradient; L-BFGS-B then confirms where they stop or carries on
-from there.  The Hessian leaves out the derivative of the anchor terms,
-so it is not the objective's own; it is closest on finer rules and near
-the optimum, which is why the steps need both.
+The maximizer is L-BFGS-B.  A fit on a rule of at least two points per
+dimension, from a start inside the bounds (the default one, or a given
+one such as lme4's second stage after a Laplace fit), first takes Newton
+steps on that Hessian (``_newton_phase``), from the same sweep as the
+gradient; L-BFGS-B then confirms where they stop or carries on from
+there.  The Hessian leaves out the derivative of the anchor terms, so it
+is not the objective's own; it is closest on finer rules and near the
+optimum.  On the Laplace rule it is furthest from it, and there L-BFGS-B
+runs alone.  Where the Hessian is not positive definite the steps use its
+eigenvalues' magnitudes, and a step toward the theta bound is shortened
+rather than abandoned, so most fits converge in the Newton steps.
 
 Each fit evaluation computes the rows at the modes once.  The mode
 solve starts every Newton iteration from its last accepted trial and
@@ -57,13 +60,19 @@ arithmetic.  There every step of a fit evaluation uses scalar closed
 forms: the mode solver and the conditional factor (``_penalized_curvature``,
 ``_newton_step``, ``_cholesky``, ``_conditional_factor``), the adapted
 grid (``quadrature._adapted_grid``), the sweep's products with Lambda,
-and the exact gradient's anchor terms (``_scalar_anchor_terms``).  Their
-results are the LAPACK, matmul and einsum results bit for bit, and they
-fail where those fail; q >= 2 keeps the matrix forms.
+the exact gradient's anchor terms (``_scalar_anchor_terms``), and the
+second-order sweep's anchor motion and Hessian (``_scalar_anchor_motion``,
+``_scalar_anchored_hessian``).  Their results are the LAPACK, matmul
+and einsum results bit for bit, and they fail where those fail; q >= 2
+keeps the matrix forms.
+
+``fit`` logs one debug record to the ``glmmkit`` logger per fit: its
+evaluations, those of the Newton steps, and how the steps ended.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,9 +101,13 @@ _BOUNDARY_TOL = 1e-6
 # largest entry of the projected gradient
 _FTOL = 1e-12
 _GTOL = 1e-6
-# the Newton phase before L-BFGS-B (see fit): steps, and halvings per step
+# the Newton phase before L-BFGS-B (see fit): steps, halvings per step,
+# the smallest scale a step toward the theta bound may take, and the floor
+# of the Hessian's eigenvalue magnitudes relative to the largest
 _NEWTON_ITER = 8
 _NEWTON_HALVINGS = 4
+_NEWTON_MIN_SCALE = 1e-3
+_NEWTON_EIG_FLOOR = 1e-8
 # (row, node) entries per block of the quadrature sweep: many nodes per
 # block save numpy call overhead on small data; from 16,384 rows on each
 # block is one node, which measured faster at 20,000 and 50,000 rows.
@@ -103,6 +116,8 @@ _BLOCK_ELEMENTS = 32_768
 # algebra: its temporaries hold a few dozen doubles per entry at q = 1,
 # more at larger q, so slicing bounds its memory whatever the data size
 _CLUSTER_NODES = 4_096
+
+_log = logging.getLogger("glmmkit")
 
 
 def default_points(q: int, stage: str = "estimation") -> int:
@@ -750,7 +765,13 @@ def _anchor_motion(lam, data: GlmmData, modes, chols, positions,
     z' d against the weight's slope; the design comes as its distinct
     ``columns`` and ``col_of`` (``_design_pairs``).  ``state`` holds the
     rows at the modes.
+
+    At q = 1 the motion is formed from per-cluster scalars
+    (``_scalar_anchor_motion``).
     """
+    if data.n_random == 1:
+        return _scalar_anchor_motion(lam, data, modes, chols, state, columns,
+                                     col_of)
     p, q = data.n_fixed, data.n_random
     n_cl = data.n_clusters
     lifted = np.array([*range(p), *(p + a for a, _ in positions)])
@@ -794,6 +815,54 @@ def _anchor_motion(lam, data: GlmmData, modes, chols, positions,
     return np.concatenate([da[:, :, None], np.moveaxis(dc, 1, -1)], axis=2)
 
 
+def _scalar_anchor_motion(lam, data: GlmmData, modes, chols,
+                          state: _ModeState, columns, col_of):
+    """``_anchor_motion`` at q = 1, from per-cluster scalars: the motion
+    (I, 1, 2, p + 1) of the mode, da, and of the factor, dc.
+
+    The products come in the general form's order, and every 1 x 1
+    matmul or einsum, which sums one product from +0, becomes ``0.0 +``
+    that product, so the result is the general form's bit for bit.  The
+    expected-curvature fallback keeps LAPACK's solve: with several
+    right-hand sides it multiplies by the pivot's reciprocal.
+    """
+    p = data.n_fixed
+    z = data.Z[:, 0]
+    lam = lam[0, 0]
+    c = chols[:, 0, :]                                        # (I, 1)
+
+    def z_sums(weight):
+        """sum over each cluster's rows of z weight d, shape (I, p + 1)."""
+        return data.sum_by_cluster(columns * (weight * z), axis=1).T[:, col_of]
+
+    zmd = z_sums(state.m_obs)                                 # z' diag(m) D
+    # d(grad g)(a): theta's design column is z times the mode
+    dgrad = zmd.copy()
+    dgrad[:, p] *= modes[:, 0]
+    dgrad = -(0.0 + lam * dgrad)
+    dgrad[:, p] += data.sum_by_cluster(z * state.resid)
+    if state.observed:
+        da = 0.0 + c * (0.0 + c * dgrad)                      # C C' dgrad
+        zwz = zmd[:, p:]
+    else:
+        h_obs = (lam * zmd[:, p:]) * lam + 1.0
+        da = np.linalg.solve(h_obs[:, :, None], dgrad[:, None])[:, 0]
+        zwz = z_sums(state.m_exp)[:, p:]
+    third = z_sums(state.slope * z)
+    deta = third.copy()
+    deta[:, p] *= modes[:, 0]
+    deta += 0.0 + (third[:, p:] * lam) * da
+    dh = 0.0 + (lam * deta) * lam
+    wl = 0.0 + zwz * lam
+    dh[:, p:] += wl
+    dh[:, p:] += wl
+    inner = (0.0 + (0.0 + c * dh) * c) * 0.5
+    motion = np.empty((data.n_clusters, 1, 2, p + 1))
+    motion[:, 0, 0] = da
+    motion[:, 0, 1] = -(0.0 + c * inner)
+    return motion
+
+
 def _anchored_hessian(p, lam, positions, nodes, rho, kernel, curvature,
                       pair_of, locations, grad_g, motion):
     """Jacobian of the summed fixed-anchor scores S(psi; a, C) with the
@@ -818,7 +887,14 @@ def _anchored_hessian(p, lam, positions, nodes, rho, kernel, curvature,
 
     Returns the sum over clusters, shape (p + k, p + k), row = score,
     column = parameter.
+
+    At q = 1 the node arrays are formed from per-node scalars
+    (``_scalar_anchored_hessian``).
     """
+    if lam.shape[0] == 1:
+        return _scalar_anchored_hessian(p, lam, nodes, rho, kernel,
+                                        curvature, pair_of, locations,
+                                        grad_g, motion)
     n_cl, q = rho.shape[0], lam.shape[0]
     n = p + len(positions)
     lifted = np.array([*range(p), *(p + a for a, _ in positions)])
@@ -874,6 +950,60 @@ def _anchored_hessian(p, lam, positions, nodes, rho, kernel, curvature,
     sg_moments = np.moveaxis(weighted[..., None]
                              * np.moveaxis(grad_g, 0, -1)[:, :, None], 1, -1)
     total += (contract((sg_moments @ base).reshape(n_cl, n, -1), flat)
+              - mean_s.T @ (g_moments @ flat)[:, 0])
+    return total
+
+
+def _scalar_anchored_hessian(p, lam, nodes, rho, kernel, curvature, pair_of,
+                             locations, grad_g, motion):
+    """``_anchored_hessian`` at q = 1, from per-node scalars.
+
+    P's monomials are 1 for beta and u for theta, so against [1, z] the
+    node moments of Q are those of 1, z, u, z u and u u.  The arrays the
+    general form contracts are built in its layouts and go through its
+    matmuls and einsums, so every sum runs in its order and the result is
+    the general form's, bit for bit.
+    """
+    n_cl, n = rho.shape[0], p + 1
+    z, u = nodes[:, 0], locations[0]
+    # the (I, M, 5) node products behind Q's moments
+    rho_z, rho_u = rho * z, rho * u
+    products = np.empty(rho.shape + (5,))
+    products[..., 0] = rho
+    products[..., 1] = rho_z
+    products[..., 2] = rho_u
+    products[..., 3] = rho_z * u
+    products[..., 4] = rho_u * u
+    q_moments = products.swapaxes(1, 2) @ curvature          # (I, 5, pairs)
+
+    # the Louis identity at fixed anchors; the node scores K_j for beta_j
+    # and K u for theta are stored (p + 1, I, M) and viewed (I, M, p + 1)
+    s = kernel.copy()
+    s[p] *= u
+    by_column = rho * s                                       # node scores
+    s, weighted = s.transpose(1, 2, 0), by_column.transpose(1, 2, 0)
+    mean_s = weighted.sum(axis=1)
+    slot = np.zeros((n, n), dtype=int)        # Q's moment of 1, u or u u
+    slot[p] = slot[:, p] = 2
+    slot[p, p] = 4
+    total = (weighted.reshape(-1, n).T @ s.reshape(-1, n)
+             - mean_s.T @ mean_s
+             - q_moments.sum(axis=0)[slot, pair_of])
+
+    # E[dP K du] - E[P Q [0 Lambda]' du]; Q's moments against [1, z] of
+    # 1 for beta and u for theta
+    base = np.column_stack([np.ones_like(z), z])
+    flat = motion.reshape(n_cl, 2, n)
+    q_cols = q_moments[:, [[0, 1]] * p + [[2, 3]], pair_of[:, p:]]
+    total -= (q_cols.swapaxes(0, 1).reshape(n, -1)
+              @ (0.0 + lam[0, 0] * flat).reshape(-1, n))
+    zr_moments = np.einsum("im,aim,me->iae", rho, kernel[p:], base)
+    total[p:] += np.einsum("ire,iret->rt", zr_moments, motion)
+    # Cov(P K, grad g' du)
+    g_moments = np.einsum("im,jim,me->ije", rho, grad_g, base)
+    sg_moments = (by_column * grad_g[0]).transpose(1, 0, 2)[:, :, None]
+    total += (np.swapaxes((sg_moments @ base).reshape(n_cl, n, -1), 0, 1)
+              .reshape(n, -1) @ flat.reshape(-1, n)
               - mean_s.T @ (g_moments @ flat)[:, 0])
     return total
 
@@ -949,29 +1079,60 @@ def _warn_if_every_cluster_separated(data: GlmmData) -> None:
                       UserWarning, stacklevel=3)
 
 
-def _newton_phase(objective, x: np.ndarray, diagonal: list[int]) -> np.ndarray:
+def _descent_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The Newton step -H^-1 grad on the Cholesky factor of H or, where H
+    is not positive definite, on its eigenvalues with their magnitudes
+    floored at ``_NEWTON_EIG_FLOOR`` times the largest: a descent step
+    either way.  A zero Hessian, or one with an entry that is not finite,
+    gives a step that is not finite."""
+    if not np.all(np.isfinite(hess)):
+        return np.full_like(grad, np.nan)
+    try:
+        return -cho_solve((np.linalg.cholesky(hess), True), grad)
+    except np.linalg.LinAlgError:
+        values, vectors = np.linalg.eigh(hess)
+        size = np.abs(values)
+        size = np.maximum(size, _NEWTON_EIG_FLOOR * size.max())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -vectors @ ((vectors.T @ grad) / size)
+
+
+def _newton_phase(objective, x: np.ndarray,
+                  diagonal: list[int]) -> tuple[np.ndarray, str]:
     """Safeguarded Newton steps on the fit objective from ``x``; returns
-    the last point accepted.
+    the last point accepted and how the steps ended: ``"converged"`` or
+    the reason they handed the point over.
 
     ``objective(x, second=True)`` returns the objective, its gradient and
-    its Hessian (None where the evaluation failed).  A step that raises
-    the objective is halved up to ``_NEWTON_HALVINGS`` times.  The steps
-    stop once every gradient entry is within ``_GTOL``, and hand the point
-    over early when the Hessian is missing or not positive definite, a
-    step would take a ``diagonal`` entry below zero, a step gains nothing
-    after its halvings, or ``_NEWTON_ITER`` steps are spent.
+    its Hessian (None where the evaluation failed).  A Hessian that is
+    not positive definite steps on its floored eigenvalues
+    (``_descent_step``).  A step that would take a ``diagonal`` entry
+    below zero is scaled so that no diagonal entry falls below half its
+    value, and a step that raises the objective is halved up to
+    ``_NEWTON_HALVINGS`` times.  The steps stop once every gradient entry
+    is within ``_GTOL``, and hand the point over early when the Hessian
+    is missing, a step is not finite, the scale to stay above half the
+    diagonal is below ``_NEWTON_MIN_SCALE``, a step gains nothing after
+    its halvings, or ``_NEWTON_ITER`` steps are spent.
     """
     f, grad, hess = objective(x, second=True)
-    for _ in range(_NEWTON_ITER):
-        if hess is None or np.max(np.abs(grad)) <= _GTOL:
-            break
-        try:
-            step = -cho_solve((np.linalg.cholesky(hess), True), grad)
-        except np.linalg.LinAlgError:
-            break
-        if (not np.all(np.isfinite(step))
-                or np.any(x[diagonal] + step[diagonal] < 0.0)):
-            break
+    for taken in range(_NEWTON_ITER + 1):
+        if hess is None:
+            return x, "no Hessian"
+        if np.max(np.abs(grad)) <= _GTOL:
+            return x, "converged"
+        if taken == _NEWTON_ITER:
+            return x, "step limit"
+        step = _descent_step(hess, grad)
+        if not np.all(np.isfinite(step)):
+            return x, "non-finite step"
+        if np.any(x[diagonal] + step[diagonal] < 0.0):
+            falling = step[diagonal] < 0.0
+            scale = np.min(0.5 * x[diagonal][falling]
+                           / -step[diagonal][falling])
+            if scale < _NEWTON_MIN_SCALE:
+                return x, "damped below the minimum scale"
+            step = scale * step
         for _ in range(_NEWTON_HALVINGS + 1):
             trial = x + step
             f_trial, grad_trial, hess_trial = objective(trial, second=True)
@@ -979,9 +1140,8 @@ def _newton_phase(objective, x: np.ndarray, diagonal: list[int]) -> np.ndarray:
                 break
             step = 0.5 * step
         else:
-            break
+            return x, "halvings exhausted"
         x, f, grad, hess = trial, f_trial, grad_trial, hess_trial
-    return x
 
 
 def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
@@ -998,18 +1158,22 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     cluster with two rows or more, warns (``UserWarning``) that the
     likelihood has no finite maximum in theta, and runs on.
 
-    With q >= 2 random effects, at least two points per dimension and a
-    ``theta_start`` whose diagonal entries are all at least
-    ``_BOUNDARY_TOL``, Newton steps come first (``_newton_phase``): each
-    evaluation's sweep also returns the Jacobian of the scores
-    (``second=True``), and the steps run until every gradient entry is
-    within ``_GTOL``, or hand over early.  Their evaluations count
-    against ``max_fev`` like any other.  L-BFGS-B starts where they
-    stopped, and at a point they converged on it re-reads their last
-    evaluation and stops there.  Other fits run L-BFGS-B alone: at q = 1 a
-    second-order evaluation costs several first-order ones, on the Laplace
-    rule the Jacobian is furthest from the objective's Hessian, and from
-    the default start the steps save little.
+    With at least two points per dimension, and a start (the default
+    one, or ``theta_start``) whose diagonal entries are all at least
+    ``_BOUNDARY_TOL``, Newton steps come first (``_newton_phase``), at
+    any q: each evaluation's sweep also returns the Jacobian of the
+    scores (``second=True``), and the steps run until every gradient
+    entry is within ``_GTOL``, or hand over early.  At q = 1 such an
+    evaluation costs about two first-order ones, and a fit takes about
+    40% fewer evaluations than with L-BFGS-B alone (a median of 6
+    instead of 10 on 50 clusters of 5 rows at M = 7).  Their
+    evaluations count against ``max_fev`` like any other.  L-BFGS-B
+    starts where they stopped, and at a point they converged on it
+    re-reads their last evaluation and stops there.  On the Laplace rule
+    (one point) L-BFGS-B runs alone: there the Jacobian is furthest from
+    the objective's Hessian, and the steps took more evaluations than
+    they saved.  Each fit logs how the steps ended, at debug level, to
+    the ``glmmkit`` logger.
 
     A restart reruns from where the previous run stopped, and the loop
     stops once a restart gains less than 1e-6; the last allowed restart
@@ -1100,11 +1264,15 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     f_hat = np.inf
     success, message = False, "no evaluation budget"
     diagonal = [p + t for t, (i, j) in enumerate(positions) if i == j]
+    newton, newton_fev = "not run", 0
     try:
-        if (q >= 2 and rule.points_per_dim >= 2
-                and control.theta_start is not None
+        if (rule.points_per_dim >= 2
                 and np.all(x_hat[diagonal] >= _BOUNDARY_TOL)):
-            x_hat = _newton_phase(objective, x_hat, diagonal)
+            newton = "budget spent"
+            try:
+                x_hat, newton = _newton_phase(objective, x_hat, diagonal)
+            finally:
+                newton_fev = n_eval[0]
         for attempt in range(control.restarts + 1):
             remaining = control.max_fev - n_eval[0]
             if remaining <= 0:
@@ -1142,6 +1310,10 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     fitted = _finalize(x_hat[:p], x_hat[p:], structure, data, family, rule,
                        converged=success, n_fev=n_eval[0], start=warm["u"],
                        swept=swept if reuse else None)
+    _log.debug("fit: %d evaluations, %d in the Newton phase (%s)",
+               n_eval[0], newton_fev, newton,
+               extra={"newton": newton, "newton_fev": newton_fev,
+                      "n_fev": n_eval[0]})
     if not success:
         err = EstimationError(
             f"optimizer did not converge within {control.max_fev} evaluations"

@@ -5,10 +5,10 @@ primitives, deliberately sharing no quadrature or derivative code with
 the package, so agreement between the two is evidence and not tautology.
 The one exception is the reference replays: the package's mode solver as
 a plain Newton loop on its own family primitives and batched LAPACK
-linear algebra at every q, and its adapted grid and exact-gradient anchor
-terms in their general matrix form at every q.  The package forms all of
-these from scalar closed forms at q = 1, and must agree with the replays
-bit for bit.
+linear algebra at every q, and its adapted grid, exact-gradient anchor
+terms, anchor motion and anchored Hessian in their general matrix form at
+every q.  The package forms all of these from scalar closed forms at
+q = 1, and must agree with the replays bit for bit.
 """
 
 from __future__ import annotations
@@ -571,6 +571,117 @@ def matrix_anchor_terms(lam, data, modes, chols, positions, state,
     return np.column_stack([-data.sum_by_cluster(data.X
                                                  * row_weight[:, None]),
                             *s_theta])
+
+
+def matrix_anchor_motion(lam, data, modes, chols, positions, state,
+                         columns, col_of):
+    """``estimation._anchor_motion`` in its matrix form at every q: how
+    the nodes move with the parameters, shape (I, q, 1 + q, p + k)."""
+    p, q = data.n_fixed, data.n_random
+    n_cl = data.n_clusters
+    lifted = np.array([*range(p), *(p + a for a, _ in positions)])
+    factor_of = [b for _, b in positions]
+    Z = data.Z
+
+    def z_sums(weight):
+        """sum over each cluster's rows of z_a weight d, shape (I, q, d)."""
+        return np.stack([data.sum_by_cluster(columns * (weight * Z[:, a]),
+                                             axis=1).T[:, col_of]
+                         for a in range(q)], axis=1)
+
+    zmd = z_sums(state.m_obs)                                 # Z' diag(m) D
+    zr = data.sum_by_cluster(Z * state.resid[:, None])
+    mode_mult = np.hstack([np.ones((n_cl, p)), modes[:, factor_of]])
+    dgrad = -np.einsum("ja,ijt->iat", lam, zmd[..., lifted]
+                       * mode_mult[:, None, :])
+    for t, (a, b) in enumerate(positions):
+        dgrad[:, b, p + t] += zr[:, a]
+    diag = np.arange(q)
+    if state.observed:
+        da = chols @ (np.swapaxes(chols, 1, 2) @ dgrad)       # C C' dgrad
+        zwz = zmd[..., p:]
+    else:
+        h_obs = np.einsum("ja,ijk,kb->iab", lam, zmd[..., p:], lam)
+        h_obs[:, diag, diag] += 1.0
+        da = np.linalg.solve(h_obs, dgrad)
+        zwz = z_sums(state.m_exp)[..., p:]
+    third = np.stack([z_sums(state.slope * Z[:, a]) for a in range(q)],
+                     axis=1)                                  # (I, q, q, d)
+    deta = (third[..., lifted] * mode_mult[:, None, None, :]
+            + np.einsum("iabj,jk,ikt->iabt", third[..., p:], lam, da))
+    dh = np.einsum("ja,ijkt,kb->itab", lam, deta, lam)
+    wl = zwz @ lam
+    for t, (a, b) in enumerate(positions):
+        dh[:, p + t, b, :] += wl[:, a, :]
+        dh[:, p + t, :, b] += wl[:, a, :]
+    inner = np.tril(np.swapaxes(chols, 1, 2)[:, None] @ dh @ chols[:, None])
+    inner[..., diag, diag] *= 0.5
+    dc = -(chols[:, None] @ inner)
+    return np.concatenate([da[:, :, None], np.moveaxis(dc, 1, -1)], axis=2)
+
+
+def matrix_anchored_hessian(p, lam, positions, nodes, rho, kernel,
+                            curvature, pair_of, locations, grad_g, motion):
+    """``estimation._anchored_hessian`` in its matrix form at every q:
+    the Jacobian of the summed fixed-anchor scores with the anchors
+    following the parameters, shape (p + k, p + k)."""
+    n_cl, q = rho.shape[0], lam.shape[0]
+    n = p + len(positions)
+    lifted = np.array([*range(p), *(p + a for a, _ in positions)])
+    factor_of = [b for _, b in positions]
+
+    def contract(left, right):
+        """sum over clusters of left (I, n, J) times right (I, J, n)."""
+        return (np.swapaxes(left, 0, 1).reshape(left.shape[1], -1)
+                @ right.reshape(-1, right.shape[-1]))
+
+    # node moments of Q against the monomials of P and of du: products
+    # of two factors from [1, z, u]
+    u = np.moveaxis(locations, 0, -1)                         # (I, M, q)
+    factors = np.concatenate([np.ones(u.shape[:-1] + (1,)),
+                              np.broadcast_to(nodes, u.shape), u], axis=-1)
+    of_mult = [0] * p + [1 + q + b for b in factor_of]        # factor of P
+    of_base = range(q + 1)                                    # of [1, z]
+    louis_keys = [[tuple(sorted((f, g))) for g in of_mult] for f in of_mult]
+    motion_keys = [[tuple(sorted((f, e))) for e in of_base] for f in of_mult]
+    keys = sorted({key for table in (louis_keys, motion_keys)
+                   for row in table for key in row})
+    slot = {key: k for k, key in enumerate(keys)}
+    left, right = np.array(keys).T
+    q_moments = np.swapaxes(rho[..., None] * factors[..., left]
+                            * factors[..., right], 1, 2) @ curvature
+
+    # the Louis identity at fixed anchors
+    s = np.moveaxis(kernel[lifted], 0, -1) * factors[..., of_mult]
+    weighted = rho[..., None] * s                             # node scores
+    mean_s = weighted.sum(axis=1)
+    total = (weighted.reshape(-1, n).T @ s.reshape(-1, n)
+             - mean_s.T @ mean_s
+             - q_moments.sum(axis=0)[
+                 [[slot[key] for key in row] for row in louis_keys],
+                 pair_of[np.ix_(lifted, lifted)]])
+
+    # E[dP K du] - E[P Q [0 Lambda]' du]
+    base = np.hstack([np.ones((nodes.shape[0], 1)), nodes])
+    flat = motion.reshape(n_cl, -1, n)
+    q_cols = q_moments[:, np.array([[slot[key] for key in row]
+                                    for row in motion_keys])[:, None, :],
+                       pair_of[lifted][:, p:, None]]          # (I, n, q, 1+q)
+    total -= contract(q_cols.reshape(n_cl, n, -1),
+                      np.einsum("jk,iket->ijet", lam, motion).reshape(
+                          n_cl, -1, n))
+    zr_moments = np.einsum("im,aim,me->iae", rho, kernel[p:], base)
+    total[p:] += np.einsum("ire,iret->rt",
+                           zr_moments[:, [a for a, _ in positions]],
+                           motion[:, factor_of])
+    # Cov(P K, grad g' du)
+    g_moments = np.einsum("im,jim,me->ije", rho, grad_g,
+                          base).reshape(n_cl, 1, -1)
+    sg_moments = np.moveaxis(weighted[..., None]
+                             * np.moveaxis(grad_g, 0, -1)[:, :, None], 1, -1)
+    total += (contract((sg_moments @ base).reshape(n_cl, n, -1), flat)
+              - mean_s.T @ (g_moments @ flat)[:, 0])
+    return total
 
 
 # ---------------------------------------------------------------------------

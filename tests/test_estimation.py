@@ -1,6 +1,7 @@
 """Mode finding, marginal likelihood, and the fitting loop."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from glmmkit.families import FamilySpec
 from glmmkit.quadrature import gh_rule
 from oracles import (_dmu_deta, _inverse_link, _variance,
                      lapack_conditional_factor, lapack_penalized_curvature,
-                     matrix_adapted_grid, matrix_anchor_terms,
+                     matrix_adapted_grid, matrix_anchor_motion,
+                     matrix_anchor_terms, matrix_anchored_hessian,
                      nelder_mead_loglik, plain_conditional_modes,
                      simpson_cluster)
 from test_edge_datasets import _q3
@@ -596,6 +598,51 @@ def test_scalar_grid_and_anchor_terms_equal_the_matrix_forms(
     assert _same_bits(anchor_terms(*args), matrix_anchor_terms(*args))
 
 
+@pytest.mark.parametrize("planted", [None, -50.0])
+@pytest.mark.parametrize("scale", [0.0, 0.7, 40.0])
+@pytest.mark.parametrize("family,link", [("binomial", "logit"),
+                                         ("binomial", "cloglog"),
+                                         ("poisson", "log")])
+def test_scalar_anchor_motion_and_hessian_equal_the_matrix_forms(
+        family, link, scale, planted, monkeypatch):
+    # the second-order sweep's anchor motion and Hessian, on the observed
+    # state and on the expected-curvature fallback, whole and in slices of
+    # one cluster: the scalar forms give the matrix forms' bits
+    data, spec, beta, _ = _gradient_case(family, link, 1, "unstructured")
+    lam = np.array([[scale]])
+    solve = conditional_modes(beta, lam, data, spec, record=True)
+    state, chols = solve.state, solve.cond_chol
+    if planted is not None:
+        m_obs = state.m_obs.copy()
+        m_obs[:6] = planted
+        chol_h, observed = estimation._factor_curvature(m_obs, state.m_exp,
+                                                        lam, data)
+        state = dataclasses.replace(state, m_obs=m_obs, observed=observed)
+        chols = estimation._conditional_factor(chol_h)
+    assert state.observed == (planted is None or scale == 0.0)
+    calls = []
+    for name in ("_anchor_motion", "_anchored_hessian"):
+        def recording(*args, _form=getattr(estimation, name), _name=name):
+            out = _form(*args)
+            calls.append((_name, args, out))
+            return out
+
+        monkeypatch.setattr(estimation, name, recording)
+    replays = {"_anchor_motion": matrix_anchor_motion,
+               "_anchored_hessian": matrix_anchored_hessian}
+    for n_points in (1, 5, 7):
+        for cluster_nodes in (1, 10 ** 9):
+            monkeypatch.setattr(estimation, "_CLUSTER_NODES", cluster_nodes)
+            _quadrature_sweep(beta, lam, data, spec, solve.modes, chols,
+                              gh_rule(n_points, 1),
+                              cov.free_positions(1, "unstructured"),
+                              exact=True, second=True, state=state)
+            assert len(calls) == (11 if cluster_nodes == 1 else 2)
+            for name, args, out in calls:
+                assert _same_bits(out, replays[name](*args))
+            calls.clear()
+
+
 # ---------------------------------------------------------------------------
 # restarts and the stored log-likelihood
 
@@ -616,15 +663,22 @@ def _stalled_case(name):
                                 x_names=d.x_names[:1])
 
 
+def _without_newton(patch):
+    """Patch ``fit`` to hand its start straight to L-BFGS-B."""
+    patch.setattr(estimation, "_newton_phase",
+                  lambda objective, x, diagonal: (x, "patched"))
+
+
 @pytest.mark.parametrize("name,loglik", [("intercept", -154.0354530226),
                                          ("reduced", -203.4936542833),
                                          ("full", -170.4472428899)])
 def test_last_restart_confirms_a_point_no_run_reported_converged(
         name, loglik, monkeypatch):
-    # neither run reports success: each line search fails at the
-    # round-off floor.  The restart starts where the first run stopped and
-    # gains nothing, which confirms the point; without a restart the
-    # failed run stands.
+    # with L-BFGS-B alone neither run reports success: each line search
+    # fails at the round-off floor.  The restart starts where the first
+    # run stopped and gains nothing, which confirms the point; without a
+    # restart the failed run stands.  The Newton steps reach the same
+    # point in fewer evaluations.
     data = _stalled_case(name)
     runs = []
     minimize = estimation.minimize
@@ -634,17 +688,23 @@ def test_last_restart_confirms_a_point_no_run_reported_converged(
         runs.append(result)
         return result
 
-    monkeypatch.setattr(estimation, "minimize", recording)
-    fitted = fit(data, "binomial", control=FitControl(restarts=1))
-    assert len(runs) == 2
-    assert not any(run.success for run in runs)
-    assert abs(runs[0].fun - runs[1].fun) < 1e-6
-    assert fitted.converged
-    assert fitted.loglik == pytest.approx(loglik, abs=1e-9)
-    assert fitted.grad_norm < 2e-6
-    with pytest.raises(EstimationError, match="ABNORMAL") as info:
-        fit(data, "binomial", control=FitControl(restarts=0))
-    assert info.value.best.loglik == pytest.approx(loglik, abs=1e-6)
+    with monkeypatch.context() as patch:
+        _without_newton(patch)
+        patch.setattr(estimation, "minimize", recording)
+        fitted = fit(data, "binomial", control=FitControl(restarts=1))
+        assert len(runs) == 2
+        assert not any(run.success for run in runs)
+        assert abs(runs[0].fun - runs[1].fun) < 1e-6
+        assert fitted.converged
+        assert fitted.loglik == pytest.approx(loglik, abs=1e-9)
+        assert fitted.grad_norm < 2e-6
+        with pytest.raises(EstimationError, match="ABNORMAL") as info:
+            fit(data, "binomial", control=FitControl(restarts=0))
+        assert info.value.best.loglik == pytest.approx(loglik, abs=1e-6)
+    newton = fit(data, "binomial", control=FitControl(restarts=1))
+    assert newton.converged
+    assert newton.loglik == pytest.approx(loglik, abs=1e-9)
+    assert newton.n_fev < fitted.n_fev
 
 
 def test_loglik_is_swept_on_first_read_only(binom_fit, monkeypatch):
@@ -675,7 +735,7 @@ def test_loglik_is_swept_on_first_read_only(binom_fit, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Newton steps before L-BFGS-B: q >= 2, M >= 2, from an interior start
+# Newton steps before L-BFGS-B: M >= 2, from an interior start
 
 
 def _count_second_order_sweeps(monkeypatch):
@@ -721,31 +781,38 @@ def _q3_binary_data(link, seed):
 def test_refit_from_the_laplace_fit_takes_newton_steps(
         case, family, link, structure, n_points, monkeypatch):
     # lme4's two stages: the Laplace fit, then a refit from it.  Newton
-    # steps on the sweep's Hessian reach the optimum the default start
-    # reaches with L-BFGS-B alone, and L-BFGS-B confirms the last Newton
-    # point from the cached evaluation, with no sweep of its own
+    # steps on the sweep's Hessian reach the optimum that L-BFGS-B alone
+    # reaches from the default start, and L-BFGS-B confirms the last
+    # Newton point from the cached evaluation, with no sweep of its own
     data = (_slope_data(family, link, 11) if case == "slope"
             else _q3_binary_data(link, 301))
     spec = family_spec(family, link)
     second = _count_second_order_sweeps(monkeypatch)
     laplace = fit(data, spec, structure)
-    default = fit(data, spec, structure, FitControl(n_points=n_points))
+    with monkeypatch.context() as patch:
+        _without_newton(patch)
+        reference = fit(data, spec, structure, FitControl(n_points=n_points))
     assert second == []
     refit = fit(data, spec, structure,
                 FitControl(n_points=n_points, beta_start=laplace.beta,
                            theta_start=laplace.theta))
     assert refit.converged and not laplace.boundary
-    assert len(second) == refit.n_fev <= 6 < default.n_fev
-    assert refit.loglik == pytest.approx(default.loglik, rel=1e-9)
-    np.testing.assert_allclose(refit.theta, default.theta, rtol=0, atol=1e-5)
+    assert len(second) == refit.n_fev <= 6 < reference.n_fev
+    assert refit.loglik == pytest.approx(reference.loglik, rel=1e-9)
+    np.testing.assert_allclose(refit.theta, reference.theta, rtol=0,
+                               atol=1e-5)
     assert refit.loglik == float(np.sum(llcont(refit, n_points)))
     assert refit.grad_norm < 1e-5
 
 
 @pytest.mark.parametrize("case", ["q = 1", "M = 1", "no start",
                                   "boundary start", "q = 3 boundary"])
-def test_newton_steps_need_q2_m2_and_an_interior_start(case, binom_fit,
-                                                       monkeypatch):
+def test_newton_steps_need_m2_and_an_interior_start(case, binom_fit,
+                                                    monkeypatch):
+    # on the Laplace rule, or from a start with a theta diagonal below
+    # _BOUNDARY_TOL, L-BFGS-B runs alone; any other fit, at any q and from
+    # the default start too, steps first and reaches the optimum that
+    # L-BFGS-B alone reaches
     slope = _slope_data("binomial", "logit", 11)
     if case == "q = 1":
         data, control = binom_fit.data, FitControl(
@@ -766,28 +833,89 @@ def test_newton_steps_need_q2_m2_and_an_interior_start(case, binom_fit,
     second = _count_second_order_sweeps(monkeypatch)
     fitted = fit(data, "binomial", control=control)
     assert fitted.converged
-    assert second == []
+    if case not in ("q = 1", "no start"):
+        assert second == []
+        return
+    assert len(second) > 0
+    with monkeypatch.context() as patch:
+        _without_newton(patch)
+        reference = fit(data, "binomial", control=control)
+    assert reference.converged
+    assert fitted.loglik == pytest.approx(reference.loglik, rel=1e-9)
 
 
-@pytest.mark.parametrize("center,curvature,stops_at", [
-    ([1.0, 2.0], 2.0, "center"),    # one step, then the gradient is zero
-    ([1.0, -1.0], 2.0, "start"),    # the step would cross the bound
-    ([1.0, 2.0], -2.0, "start")])   # no descent direction
-def test_newton_phase_steps_or_hands_over(center, curvature, stops_at):
-    # f = c |x - center|^2 / 2 with the second entry a theta diagonal
-    center, calls = np.array(center), []
+@pytest.mark.parametrize("case,how", [
+    ("quadratic", "converged"),        # one step, then the gradient is 0
+    ("crossing", "step limit"),        # damped to half the diagonal
+    ("indefinite", "step limit"),      # downhill on |eigenvalues|
+    ("no Hessian", "no Hessian"),
+    ("zero Hessian", "non-finite step"),
+    ("far crossing", "damped below the minimum scale"),
+    ("misleading gradient", "halvings exhausted")])
+def test_newton_phase_steps_or_hands_over(case, how, monkeypatch):
+    # the second entry is a theta diagonal.  On f = (x - c)' A (x - c) / 2
+    # the Newton step from 0.5 to -1 crosses the bound and is scaled so
+    # the diagonal stays at half its value; with A = diag(2, -1) the step
+    # on |eigenvalues| is Newton's along the first axis and runs downhill,
+    # away from the saddle, along the second.  One step is allowed there.
+    calls, start = [], np.array([0.0, 0.5])
+    center, curvature, stop_at = {
+        "quadratic": ([1.0, 2.0], [2.0, 2.0], [1.0, 2.0]),
+        "crossing": ([1.0, -1.0], [2.0, 2.0], [1.0 / 6.0, 0.25]),
+        "indefinite": ([1.0, 0.0], [2.0, -1.0], [1.0, 1.0]),
+        "far crossing": ([1.0, -1000.0], [2.0, 2.0], start),
+    }.get(case, (None, None, start))
+    if center is not None:
+        a = np.diag(curvature)
 
-    def objective(x, second=False):
-        calls.append(x.copy())
-        gap = x - center
-        return (0.5 * curvature * (gap @ gap), curvature * gap,
-                curvature * np.eye(2))
+        def objective(x, second=False):
+            calls.append(x.copy())
+            gap = x - center
+            return 0.5 * gap @ a @ gap, a @ gap, a
+    else:
+        # a missing or zero Hessian has no step; a gradient that misleads
+        # gives a step that never lowers f
+        hess = {"no Hessian": None, "zero Hessian": np.zeros((2, 2)),
+                "misleading gradient": np.eye(2)}[case]
 
-    start = np.array([0.0, 0.5])
-    stop = estimation._newton_phase(objective, start, [1])
-    np.testing.assert_allclose(stop, center if stops_at == "center"
-                               else start, rtol=1e-15)
-    assert len(calls) == (2 if stops_at == "center" else 1)
+        def objective(x, second=False):
+            calls.append(x.copy())
+            moved = float(not np.array_equal(x, start))
+            return moved, np.array([1.0, 0.0]), hess
+    if how == "step limit":
+        monkeypatch.setattr(estimation, "_NEWTON_ITER", 1)
+    stop, reason = estimation._newton_phase(objective, start, [1])
+    assert reason == how
+    np.testing.assert_allclose(stop, stop_at, rtol=1e-15)
+    assert len(calls) == {"converged": 2, "step limit": 2,
+                          "halvings exhausted":
+                          2 + estimation._NEWTON_HALVINGS}.get(how, 1)
+    if how == "step limit":
+        assert stop[1] >= 0.5 * start[1]
+        assert objective(stop)[0] < objective(start)[0]
+
+
+@pytest.mark.parametrize("n_points,how", [(7, "converged"), (1, "not run")])
+def test_fit_logs_how_the_newton_phase_ended(binom_fit, caplog, n_points,
+                                             how):
+    # one debug record per fit, none at the default level, and the same
+    # fit either way
+    control = FitControl(n_points=n_points, restarts=1)
+    quiet = fit(binom_fit.data, "binomial", control=control)
+    assert not [r for r in caplog.records if r.name == "glmmkit"]
+    with caplog.at_level(logging.DEBUG, logger="glmmkit"):
+        loud = fit(binom_fit.data, "binomial", control=control)
+    records = [r for r in caplog.records if r.name == "glmmkit"]
+    assert len(records) == 1
+    record = records[0]
+    assert record.levelno == logging.DEBUG
+    assert record.newton == how and record.n_fev == loud.n_fev
+    assert record.newton_fev == (0 if how == "not run" else loud.n_fev)
+    assert f"({how})" in record.getMessage()
+    for name in ("beta", "theta", "modes", "cond_chol"):
+        assert _same_bits(getattr(quiet, name), getattr(loud, name))
+    assert (quiet.loglik, quiet.n_fev, quiet.grad_norm) == (
+        loud.loglik, loud.n_fev, loud.grad_norm)
 
 
 def test_newton_sweeps_count_against_the_budget(monkeypatch):
@@ -821,3 +949,23 @@ def test_two_stage_fit_is_no_worse_than_the_default_start(seed):
     default = fit(data, "binomial", control=FitControl(n_points=3))
     assert refit.loglik >= (default.loglik
                             - 1e-6 * max(1.0, abs(default.loglik)))
+
+
+@pytest.mark.parametrize("family,link", [("binomial", "logit"),
+                                         ("binomial", "probit"),
+                                         ("poisson", "log")])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000), n_points=st.sampled_from([3, 5, 7]))
+def test_newton_fit_is_no_worse_than_lbfgsb_alone(family, link, seed,
+                                                  n_points):
+    # at q = 1 every fit on two or more points steps first
+    beta = (0.2, 0.8) if family == "binomial" else (0.5, 0.3)
+    data = make_glmm_data(family, link=link, beta=beta, n_clusters=30,
+                          cluster_size=5, seed=seed).data
+    control = FitControl(n_points=n_points, restarts=1)
+    newton = fit(data, family_spec(family, link), control=control)
+    with pytest.MonkeyPatch.context() as patch:
+        _without_newton(patch)
+        alone = fit(data, family_spec(family, link), control=control)
+    assert newton.loglik >= (alone.loglik
+                             - 1e-6 * max(1.0, abs(alone.loglik)))
