@@ -6,7 +6,7 @@ The second refits on a 7 x 7 adaptive Gauss-Hermite rule, started from
 the first stage's estimates.  Like every fit on two or more points per
 dimension, the refit first takes Newton steps on the Hessian that its
 own quadrature sweep returns; from such a start it needs only a few, and
-L-BFGS-B then confirms the point.  This script
+the point where they converge is the fit.  This script
 prints each stage's evaluation count and log-likelihood, and checks that
 the refit's per-cluster log-likelihoods (llcont) sum to its total.
 """

@@ -643,6 +643,45 @@ def test_scalar_anchor_motion_and_hessian_equal_the_matrix_forms(
             calls.clear()
 
 
+@pytest.mark.parametrize("sizes", ["one entry", "default"])
+@pytest.mark.parametrize("observed", [True, False])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("family,link", [("binomial", "logit"),
+                                         ("binomial", "probit"),
+                                         ("poisson", "log")])
+def test_second_order_sweeps_keep_the_exact_loglik_and_scores(
+        family, link, q, observed, sizes, monkeypatch):
+    # a Newton trial sweeps first-order where the step is expected to
+    # converge, and an accepted trial that misses sweeps its solve again
+    # second-order: the two sweeps give the same log-likelihood and
+    # gradient bit for bit, on the observed curvature and on the expected
+    # fallback, in blocks of one (row, node) entry and one cluster node
+    data, spec, beta, theta = _gradient_case(family, link, q, "unstructured")
+    lam = cov.theta_to_lambda(theta, q)
+    solve = conditional_modes(beta, lam, data, spec, record=True)
+    state, chols = solve.state, solve.cond_chol
+    if not observed:
+        m_obs = state.m_obs.copy()
+        m_obs[:6] = -50.0
+        chol_h, fallback = estimation._factor_curvature(m_obs, state.m_exp,
+                                                        lam, data)
+        state = dataclasses.replace(state, m_obs=m_obs, observed=fallback)
+        chols = estimation._conditional_factor(chol_h)
+    assert state.observed == observed
+    if sizes == "one entry":
+        monkeypatch.setattr(estimation, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(estimation, "_CLUSTER_NODES", 1)
+    positions = cov.free_positions(q, "unstructured")
+    for n_points in (1, 3):
+        args = (beta, lam, data, spec, solve.modes, chols,
+                gh_rule(n_points, q), positions)
+        first = _quadrature_sweep(*args, exact=True, state=state)
+        second = _quadrature_sweep(*args, exact=True, second=True,
+                                   state=state)
+        assert _same_bits(first[0], second[0])
+        assert _same_bits(first[1], second[1])
+
+
 # ---------------------------------------------------------------------------
 # restarts and the stored log-likelihood
 
@@ -782,8 +821,9 @@ def test_refit_from_the_laplace_fit_takes_newton_steps(
         case, family, link, structure, n_points, monkeypatch):
     # lme4's two stages: the Laplace fit, then a refit from it.  Newton
     # steps on the sweep's Hessian reach the optimum that L-BFGS-B alone
-    # reaches from the default start, and L-BFGS-B confirms the last
-    # Newton point from the cached evaluation, with no sweep of its own
+    # reaches from the default start, and the last Newton point is the
+    # fit.  Every evaluation but the last sweeps second-order: the last
+    # step is one the quadratic model expects to converge, and it does
     data = (_slope_data(family, link, 11) if case == "slope"
             else _q3_binary_data(link, 301))
     spec = family_spec(family, link)
@@ -797,7 +837,8 @@ def test_refit_from_the_laplace_fit_takes_newton_steps(
                 FitControl(n_points=n_points, beta_start=laplace.beta,
                            theta_start=laplace.theta))
     assert refit.converged and not laplace.boundary
-    assert len(second) == refit.n_fev <= 6 < reference.n_fev
+    assert len(second) == refit.n_fev - 1
+    assert refit.n_fev <= 6 < reference.n_fev
     assert refit.loglik == pytest.approx(reference.loglik, rel=1e-9)
     np.testing.assert_allclose(refit.theta, reference.theta, rtol=0,
                                atol=1e-5)
@@ -896,13 +937,35 @@ def test_newton_phase_steps_or_hands_over(case, how, monkeypatch):
 
 
 @pytest.mark.parametrize("n_points,how", [(7, "converged"), (1, "not run")])
-def test_fit_logs_how_the_newton_phase_ended(binom_fit, caplog, n_points,
-                                             how):
+def test_fit_logs_how_the_newton_phase_ended(binom_fit, caplog, monkeypatch,
+                                             n_points, how):
     # one debug record per fit, none at the default level, and the same
-    # fit either way
+    # fit either way.  The record counts the second-order sweeps, those
+    # of them at an evaluated point, the mode solver's iterations and
+    # step-halving trials, and the L-BFGS-B runs: none after converged
+    # Newton steps
     control = FitControl(n_points=n_points, restarts=1)
     quiet = fit(binom_fit.data, "binomial", control=control)
     assert not [r for r in caplog.records if r.name == "glmmkit"]
+    sweeps, solves, runs = [], [], []
+    sweep, solve = estimation._quadrature_sweep, estimation.conditional_modes
+    minimize = estimation.minimize
+
+    def sweeping(*args, **kwargs):
+        sweeps.append((kwargs.get("second", False), id(args[4])))
+        return sweep(*args, **kwargs)
+
+    def solving(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    def running(*args, **kwargs):
+        runs.append(None)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_quadrature_sweep", sweeping)
+    monkeypatch.setattr(estimation, "conditional_modes", solving)
+    monkeypatch.setattr(estimation, "minimize", running)
     with caplog.at_level(logging.DEBUG, logger="glmmkit"):
         loud = fit(binom_fit.data, "binomial", control=control)
     records = [r for r in caplog.records if r.name == "glmmkit"]
@@ -911,7 +974,23 @@ def test_fit_logs_how_the_newton_phase_ended(binom_fit, caplog, n_points,
     assert record.levelno == logging.DEBUG
     assert record.newton == how and record.n_fev == loud.n_fev
     assert record.newton_fev == (0 if how == "not run" else loud.n_fev)
-    assert f"({how})" in record.getMessage()
+    assert record.lbfgsb_runs == len(runs) == (0 if how == "converged"
+                                               else 2)
+    assert len(solves) == loud.n_fev
+    assert record.mode_iterations == sum(s.iterations for s in solves)
+    assert record.mode_halvings == sum(s.halvings for s in solves)
+    assert record.second_order == sum(second for second, _ in sweeps)
+    assert record.resweeps == sum(
+        second and (False, modes) in sweeps[:k]
+        for k, (second, modes) in enumerate(sweeps))
+    assert (record.second_order > 0) == (how == "converged")
+    message = record.getMessage()
+    assert f"({how})" in message
+    assert (f"{record.second_order} second-order sweeps, "
+            f"{record.resweeps} of them again") in message
+    assert (f"{record.mode_iterations} mode-solver iterations, "
+            f"{record.mode_halvings} step-halving") in message
+    assert message.endswith(f"{record.lbfgsb_runs} L-BFGS-B runs")
     for name in ("beta", "theta", "modes", "cond_chol"):
         assert _same_bits(getattr(quiet, name), getattr(loud, name))
     assert (quiet.loglik, quiet.n_fev, quiet.grad_norm) == (
