@@ -218,7 +218,7 @@ def _hessian_sweep(fit: FittedGlmm, n_points: int | None) -> _HessianSweep:
     anchors."""
     rule = _derivative_rule(fit, n_points)
     positions = cov.free_positions(fit.data.n_random, fit.structure)
-    ell, scores, matrix = _quadrature_sweep(
+    ell, scores, matrix, _ = _quadrature_sweep(
         fit.beta, fit.lambda_matrix, fit.data, fit.family, fit.modes,
         fit.cond_chol, rule, positions, second=True)
     return _HessianSweep(ell, scores, matrix, rule.points_per_dim)

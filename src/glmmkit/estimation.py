@@ -37,21 +37,24 @@ dimension, from a start inside the bounds (the default one, or a given
 one such as lme4's second stage after a Laplace fit), first takes Newton
 steps on that Hessian (``_newton_phase``), from the same sweep as the
 gradient.  Where they converge, their last evaluation is the fit; where
-they hand over, L-BFGS-B carries on from there.  The Hessian leaves out the derivative of the anchor terms, so it
-is not the objective's own; it is closest on finer rules and near the
-optimum.  On the Laplace rule it is furthest from it, and there L-BFGS-B
-runs alone.  Where the Hessian is not positive definite the steps use its
-eigenvalues' magnitudes, and a step toward the theta bound is shortened
-rather than abandoned, so most fits converge in the Newton steps.
+they hand over, L-BFGS-B carries on from there.  The Hessian leaves out
+the derivative of the anchor terms, so it is not the objective's own; it
+is closest on finer rules and near the optimum.  On the Laplace rule it
+is furthest from it, and there L-BFGS-B runs alone.  Where the Hessian
+is not positive definite the steps use its eigenvalues' magnitudes, and
+each step keeps every theta diagonal entry within a ratio of its value
+that grows while it binds, so most fits converge in the Newton steps.
 
 Each fit evaluation computes the rows at the modes once.  The mode
 solve starts every Newton iteration from its last accepted trial and
 hands its final rows, with the one Cholesky factor of the curvature, to
 the sweep (``conditional_modes(record=True)``); only a stored fit's
-Hessian rebuilds them (``_mode_state``).  The optimum is usually the
-last point evaluated, and then that evaluation's modes, factors and
-sweep are the fit.  A rehydrated fit (``load_fitted``) sweeps for its
-log-likelihood only when ``loglik`` is read.
+Hessian rebuilds them (``_mode_state``).  A solve starts from the last
+evaluation's modes, moved along their derivative in the parameters where
+that evaluation's sweep was second-order and computed it.  The optimum
+is usually the last point evaluated, and then that evaluation's modes,
+factors and sweep are the fit.  A rehydrated fit (``load_fitted``)
+sweeps for its log-likelihood only when ``loglik`` is read.
 
 With one random effect (q = 1) every curvature, Newton step and
 conditional factor is a scalar per cluster, and batched LAPACK calls and
@@ -105,11 +108,10 @@ _BOUNDARY_TOL = 1e-6
 _FTOL = 1e-12
 _GTOL = 1e-6
 # the Newton phase before L-BFGS-B (see fit): steps, halvings per step,
-# the smallest scale a step toward the theta bound may take, and the floor
-# of the Hessian's eigenvalue magnitudes relative to the largest
+# and the floor of the Hessian's eigenvalue magnitudes relative to the
+# largest
 _NEWTON_ITER = 8
 _NEWTON_HALVINGS = 4
-_NEWTON_MIN_SCALE = 1e-3
 _NEWTON_EIG_FLOOR = 1e-8
 # (row, node) entries per block of the quadrature sweep: many nodes per
 # block save numpy call overhead on small data; from 16,384 rows on each
@@ -140,12 +142,13 @@ class FitControl:
     """Optimizer and quadrature controls for :func:`fit`.
 
     ``max_fev`` caps objective evaluations exactly, the second-order
-    sweeps of :func:`fit`'s Newton steps included; ``restarts`` reruns
-    L-BFGS-B from where it stopped, where L-BFGS-B runs at all: after
-    Newton steps that converged it does not.  Both are integers, ``max_fev`` at
-    least 1 and ``restarts`` at least 0, or a ``ConfigError``; so is
-    ``n_points``, when given, at least 1.  The stopping tolerances are
-    the module constants ``_FTOL`` and ``_GTOL``.
+    sweeps of :func:`fit`'s Newton steps included (a second sweep of an
+    evaluated point, for its Hessian, is no new evaluation); ``restarts``
+    reruns L-BFGS-B from where it stopped, where L-BFGS-B runs at all:
+    after Newton steps that converged it does not.  Both are integers,
+    ``max_fev`` at least 1 and ``restarts`` at least 0, or a
+    ``ConfigError``; so is ``n_points``, when given, at least 1.  The
+    stopping tolerances are the module constants ``_FTOL`` and ``_GTOL``.
     """
 
     n_points: int | None = None
@@ -557,9 +560,12 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     with the modes and factors re-solved at every parameter value: the
     gradient of the fit objective.  ``second`` also returns the Jacobian
     of the summed fixed-anchor scores with the anchors following the
-    parameters (see ``_anchored_hessian``), shape (p + k, p + k); it adds
-    one row sum per node for every pair of distinct columns of [X Z],
-    weighted by the observed curvature.
+    parameters (see ``_anchored_hessian``), shape (p + k, p + k), and the
+    modes' derivative in the parameters, shape (I, q, p + k) (see
+    ``_anchor_motion``); it adds one row sum per node for every pair of
+    distinct columns of [X Z], weighted by the observed curvature.  The
+    log-likelihood and scores are the same bit for bit with and without
+    ``second``.
 
     The anchor terms of both read the rows' state at the modes: ``state``,
     the one a mode solve handed over (``conditional_modes(record=True)``),
@@ -654,7 +660,9 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
             lam, data, modes, chols, positions, at_modes(),
             np.einsum("im,jim->ij", rho, grad_g),
             np.einsum("im,jim,mc->ijc", rho, grad_g, rule.nodes))
-    return (ell, scores, jacobian) if second else (ell, scores)
+    if not second:
+        return ell, scores
+    return ell, scores, jacobian, motion[:, :, 0]
 
 
 def _anchor_terms(lam, data: GlmmData, modes, chols, positions,
@@ -1110,14 +1118,18 @@ def _newton_phase(objective, x: np.ndarray,
     ``objective(x, second=True)`` returns the objective, its gradient and
     its Hessian (None where the evaluation failed); ``objective(x)`` the
     first two.  A Hessian that is not positive definite steps on its
-    floored eigenvalues (``_descent_step``).  A step that would take a
-    ``diagonal`` entry below zero is scaled so that no diagonal entry
-    falls below half its value, and a step that raises the objective is
-    halved up to ``_NEWTON_HALVINGS`` times.  The steps stop once every
-    gradient entry is within ``_GTOL``, and hand the point over early
-    when the Hessian is missing, a step is not finite, the scale to stay
-    above half the diagonal is below ``_NEWTON_MIN_SCALE``, a step gains
-    nothing after its halvings, or ``_NEWTON_ITER`` steps are spent.
+    floored eigenvalues (``_descent_step``).  The objective depends on a
+    theta ``diagonal`` entry through its square, so near zero it is flat
+    or concave there, and a step on it can overshoot by orders of
+    magnitude: each step is scaled so that every diagonal entry stays
+    within [theta / r, r theta].  The trust ratio r starts at 2, squares
+    after a step that this bound shortened and that was accepted without
+    halving, and falls to max(2, sqrt(r)) after a halved step.  A step
+    that raises the objective is halved up to ``_NEWTON_HALVINGS`` times.
+    The steps stop once every gradient entry is within ``_GTOL``, and
+    hand the point over early when the Hessian is missing, a step is not
+    finite, a step gains nothing after its halvings, or ``_NEWTON_ITER``
+    steps are spent.
 
     A trial point's Hessian is read only if the trial is accepted and
     has not converged.  So a step that the quadratic model expects to
@@ -1127,7 +1139,7 @@ def _newton_phase(objective, x: np.ndarray,
     the same point.
     """
     f, grad, hess = objective(x, second=True)
-    previous, first_order = None, False
+    previous, first_order, ratio = None, False, 2.0
     for taken in range(_NEWTON_ITER + 1):
         size = np.max(np.abs(grad))
         if size <= _GTOL and np.isfinite(f):
@@ -1141,16 +1153,16 @@ def _newton_phase(objective, x: np.ndarray,
         step = _descent_step(hess, grad)
         if not np.all(np.isfinite(step)):
             return x, "non-finite step"
-        if np.any(x[diagonal] + step[diagonal] < 0.0):
-            falling = step[diagonal] < 0.0
-            scale = np.min(0.5 * x[diagonal][falling]
-                           / -step[diagonal][falling])
-            if scale < _NEWTON_MIN_SCALE:
-                return x, "damped below the minimum scale"
-            step = scale * step
+        theta, move = x[diagonal], step[diagonal]
+        with np.errstate(divide="ignore"):
+            room = np.where(move > 0.0, (ratio - 1.0) * theta,
+                            (1.0 - 1.0 / ratio) * theta) / np.abs(move)
+        clipped = np.min(room, initial=1.0) < 1.0
+        if clipped:
+            step = np.min(room) * step
         final = previous is not None and size ** 3 <= _GTOL * previous ** 2
         previous = size
-        for _ in range(_NEWTON_HALVINGS + 1):
+        for halving in range(_NEWTON_HALVINGS + 1):
             trial = x + step
             if final:
                 f_trial, grad_trial = objective(trial)
@@ -1163,6 +1175,10 @@ def _newton_phase(objective, x: np.ndarray,
             step = 0.5 * step
         else:
             return x, "halvings exhausted"
+        if halving:
+            ratio = max(2.0, np.sqrt(ratio))
+        elif clipped:
+            ratio = ratio * ratio
         x, f, grad, hess = trial, f_trial, grad_trial, hess_trial
         first_order = final
 
@@ -1244,7 +1260,10 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     last = {"x": None, "f": np.inf, "g": None, "h": None, "sweep": None,
             "resweep": False}
     best = {"x": None, "f": np.inf}
-    warm: dict = {"u": None}
+    # the last solve's modes, where the next one starts, and from a
+    # second-order sweep their derivative in x, which moves that start
+    # with the parameters
+    warm: dict = {"u": None, "x": None, "du": None}
     n_eval = [0]
     # second-order sweeps, those of them at an evaluated point, and the
     # mode solver's iterations and step-halving trials, for the log
@@ -1263,7 +1282,7 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
             if second and last["resweep"]:
                 # a step reads the Hessian of a first-order evaluation: the
                 # same solve swept again, which is no new evaluation
-                jacobian = sweep(x, last["sweep"][0], True)[2]
+                _, _, jacobian, warm["du"] = sweep(x, last["sweep"][0], True)
                 tally["resweeps"] += 1
                 last.update(h=-0.5 * (jacobian + jacobian.T), resweep=False)
             f, grad, hess = last["f"], last["g"], last["h"]
@@ -1275,16 +1294,20 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         beta, theta = x[:p], x[p:]
         lam = cov.theta_to_lambda(theta, q, structure)
         swept = None
+        start = warm["u"]
+        if warm["du"] is not None:
+            start = start + warm["du"] @ (x - warm["x"])
         try:
-            solve = conditional_modes(beta, lam, data, family,
-                                      start=warm["u"], record=True)
+            solve = conditional_modes(beta, lam, data, family, start=start,
+                                      record=True)
         except EstimationError:
-            warm["u"] = None
+            warm.update(u=None, du=None)
         else:
-            warm["u"] = solve.modes
             tally["mode_iterations"] += solve.iterations
             tally["mode_halvings"] += solve.halvings
             out = sweep(x, solve, second)
+            warm.update(u=solve.modes, x=x.copy(),
+                        du=out[3] if second else None)
             ell, gradient = out[0], out[1].sum(axis=0)
             swept = solve, ell, gradient
             total = float(np.sum(ell))

@@ -885,52 +885,96 @@ def test_newton_steps_need_m2_and_an_interior_start(case, binom_fit,
     assert fitted.loglik == pytest.approx(reference.loglik, rel=1e-9)
 
 
+# each case of the Newton phase on f = (x - c)' A (x - c) / 2 from x =
+# (0, 0.5), the second entry a theta diagonal: the centre c, the diagonal
+# of A, the factor on A of the Hessian the objective returns, the steps
+# allowed, and where the phase stops
+_NEWTON_CASES = {
+    "quadratic": ([1.0, 0.8], [2.0, 2.0], 1.0, 8, [1.0, 0.8]),
+    "predicted": ([1.0, 0.8], [2.0, 2.0], 1.0 + 1e-4, 8, None),
+    "missed": ([1.0, 0.8], [2.0, 2.0], 1.0 + 5e-3, 8, None),
+    "crossing": ([1.0, -1.0], [2.0, 2.0], 1.0, 1, [1.0 / 6.0, 0.25]),
+    "far crossing": ([1.0, -1000.0], [2.0, 2.0], 1.0, 1,
+                     [0.25 / 1000.5, 0.25]),
+    "indefinite": ([1.0, 0.0], [2.0, -1.0], 1.0, 1, [1.0, 1.0]),
+    "growing": ([1.0, 1000.0], [2.0, 2.0], 1.0, 3, None),
+    "shrinking": ([1.0, 1000.0], [2.0, 2.0], 1.0, 8, None),
+}
+
+
 @pytest.mark.parametrize("case,how", [
     ("quadratic", "converged"),        # one step, then the gradient is 0
-    ("crossing", "step limit"),        # damped to half the diagonal
+    ("predicted", "converged"),        # the last trial sweeps first-order
+    ("missed", "converged"),           # and one that misses sweeps again
+    ("crossing", "step limit"),        # shortened to half the diagonal
+    ("far crossing", "step limit"),    # the same, from 2,000 times as far
     ("indefinite", "step limit"),      # downhill on |eigenvalues|
+    ("growing", "step limit"),         # r squares after shortened steps
+    ("shrinking", "halvings exhausted"),   # and falls after a halving
     ("no Hessian", "no Hessian"),
     ("zero Hessian", "non-finite step"),
-    ("far crossing", "damped below the minimum scale"),
     ("misleading gradient", "halvings exhausted")])
 def test_newton_phase_steps_or_hands_over(case, how, monkeypatch):
-    # the second entry is a theta diagonal.  On f = (x - c)' A (x - c) / 2
-    # the Newton step from 0.5 to -1 crosses the bound and is scaled so
-    # the diagonal stays at half its value; with A = diag(2, -1) the step
-    # on |eigenvalues| is Newton's along the first axis and runs downhill,
-    # away from the saddle, along the second.  One step is allowed there.
+    # with A = diag(2, -1) the step on |eigenvalues| is Newton's along the
+    # first axis and runs downhill, away from the saddle, along the second.
+    # A Hessian (1 + e) A steps short by e / (1 + e): the gradient falls
+    # e-fold per step, so the quadratic model g_k^3 / g_{k-1}^2 expects
+    # convergence one step early, and at e = 5e-3 wrongly.  Above a wall
+    # at theta = 40 the objective is infinite.
     calls, start = [], np.array([0.0, 0.5])
-    center, curvature, stop_at = {
-        "quadratic": ([1.0, 2.0], [2.0, 2.0], [1.0, 2.0]),
-        "crossing": ([1.0, -1.0], [2.0, 2.0], [1.0 / 6.0, 0.25]),
-        "indefinite": ([1.0, 0.0], [2.0, -1.0], [1.0, 1.0]),
-        "far crossing": ([1.0, -1000.0], [2.0, 2.0], start),
-    }.get(case, (None, None, start))
-    if center is not None:
+    if case in _NEWTON_CASES:
+        center, curvature, factor, steps, stop_at = _NEWTON_CASES[case]
         a = np.diag(curvature)
 
         def objective(x, second=False):
-            calls.append(x.copy())
+            calls.append((x.copy(), second))
             gap = x - center
-            return 0.5 * gap @ a @ gap, a @ gap, a
+            f = np.inf if case == "shrinking" and x[1] > 40.0 else (
+                0.5 * gap @ a @ gap)
+            return (f, a @ gap, factor * a) if second else (f, a @ gap)
     else:
         # a missing or zero Hessian has no step; a gradient that misleads
         # gives a step that never lowers f
         hess = {"no Hessian": None, "zero Hessian": np.zeros((2, 2)),
                 "misleading gradient": np.eye(2)}[case]
+        steps, stop_at = 8, start
 
         def objective(x, second=False):
-            calls.append(x.copy())
+            calls.append((x.copy(), second))
             moved = float(not np.array_equal(x, start))
-            return moved, np.array([1.0, 0.0]), hess
-    if how == "step limit":
-        monkeypatch.setattr(estimation, "_NEWTON_ITER", 1)
+            gradient = np.array([1.0, 0.0])
+            return (moved, gradient, hess) if second else (moved, gradient)
+    monkeypatch.setattr(estimation, "_NEWTON_ITER", steps)
     stop, reason = estimation._newton_phase(objective, start, [1])
     assert reason == how
-    np.testing.assert_allclose(stop, stop_at, rtol=1e-15)
-    assert len(calls) == {"converged": 2, "step limit": 2,
-                          "halvings exhausted":
-                          2 + estimation._NEWTON_HALVINGS}.get(how, 1)
+    thetas = [x[1] for x, _ in calls]
+    second = [flag for _, flag in calls]
+    if stop_at is not None:
+        np.testing.assert_allclose(stop, stop_at, rtol=1e-15)
+    if case in ("predicted", "missed"):
+        assert np.max(np.abs(objective(stop)[1])) <= estimation._GTOL
+        del calls[-1]
+        # the missed step's trial is asked again for its Hessian
+        assert second == ([True, True, False] if case == "predicted"
+                          else [True, True, False, True, False])
+        assert case == "predicted" or _same_bits(calls[2][0], calls[3][0])
+    elif case == "growing":
+        # each step is shortened to r = 2, 4, then 16 times theta
+        np.testing.assert_allclose(thetas, [0.5, 1.0, 4.0, 64.0],
+                                   rtol=1e-12)
+        assert _same_bits(stop, calls[-1][0])
+    elif case == "shrinking":
+        # the step to 64 hits the wall and is halved once, to 34: r falls
+        # from 16 to 4, so the next step tries 4 x 34 = 136, then halves
+        np.testing.assert_allclose(thetas, [0.5, 1.0, 4.0, 64.0, 34.0,
+                                            136.0, 85.0, 59.5, 46.75,
+                                            40.375], rtol=1e-12)
+        assert _same_bits(stop, calls[4][0])
+    else:
+        assert len(calls) == {"converged": 2, "step limit": 2,
+                              "halvings exhausted":
+                              2 + estimation._NEWTON_HALVINGS}.get(how, 1)
+        assert all(second)
     if how == "step limit":
         assert stop[1] >= 0.5 * start[1]
         assert objective(stop)[0] < objective(start)[0]
@@ -997,7 +1041,7 @@ def test_fit_logs_how_the_newton_phase_ended(binom_fit, caplog, monkeypatch,
         loud.loglik, loud.n_fev, loud.grad_norm)
 
 
-def test_newton_sweeps_count_against_the_budget(monkeypatch):
+def test_newton_sweeps_count_against_the_budget(monkeypatch, caplog):
     data = _slope_data("binomial", "logit", 11)
     laplace = fit(data, "binomial")
     second = _count_second_order_sweeps(monkeypatch)
@@ -1009,6 +1053,62 @@ def test_newton_sweeps_count_against_the_budget(monkeypatch):
     assert len(second) == best.n_fev == 2
     assert not best.converged
     assert best.m_used == 7 and np.isfinite(best.loglik)
+    # a simulation-study replicate whose third trial is swept first-order,
+    # is accepted and misses, and is swept again second-order: the sweep
+    # again reuses that evaluation's mode solve and spends no budget
+    second.clear()
+    solves = []
+    solve = estimation.conditional_modes
+
+    def counting(*args, **kwargs):
+        solves.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "conditional_modes", counting)
+    data = make_glmm_data("binomial", n_clusters=50, cluster_size=5,
+                          seed=2060229105).data
+    with caplog.at_level(logging.DEBUG, logger="glmmkit"):
+        fitted = fit(data, "binomial",
+                     control=FitControl(restarts=1, max_fev=5))
+    record = [r for r in caplog.records if r.name == "glmmkit"][-1]
+    assert fitted.converged and record.newton == "converged"
+    assert fitted.n_fev == len(solves) == 5
+    assert record.resweeps == 1
+    assert len(second) == record.second_order == 4
+
+
+@pytest.mark.parametrize("name", ["intercept", "reduced"])
+def test_newton_steps_near_theta_zero_converge(name, monkeypatch):
+    # simulation-study replicates where theta's first Newton step
+    # overshot, to 6.5e-4 from 1 (flat in theta there) and to 11.85 from
+    # 0.199 (where the Hessian is indefinite).  Bounded to a ratio of
+    # theta per step, the steps converge, and L-BFGS-B does not run
+    if name == "intercept":
+        data = make_glmm_data("binomial", n_clusters=50, cluster_size=5,
+                              seed=4180573096).data
+    else:
+        d = make_glmm_data("binomial", beta=(0.3, 1.2), n_clusters=50,
+                           cluster_size=6, seed=2385968761).data
+        data = GlmmData.from_arrays(d.y, d.X[:, :1], d.Z, d.cluster_index,
+                                    x_names=d.x_names[:1])
+    control = FitControl(restarts=1)
+    runs = []
+    minimize = estimation.minimize
+
+    def recording(*args, **kwargs):
+        runs.append(None)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "minimize", recording)
+    with monkeypatch.context() as patch:
+        _without_newton(patch)
+        alone = fit(data, "binomial", control=control)
+    assert alone.converged and len(runs) > 0
+    runs.clear()
+    newton = fit(data, "binomial", control=control)
+    assert newton.converged and runs == []
+    assert newton.loglik >= alone.loglik - 1e-9 * abs(alone.loglik)
+    assert newton.n_fev < alone.n_fev
 
 
 @settings(max_examples=10, deadline=None)
