@@ -1142,6 +1142,7 @@ def _newton_phase(objective, x: np.ndarray,
     previous, first_order, ratio = None, False, 2.0
     for taken in range(_NEWTON_ITER + 1):
         size = np.max(np.abs(grad))
+        # a failed first evaluation has a zero gradient and f = inf
         if size <= _GTOL and np.isfinite(f):
             return x, "converged"
         if taken == _NEWTON_ITER:
@@ -1157,9 +1158,10 @@ def _newton_phase(objective, x: np.ndarray,
         with np.errstate(divide="ignore"):
             room = np.where(move > 0.0, (ratio - 1.0) * theta,
                             (1.0 - 1.0 / ratio) * theta) / np.abs(move)
-        clipped = np.min(room, initial=1.0) < 1.0
+        scale = np.min(room, initial=1.0)
+        clipped = scale < 1.0
         if clipped:
-            step = np.min(room) * step
+            step = scale * step
         final = previous is not None and size ** 3 <= _GTOL * previous ** 2
         previous = size
         for halving in range(_NEWTON_HALVINGS + 1):
@@ -1315,7 +1317,8 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
                 f, grad = -total, -gradient
                 if second:
                     hess = -0.5 * (out[2] + out[2].T)
-        resweep = hess is None and np.isfinite(f) and swept is not None
+        # a finite objective here comes from the sweep, not the bowl
+        resweep = not second and np.isfinite(f)
         if np.isfinite(f):
             if f < best["f"]:
                 best.update(x=x.copy(), f=f)
