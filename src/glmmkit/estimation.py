@@ -1219,11 +1219,10 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     the ``glmmkit`` logger.
 
     A restart reruns L-BFGS-B from where its previous run stopped, and
-    the loop
-    stops once a restart gains less than 1e-6; the last allowed restart
-    that gains less than that confirms the point even when L-BFGS-B
-    reported no success (a line search that fails at the round-off
-    floor).  The fit's ``loglik`` is its last sweep's.  Raises
+    the loop stops once a restart gains less than 1e-6; the last allowed
+    restart that gains less than that confirms the point even when
+    L-BFGS-B reported no success (a line search that fails at the
+    round-off floor).  The fit's ``loglik`` is its last sweep's.  Raises
     :class:`~glmmkit.exceptions.EstimationError` (with the best fit so far
     attached as ``.best``) if ``max_fev`` evaluations run out first or the
     last run stops without converging.
