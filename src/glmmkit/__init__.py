@@ -8,7 +8,6 @@ comparison tests.
 """
 
 from .covariance import (
-    RelCovFactor,
     dG_dtheta_jacobian,
     lambda_to_G,
     theta_length,
@@ -31,7 +30,6 @@ from .estimation import (
     default_points,
     fit,
     load_fitted,
-    marginal_loglik,
 )
 from .exceptions import (
     ConfigError,
@@ -79,7 +77,6 @@ __all__ = [
     "IngestResult",
     "IngestionError",
     "ModelConfig",
-    "RelCovFactor",
     "SandwichResult",
     "ScoreMatrix",
     "ScoreTestResult",
@@ -105,7 +102,6 @@ __all__ = [
     "make_counts_data",
     "make_glmm_data",
     "make_rasch_data",
-    "marginal_loglik",
     "sandwich_vcov",
     "sctest",
     "theta_length",

@@ -19,19 +19,15 @@ Orderings are fixed and documented once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, ShapeError, SingularityError
 
 __all__ = [
-    "RelCovFactor",
     "PARAMETERIZATIONS",
     "theta_length",
     "theta_to_lambda",
     "lambda_to_G",
-    "dG_dlambda_entry",
 ]
 
 PARAMETERIZATIONS = ("theta", "var", "sd")
@@ -47,11 +43,7 @@ def validate_parameterization(tag: str) -> str:
 
 def theta_length(q: int, structure: str = "unstructured") -> int:
     """Number of free parameters in the relative covariance factor."""
-    if structure == "unstructured":
-        return q * (q + 1) // 2
-    if structure == "diagonal":
-        return q
-    raise ConfigError(f"unknown covariance structure {structure!r}")
+    return len(free_positions(q, structure))
 
 
 def free_positions(q: int, structure: str = "unstructured") -> list[tuple[int, int]]:
@@ -67,11 +59,8 @@ def free_positions(q: int, structure: str = "unstructured") -> list[tuple[int, i
 def var_positions(q: int, structure: str = "unstructured") -> list[tuple[int, int]]:
     """0-based positions of the unique entries of G in var-scale order:
     diagonal first, then below-diagonal column-major."""
-    diag = [(i, i) for i in range(q)]
-    if structure == "diagonal":
-        return diag
-    off = [(i, j) for j in range(q) for i in range(j + 1, q)]
-    return diag + off
+    # theta's order with the diagonal moved to the front (a stable sort)
+    return sorted(free_positions(q, structure), key=lambda ij: ij[0] != ij[1])
 
 
 def theta_to_lambda(theta, q: int, structure: str = "unstructured") -> np.ndarray:
@@ -90,40 +79,33 @@ def theta_to_lambda(theta, q: int, structure: str = "unstructured") -> np.ndarra
 
 def _nonnegative_factor(theta, q: int, structure: str,
                         name: str = "theta") -> np.ndarray:
-    """The factor of ``theta``; a ``DomainError`` naming ``name`` if its
-    diagonal has a negative entry."""
+    """The factor of ``theta``; a ``DomainError`` naming ``name`` if an
+    entry is not finite or a diagonal entry is negative."""
     lam = theta_to_lambda(theta, q, structure)
+    if not np.all(np.isfinite(lam)):
+        raise DomainError(f"{name} must be finite")
     if np.any(np.diag(lam) < 0.0):
         raise DomainError(f"{name} must have a nonnegative diagonal")
     return lam
+
+
+def labels(q: int, structure: str, z_names, target: str = "theta") -> list[str]:
+    """Labels of the random-effect parameters on the ``target`` scale, in
+    its order, for random-effect columns named ``z_names``."""
+    validate_parameterization(target)
+    if target == "theta":
+        return [f"chol[{z_names[i]},{z_names[j]}]"
+                for i, j in free_positions(q, structure)]
+    diagonal, off = ("var", "cov") if target == "var" else ("sd", "cor")
+    return [f"{diagonal}[{z_names[i]}]" if i == j
+            else f"{off}[{z_names[i]},{z_names[j]}]"
+            for i, j in var_positions(q, structure)]
 
 
 def lambda_to_G(lam) -> np.ndarray:
     """The covariance matrix G = Lambda Lambda'."""
     lam = np.asarray(lam, dtype=float)
     return lam @ lam.T
-
-
-def dG_dlambda_entry(lam, i: int, j: int) -> np.ndarray:
-    """Derivative of G with respect to a single entry of Lambda.
-
-    Uses the product rule on G = Lambda Lambda':
-
-        dG/dLambda_ij = Lambda J_ji + J_ij Lambda'
-
-    where J_ij is the single-entry matrix.  ``i`` and ``j`` are 0-based;
-    only lower-triangular positions (i >= j) are admissible.
-    """
-    lam = np.asarray(lam, dtype=float)
-    q = lam.shape[0]
-    if not (0 <= j <= i < q):
-        raise DomainError(f"({i},{j}) is not a lower-triangular position for q={q}")
-    out = np.zeros((q, q))
-    # Lambda J_ji contributes Lambda[:, j] into column i; J_ij Lambda' is its
-    # transpose contribution.
-    out[:, i] += lam[:, j]
-    out[i, :] += lam[:, j]
-    return out
 
 
 def dG_dtheta_jacobian(lam: np.ndarray, structure: str = "unstructured") -> np.ndarray:
@@ -135,7 +117,11 @@ def dG_dtheta_jacobian(lam: np.ndarray, structure: str = "unstructured") -> np.n
     cols = free_positions(q, structure)
     jac = np.empty((len(rows), len(cols)))
     for c, (li, lj) in enumerate(cols):
-        dG = dG_dlambda_entry(lam, li, lj)
+        # dG/dLambda_ij = Lambda J_ji + J_ij Lambda', J_ij the single-entry
+        # matrix: Lambda[:, j] into column i and into row i
+        dG = np.zeros((q, q))
+        dG[:, li] += lam[:, lj]
+        dG[li, :] += lam[:, lj]
         for r, (gi, gj) in enumerate(rows):
             jac[r, c] = dG[gi, gj]
     return jac
@@ -207,36 +193,3 @@ def theta_chain(lam, target: str, structure: str = "unstructured"):
         g2[r, b, r] = g2[r, r, b] = sd[i]
     return jac @ dg, (np.einsum("as,tab,br->tsr", dg, second, dg)
                       + np.einsum("tu,usr->tsr", jac, g2))
-
-
-@dataclass(frozen=True)
-class RelCovFactor:
-    """Relative covariance factor: structure, free parameters, materialized
-    lower-triangular matrix."""
-
-    q: int
-    theta: np.ndarray
-    structure: str = "unstructured"
-    matrix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=float).ravel()
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "matrix",
-                           _nonnegative_factor(theta, self.q, self.structure))
-
-    def labels(self, z_names: list[str], target: str = "theta") -> list[str]:
-        """Score column labels on the requested scale."""
-        validate_parameterization(target)
-        if target == "theta":
-            return [f"chol[{z_names[i]},{z_names[j]}]"
-                    for i, j in free_positions(self.q, self.structure)]
-        out = []
-        for i, j in var_positions(self.q, self.structure):
-            if i == j:
-                out.append((f"var[{z_names[i]}]" if target == "var"
-                            else f"sd[{z_names[i]}]"))
-            else:
-                out.append((f"cov[{z_names[i]},{z_names[j]}]" if target == "var"
-                            else f"cor[{z_names[i]},{z_names[j]}]"))
-        return out

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov
-from .estimation import (_BOUNDARY_TOL, FittedGlmm, _quadrature_sweep,
+from .estimation import (FittedGlmm, _on_boundary, _quadrature_sweep,
                          default_points)
 from .exceptions import SingularityError
 from .quadrature import GhRule, gh_rule
@@ -182,7 +182,7 @@ def hessian(fit: FittedGlmm, parameterization: str = "var",
     d^2 theta_t / dv dv'`` (``covariance.theta_chain``), whose second term
     is not zero away from a stationary point.  The result is symmetrized
     as ``(H + H') / 2``.  ``one_sided`` lists the theta-scale diagonal
-    entries on the bound (below ``estimation._BOUNDARY_TOL``): their
+    entries on the bound (``estimation._on_boundary``): their
     columns are derivatives from the feasible side.
 
     The same sweep gives the per-cluster scores, mapped by the same
@@ -231,20 +231,19 @@ def _hessian_on_scale(fit: FittedGlmm, sweep: _HessianSweep,
     refused the boundary (``_refuse_boundary``); the sweep's Jacobian is
     overwritten."""
     p = fit.data.n_fixed
-    lam = fit.lambda_matrix
-    positions = cov.free_positions(fit.data.n_random, fit.structure)
     scores, matrix = sweep.scores, sweep.matrix
     jac = None
     if parameterization != "theta":
-        jac, second = cov.theta_chain(lam, parameterization, fit.structure)
+        jac, second = cov.theta_chain(fit.lambda_matrix, parameterization,
+                                      fit.structure)
         matrix[:, p:] = matrix[:, p:] @ jac
         matrix[p:] = jac.T @ matrix[p:]
         matrix[p:, p:] += np.einsum("t,tsr->sr", scores[:, p:].sum(axis=0),
                                     second)
     matrix = 0.5 * (matrix + matrix.T)
     # only a boundary fit has such entries, and it is refused off theta
-    one_sided = tuple(p + t for t, (i, j) in enumerate(positions)
-                      if i == j and fit.theta[t] < _BOUNDARY_TOL)
+    one_sided = tuple(p + t for t in _on_boundary(
+        fit.theta, fit.data.n_random, fit.structure))
     labels = tuple(fit.parameter_labels(parameterization))
     return HessianResult(values=matrix,
                          labels=labels,

@@ -94,8 +94,8 @@ from .exceptions import (ConfigError, EstimationError, ShapeError,
 from .families import FamilySpec, as_family_spec
 from .quadrature import GhRule, _adapted_grid, gh_rule
 
-__all__ = ["FitControl", "FittedGlmm", "conditional_modes", "marginal_loglik",
-           "fit", "load_fitted", "default_points"]
+__all__ = ["FitControl", "FittedGlmm", "conditional_modes", "fit",
+           "load_fitted", "default_points"]
 
 _MODE_TOL = 1e-10
 _MODE_MAX_ITER = 200
@@ -135,6 +135,20 @@ def default_points(q: int, stage: str = "estimation") -> int:
     if stage == "derivatives":
         return 5
     return 7 if q == 1 else 1
+
+
+def _theta_diagonal(q: int, structure: str) -> list[int]:
+    """Positions in theta of the diagonal entries of Lambda."""
+    return [t for t, (i, j) in enumerate(cov.free_positions(q, structure))
+            if i == j]
+
+
+def _on_boundary(theta, q: int, structure: str) -> list[int]:
+    """Positions in theta of the diagonal entries of Lambda below
+    ``_BOUNDARY_TOL``: the ones a fit, its Hessian and the Newton steps
+    treat as on the bound theta = 0."""
+    return [t for t in _theta_diagonal(q, structure)
+            if theta[t] < _BOUNDARY_TOL]
 
 
 @dataclass(frozen=True)
@@ -199,10 +213,6 @@ class FittedGlmm:
             self.modes, self.cond_chol, rule)))
 
     @property
-    def relcov(self) -> cov.RelCovFactor:
-        return cov.RelCovFactor(self.data.n_random, self.theta, self.structure)
-
-    @property
     def lambda_matrix(self) -> np.ndarray:
         return cov.theta_to_lambda(self.theta, self.data.n_random, self.structure)
 
@@ -211,9 +221,9 @@ class FittedGlmm:
         return self.beta.size + self.theta.size
 
     def parameter_labels(self, parameterization: str = "theta") -> list[str]:
-        beta_labels = list(self.data.x_names)
-        return beta_labels + self.relcov.labels(list(self.data.z_names),
-                                                parameterization)
+        return list(self.data.x_names) + cov.labels(
+            self.data.n_random, self.structure, self.data.z_names,
+            parameterization)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +259,13 @@ def _penalized_curvature(weight: np.ndarray, lam: np.ndarray,
     return hess
 
 
-def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
+def conditional_modes(beta, lam, data: GlmmData, family: FamilySpec,
                       start: np.ndarray | None = None, *,
                       record: bool = False):
     """Per-cluster posterior modes of u and conditional Cholesky factors.
 
-    Maximizes ``log f(y_i | u) - 0.5 ||u||^2`` for every cluster at once
+    Maximizes ``log f(y_i | u) - 0.5 ||u||^2``, with ``u`` entering as
+    ``Lambda u`` for the factor ``lam`` (q, q), for every cluster at once
     with Fisher-scoring Newton steps and step halving, on the density the
     quadrature sweep integrates: the sweep's eta builder, then ``y kappa -
     h(kappa) + c(y)`` at the natural parameter kappa of eta, so under a
@@ -277,7 +288,9 @@ def conditional_modes(beta, relcov, data: GlmmData, family: FamilySpec,
     last iteration, which the fit's exact sweep needs.
     """
     family = as_family_spec(family)
-    lam = _as_lambda(relcov, data)
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (data.n_random, data.n_random):
+        raise ShapeError("relative covariance factor does not match Z")
     beta = np.asarray(beta, dtype=float).ravel()
     if beta.size != data.n_fixed:
         raise ShapeError(f"beta has length {beta.size}, expected {data.n_fixed}")
@@ -537,8 +550,8 @@ def _design_pairs(col_of):
 
 def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
                       modes, chols, rule: GhRule, positions=None,
-                      general: bool | None = None, exact: bool = False,
-                      second: bool = False, state: _ModeState | None = None):
+                      exact: bool = False, second: bool = False,
+                      state: _ModeState | None = None):
     """The conditional density of every cluster at every adapted node.
 
     Anchors ``rule`` at each cluster's mode and conditional factor, then
@@ -551,8 +564,8 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     the free ``positions`` (a, b) of the relative covariance factor, also
     returns the theta-scale scores, shape (I, p + k): posterior means over
     the nodes of ``X' r`` and of ``(Z' r)_a u_b``, with ``r = d log f / d
-    eta``.  ``general`` forces the residual form ``(y - mu) mu'(eta) /
-    V(mu)``, which a canonical link reduces to ``y - mu``.
+    eta``: the residual form ``(y - mu) mu'(eta) / V(mu)``, which a
+    canonical link reduces to ``y - mu``.
 
     These scores hold the anchors (modes and factors) fixed.  ``exact``
     adds the derivative through the anchors (see ``_anchor_terms``), so
@@ -588,7 +601,7 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     joint = log_w + data.sum_by_cluster(family.log_normalizer(y))[:, None]
     scores = positions is not None
     if scores:
-        general = not family.canonical if general is None else general
+        general = not family.canonical
         distinct, col_of = data.distinct_design
         columns = np.stack([data.X[:, j] if j < p else data.Z[:, j - p]
                             for j in distinct])
@@ -1020,29 +1033,6 @@ def _scalar_anchored_hessian(p, lam, nodes, rho, kernel, curvature, pair_of,
     return total
 
 
-def marginal_loglik(beta, relcov, data: GlmmData, family: FamilySpec,
-                    n_points: int) -> float:
-    """Sum over clusters of the log marginal density of the responses,
-    each cluster integral computed on a freshly adapted rule."""
-    family = as_family_spec(family)
-    family.validate_support(data.y)
-    rule = gh_rule(n_points, data.n_random)
-    lam = _as_lambda(relcov, data)
-    modes, chols = conditional_modes(beta, lam, data, family)
-    return float(np.sum(_quadrature_sweep(beta, lam, data, family,
-                                          modes, chols, rule)))
-
-
-def _as_lambda(relcov, data: GlmmData) -> np.ndarray:
-    if isinstance(relcov, cov.RelCovFactor):
-        lam = relcov.matrix
-    else:
-        lam = np.atleast_2d(np.asarray(relcov, dtype=float))
-    if lam.shape != (data.n_random, data.n_random):
-        raise ShapeError("relative covariance factor does not match Z")
-    return lam
-
-
 # ---------------------------------------------------------------------------
 # outer optimization
 
@@ -1239,14 +1229,15 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     rule = gh_rule(default_points(q) if n_points is None else n_points, q)
     positions = cov.free_positions(q, structure)
     k = len(positions)
-    bounds = [(None, None)] * p + [(0.0, None) if i == j else (None, None)
-                                   for i, j in positions]
+    diagonal = _theta_diagonal(q, structure)
+    bounds = [(None, None)] * p + [(0.0, None) if t in diagonal
+                                   else (None, None) for t in range(k)]
 
     beta0 = (np.asarray(control.beta_start, dtype=float)
              if control.beta_start is not None else _glm_start(data, family))
     if beta0.size != p:
         raise ShapeError("beta_start has the wrong length")
-    theta0 = np.array([1.0 if i == j else 0.0 for i, j in positions])
+    theta0 = np.isin(np.arange(k), diagonal).astype(float)
     if control.theta_start is not None:
         theta0 = np.asarray(control.theta_start, dtype=float).copy()
         if theta0.size != k:
@@ -1334,14 +1325,14 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     x_hat = np.concatenate([beta0, theta0])
     f_hat = np.inf
     success, message = False, "no evaluation budget"
-    diagonal = [p + t for t, (i, j) in enumerate(positions) if i == j]
     newton, newton_fev, lbfgsb_runs = "not run", 0, 0
     try:
         if (rule.points_per_dim >= 2
-                and np.all(x_hat[diagonal] >= _BOUNDARY_TOL)):
+                and not _on_boundary(theta0, q, structure)):
             newton = "budget spent"
             try:
-                x_hat, newton = _newton_phase(objective, x_hat, diagonal)
+                x_hat, newton = _newton_phase(objective, x_hat,
+                                              [p + t for t in diagonal])
             finally:
                 newton_fev = n_eval[0]
         # where the Newton steps converged their last evaluation is the
@@ -1412,10 +1403,12 @@ def load_fitted(beta, theta, data: GlmmData, family: FamilySpec,
 
     Solves the posterior modes and conditional factors at ``(beta,
     theta)`` cold, without optimizing, so externally estimated models get
-    the full post-estimation machinery.  The marginal log-likelihood on
-    the ``n_points`` rule is swept on the first read of ``loglik``; no
-    post-estimation function reads it.  A negative diagonal entry of
-    theta is a ``DomainError``, as for :func:`fit`'s ``theta_start``.
+    the full post-estimation machinery.  This is the route to the
+    marginal log-likelihood at given estimates: ``load_fitted(beta,
+    theta, data, family, n_points, structure).loglik``, swept on the
+    ``n_points`` rule on its first read; no post-estimation function
+    reads it.  A theta entry that is not finite, or a negative diagonal
+    entry, is a ``DomainError``, as for :func:`fit`'s ``theta_start``.
     """
     family = as_family_spec(family)
     family.validate_support(data.y)
@@ -1424,11 +1417,6 @@ def load_fitted(beta, theta, data: GlmmData, family: FamilySpec,
     q = data.n_random
     if beta.size != data.n_fixed:
         raise ConfigError(f"beta has length {beta.size}, expected {data.n_fixed}")
-    if theta.size != cov.theta_length(q, structure):
-        raise ConfigError(
-            f"theta has length {theta.size}, expected "
-            f"{cov.theta_length(q, structure)} for q={q} {structure}"
-        )
     cov._nonnegative_factor(theta, q, structure)
     rule = gh_rule(default_points(q) if n_points is None else n_points, q)
     return _finalize(beta, theta, structure, data, family, rule,
@@ -1462,7 +1450,7 @@ def _finalize(beta, theta, structure, data, family, rule, converged,
         beta=np.array(beta, dtype=float), theta=np.array(theta, dtype=float),
         structure=structure, family=family, data=data, modes=modes,
         cond_chol=chols, m_used=rule.points_per_dim, converged=converged,
-        boundary=bool(np.any(np.diag(lam) < _BOUNDARY_TOL)),
+        boundary=bool(_on_boundary(theta, q, structure)),
         grad_norm=float(np.linalg.norm(gradient)) if exact else None,
         n_fev=n_fev,
     )

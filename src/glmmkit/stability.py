@@ -125,7 +125,10 @@ def _ordering_groups(order_by: np.ndarray):
         raise ConfigError("ordering variable must be one-dimensional")
     if order_by.dtype.kind == "f" and np.isnan(order_by).any():
         raise ConfigError("ordering variable contains NaN")
-    perm = np.argsort(order_by, kind="stable")
+    try:
+        perm = np.argsort(order_by, kind="stable")
+    except TypeError as exc:
+        raise ConfigError(f"ordering variable cannot be sorted: {exc}") from None
     ordered = order_by[perm]
     if ordered[0] == ordered[-1]:
         raise DegenerateError(
@@ -253,7 +256,8 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
         A positive integer, reported as ``n_sim`` on the result and
         otherwise unused.
     trim : (float, float)
-        maxLM trimming window on the time axis.
+        maxLM trimming window on the time axis: two numbers ``lo < hi``
+        in [0, 1], or a ``ConfigError``.
     parameterization : {"var", "theta", "sd"}
     scores : ScoreMatrix, optional
         Precomputed scores, bypassing :func:`estfun`.
@@ -286,8 +290,13 @@ def sctest(fit: FittedGlmm, order_by, parm=None, functional: str = "DM",
             "DM, CvM, maxLM, maxLMo"
         ) from None
     n_sim = _check_integer(n_sim, "sctest n_sim", 1)
-    if not (0.0 <= trim[0] < trim[1] <= 1.0):
-        raise ConfigError(f"invalid trimming window {trim}")
+    try:
+        lo, hi = trim
+        valid = bool(0.0 <= lo < hi <= 1.0)
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ConfigError(f"invalid trimming window {trim!r}")
     if scores is None:
         scores = estfun(fit, parameterization=parameterization,
                         n_points=n_points)

@@ -692,9 +692,10 @@ def nelder_mead_loglik(data, family, n_points, structure="unstructured",
                        restarts=1):
     """Largest marginal log-likelihood Nelder-Mead finds, derivative-free.
 
-    Maximizes ``glmmkit.marginal_loglik`` (modes re-solved cold at every
-    point) from beta = 0 and the identity factor, folding the diagonal of
-    theta to its absolute value, and restarts from the best point.
+    Maximizes ``glmmkit.load_fitted(...).loglik`` (modes re-solved cold
+    at every point) from beta = 0 and the identity factor, folding the
+    diagonal of theta to its absolute value, and restarts from the best
+    point.
     """
     p, q = data.n_fixed, data.n_random
     if structure == "diagonal":
@@ -704,13 +705,11 @@ def nelder_mead_loglik(data, family, n_points, structure="unstructured",
     diag = [k for k, (a, b) in enumerate(positions) if a == b]
 
     def negative_loglik(x):
-        lam = np.zeros((q, q))
-        for value, (a, b) in zip(x[p:], positions):
-            lam[a, b] = value
-        lam[np.diag_indices(q)] = np.abs(np.diag(lam))
+        theta = x[p:].copy()
+        theta[diag] = np.abs(theta[diag])
         try:
-            return -glmmkit.marginal_loglik(x[:p], lam, data, family,
-                                            n_points)
+            return -glmmkit.load_fitted(x[:p], theta, data, family, n_points,
+                                        structure).loglik
         except glmmkit.GlmmKitError:
             return np.inf
 

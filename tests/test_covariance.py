@@ -51,20 +51,6 @@ def test_free_positions_column_major_lower_triangle():
     assert cov.free_positions(3, "diagonal") == [(0, 0), (1, 1), (2, 2)]
 
 
-def test_dG_dlambda_entry_matches_finite_difference():
-    lam = theta_to_lambda([0.9, -0.3, 0.5], 2)
-    for (a, b) in cov.free_positions(2, "unstructured"):
-        def g_entry(t, a=a, b=b):
-            shifted = lam.copy()
-            shifted[a, b] = t
-            return lambda_to_G(shifted)
-
-        h = 1e-7
-        fd = (g_entry(lam[a, b] + h) - g_entry(lam[a, b] - h)) / (2 * h)
-        np.testing.assert_allclose(cov.dG_dlambda_entry(lam, a, b), fd,
-                                   rtol=1e-6, atol=1e-9)
-
-
 def test_dG_dtheta_jacobian_matches_finite_difference():
     # jacobian rows follow the var-scale ordering: variances first, then
     # the covariances, matching the labels the reparameterization emits
@@ -120,20 +106,16 @@ def test_theta_chain_on_the_theta_scale_is_the_identity():
     np.testing.assert_array_equal(second, 0.0)
 
 
-def test_relcov_factor_labels():
-    r = cov.RelCovFactor(2, np.array([0.7, 0.2, 0.4]))
+def test_parameter_labels_on_each_scale():
     names = ["(Intercept)", "x1"]
-    assert r.labels(names, "theta") == [
+    assert cov.labels(2, "unstructured", names, "theta") == [
         "chol[(Intercept),(Intercept)]", "chol[x1,(Intercept)]", "chol[x1,x1]"]
-    assert r.labels(names, "var") == [
+    assert cov.labels(2, "unstructured", names, "var") == [
         "var[(Intercept)]", "var[x1]", "cov[x1,(Intercept)]"]
-    assert r.labels(names, "sd") == [
+    assert cov.labels(2, "unstructured", names, "sd") == [
         "sd[(Intercept)]", "sd[x1]", "cor[x1,(Intercept)]"]
-
-
-def test_relcov_factor_matrix():
-    r = cov.RelCovFactor(2, np.array([0.7, 0.2, 0.4]))
-    np.testing.assert_allclose(r.matrix, [[0.7, 0.0], [0.2, 0.4]])
+    assert cov.labels(2, "diagonal", names, "var") == [
+        "var[(Intercept)]", "var[x1]"]
 
 
 def test_validate_parameterization():

@@ -9,17 +9,24 @@ score with the modes re-solved at every perturbed point
 (``oracles.fd_hessian``).
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import glmmkit.covariance as cov
 import oracles
-from glmmkit import (ConfigError, FitControl, SingularityError, estfun,
+from glmmkit import (ConfigError, FitControl, GlmmData, SingularityError,
+                     estfun,
                      family_spec, fit, gradient, hessian, llcont, load_fitted,
-                     make_glmm_data, marginal_loglik, sandwich_vcov, sctest,
-                     vuong_lr_test, vuong_variance_test)
+                     make_glmm_data, sandwich_vcov, sctest, vuong_lr_test,
+                     vuong_variance_test)
 from glmmkit import estimation
 from glmmkit.derivatives import _hessian_sweep
-from glmmkit.estimation import _quadrature_sweep
+from glmmkit.estimation import _BOUNDARY_TOL, _quadrature_sweep
+from glmmkit.families import FamilySpec
 from glmmkit.quadrature import gh_rule
 from oracles import (fd_hessian, fd_scores_fixed_anchor, raw_fd_hessian,
                      score_beta_cluster, score_theta_cluster, simpson_cluster)
@@ -72,19 +79,24 @@ def test_estfun_matches_simpson_scores(binom_fit):
                                    np.r_[beta_s, theta_s], atol=1e-9)
 
 
-def _sweep_scores(fitted, n_points, general):
+def _sweep_scores(fitted, n_points):
     _, values = _quadrature_sweep(
         fitted.beta, fitted.lambda_matrix, fitted.data, fitted.family,
-        fitted.modes, fitted.cond_chol, gh_rule(n_points, 1), [(0, 0)],
-        general=general)
+        fitted.modes, fitted.cond_chol, gh_rule(n_points, 1), [(0, 0)])
     p = fitted.data.n_fixed
     return values[:, :p], values[:, p:]
 
 
-def test_canonical_shortcut_agrees_with_general_form(binom_fit, poisson_fit):
-    for fitted in (binom_fit, poisson_fit):
-        b_canon, t_canon = _sweep_scores(fitted, 7, general=False)
-        b_general, t_general = _sweep_scores(fitted, 7, general=True)
+def test_canonical_shortcut_agrees_with_general_form(binom_fit, poisson_fit,
+                                                     monkeypatch):
+    # the general residual (y - mu) mu'(eta) / V(mu) runs for every link
+    # the family does not call canonical
+    canonical = [_sweep_scores(fitted, 7) for fitted in (binom_fit,
+                                                         poisson_fit)]
+    monkeypatch.setattr(FamilySpec, "canonical", False)
+    for fitted, (b_canon, t_canon) in zip((binom_fit, poisson_fit),
+                                          canonical):
+        b_general, t_general = _sweep_scores(fitted, 7)
         np.testing.assert_allclose(b_canon, b_general, rtol=1e-12,
                                    atol=1e-14)
         np.testing.assert_allclose(t_canon, t_general, rtol=1e-12,
@@ -314,12 +326,44 @@ def test_hessian_flags_diagonal_entries_on_the_bound(slope_fit):
         hessian(at_bound, "var", n_points=3)
 
 
+@functools.cache
+def _boundary_data(q):
+    """30 clusters of 6 binary rows, with random effects on the first q
+    columns of X."""
+    rng = np.random.default_rng(40 + q)
+    x = np.column_stack([np.ones(180), rng.standard_normal((180, 2))])
+    y = (rng.random(180) < 1.0 / (1.0 + np.exp(-x @ [0.2, 0.5, -0.3])))
+    return GlmmData.from_arrays(y.astype(float), x, x[:, :q].copy(),
+                                np.repeat(np.arange(30), 6))
+
+
+@st.composite
+def boundary_cases(draw):
+    q = draw(st.integers(1, 3))
+    structure = draw(st.sampled_from(["unstructured", "diagonal"]))
+    theta = [draw(st.sampled_from([0.0, 5e-7, 1e-6, 2e-6, 0.5])) if i == j
+             else 0.2 for i, j in cov.free_positions(q, structure)]
+    return q, structure, np.array(theta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(boundary_cases())
+def test_boundary_flag_and_one_sided_columns_follow_one_rule(case):
+    q, structure, theta = case
+    data = _boundary_data(q)
+    fitted = load_fitted([0.2, 0.5, -0.3], theta, data, "binomial",
+                         structure=structure)
+    one_sided = hessian(fitted, "theta", n_points=2).one_sided
+    assert fitted.boundary == bool(one_sided)
+    assert one_sided == tuple(
+        3 + t for t, (i, j) in enumerate(cov.free_positions(q, structure))
+        if i == j and theta[t] < _BOUNDARY_TOL)
+
+
 ZERO_POINT_CALLS = {
     "fit": lambda f: fit(f.data, "binomial", control=FitControl(n_points=0)),
     "load_fitted": lambda f: load_fitted(f.beta, f.theta, f.data, "binomial",
                                          n_points=0),
-    "marginal_loglik": lambda f: marginal_loglik(f.beta, f.lambda_matrix,
-                                                 f.data, "binomial", 0),
     "llcont": lambda f: llcont(f, n_points=0),
     "estfun": lambda f: estfun(f, "theta", n_points=0),
     "gradient": lambda f: gradient(f, "theta", n_points=0),

@@ -13,8 +13,7 @@ import glmmkit.covariance as cov
 import glmmkit.estimation as estimation
 from glmmkit import (ConfigError, DomainError, EstimationError, FitControl,
                      GlmmData, ShapeError, conditional_modes, family_spec,
-                     fit, llcont, load_fitted, make_glmm_data,
-                     marginal_loglik)
+                     fit, llcont, load_fitted, make_glmm_data)
 from glmmkit.estimation import _quadrature_sweep, default_points
 from glmmkit.families import FamilySpec
 from glmmkit.quadrature import gh_rule
@@ -46,6 +45,13 @@ def test_poisson_single_observation_mode_closed_form():
     np.testing.assert_allclose(modes[0, 0], root, atol=1e-9)
     np.testing.assert_allclose(chols[0, 0, 0],
                                (np.exp(root) + 1.0) ** -0.5, rtol=1e-8)
+
+
+@pytest.mark.parametrize("lam", [0.7, [0.7], np.eye(2)])
+def test_conditional_modes_takes_only_a_q_by_q_factor(lam):
+    data = GlmmData.from_arrays([2.0], np.ones((1, 1)), np.ones((1, 1)), [0])
+    with pytest.raises(ShapeError, match="does not match Z"):
+        conditional_modes(np.zeros(1), lam, data, "poisson")
 
 
 def test_modes_are_stationary_points():
@@ -98,29 +104,26 @@ def test_warm_and_cold_mode_solves_agree_at_a_stationary_point(
 
 @pytest.mark.parametrize("family,bad", [("binomial", 2.0), ("binomial", 0.5),
                                         ("poisson", -1.0), ("poisson", 0.5)])
-@pytest.mark.parametrize("entry", ["fit", "load_fitted", "marginal_loglik"])
+@pytest.mark.parametrize("entry", ["fit", "load_fitted"])
 def test_responses_outside_the_support_are_a_domain_error(entry, family, bad):
     sim = make_glmm_data(family, n_clusters=30, cluster_size=5, seed=5)
     d = sim.data
     y = d.y.copy()
     y[7] = bad
     data = GlmmData.from_arrays(y, d.X, d.Z, d.cluster_index)
-    lam = cov.theta_to_lambda(sim.theta, 1)
     calls = {
         "fit": lambda: fit(data, family),
         "load_fitted": lambda: load_fitted(sim.beta, sim.theta, data, family),
-        "marginal_loglik": lambda: marginal_loglik(sim.beta, lam, data,
-                                                   family, n_points=5),
     }
     with pytest.raises(DomainError, match="responses must be"):
         calls[entry]()
 
 
-def test_marginal_loglik_matches_simpson_oracle():
+def test_loglik_at_given_estimates_matches_simpson_oracle():
     sim = make_glmm_data("binomial", n_clusters=8, cluster_size=5, seed=9)
     family = family_spec("binomial", "logit")
-    lam = cov.theta_to_lambda(sim.theta, 1)
-    total = marginal_loglik(sim.beta, lam, sim.data, family, n_points=15)
+    total = load_fitted(sim.beta, sim.theta, sim.data, family,
+                        n_points=15).loglik
     oracle = 0.0
     for i in range(8):
         rows = slice(sim.data.offsets[i], sim.data.offsets[i + 1])
@@ -264,6 +267,21 @@ def test_negative_theta_start_diagonal_is_a_domain_error(binom_fit):
     with pytest.raises(DomainError, match="nonnegative diagonal"):
         fit(binom_fit.data, "binomial",
             control=FitControl(theta_start=np.array([-0.7])))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_theta_is_a_domain_error(binom_fit, slope_fit, bad):
+    # refused before any arithmetic: an inf used to emit numpy's "invalid
+    # value encountered in matmul" and then report a non-finite linear
+    # predictor
+    with pytest.raises(DomainError, match="theta must be finite"):
+        load_fitted(binom_fit.beta, [bad], binom_fit.data, "binomial")
+    with pytest.raises(DomainError, match="theta must be finite"):
+        load_fitted(slope_fit.beta, [0.5, bad, 0.4], slope_fit.data,
+                    "binomial")
+    with pytest.raises(DomainError, match="theta_start must be finite"):
+        fit(binom_fit.data, "binomial",
+            control=FitControl(theta_start=np.array([bad])))
 
 
 def test_quadrature_refinement_changes_little_at_optimum(binom_fit):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glmmkit import (GlmmData, estfun, gradient, hessian, llcont, load_fitted,
-                     make_glmm_data, marginal_loglik)
+                     make_glmm_data)
 
 # Over 100 drawn models the worst gap was 1.0e-13 for a row permutation
 # and 3.9e-16 for duplication, relative to the scales used below.
@@ -38,8 +38,7 @@ def _simulate(spec):
 
 def _quantities(sim, family, data):
     fitted = load_fitted(sim.beta, sim.theta, data, family)
-    loglik = marginal_loglik(sim.beta, fitted.relcov, data, family,
-                             n_points=5)
+    loglik = load_fitted(sim.beta, sim.theta, data, family, n_points=5).loglik
     return loglik, llcont(fitted), estfun(fitted).values
 
 

@@ -96,6 +96,17 @@ def test_ordering_validation():
         cumulative_score_process(scores, np.ones(4))
 
 
+def test_an_ordering_that_cannot_be_sorted_is_a_config_error(binom_fit):
+    # argsort of an object array holding None raises a raw TypeError
+    ordering = np.array([1.0, None, 2.0, 3.0], dtype=object)
+    with pytest.raises(ConfigError, match="cannot be sorted"):
+        cumulative_score_process(np.array([[1.0], [-2.0], [0.5], [0.5]]),
+                                 ordering)
+    ordering = np.array([None] + list(range(39)), dtype=object)
+    with pytest.raises(ConfigError, match="cannot be sorted"):
+        sctest(binom_fit, ordering, scores=estfun(binom_fit, "theta"))
+
+
 # ---------------------------------------------------------------------------
 # sctest
 
@@ -227,6 +238,15 @@ def test_sctest_reports_the_error_bound_of_p(binom_fit, ordering_40):
                         seed=5, n_sim=4000)
         assert 0.0 < result.p_value < 1.0
         assert result.p_value_se == bound
+
+
+@pytest.mark.parametrize("trim", [(0.1,), "ab", (0.1, 0.5, 0.9), None,
+                                  (0.9, 0.1), (-0.1, 0.9), (0.1, 1.5),
+                                  (0.1, float("nan")), ("0.1", "0.9")])
+def test_sctest_bad_trim_is_a_config_error(binom_fit, ordering_40, trim):
+    # (0.1,) raised a raw IndexError and "ab" a raw TypeError
+    with pytest.raises(ConfigError, match="trimming window"):
+        sctest(binom_fit, ordering_40, functional="maxlm", trim=trim)
 
 
 @pytest.mark.parametrize("n_sim", [0, -5, 2.5, True])
