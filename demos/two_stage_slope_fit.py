@@ -3,10 +3,11 @@
 The first stage maximizes the Laplace approximation (one quadrature
 point per dimension), which is cheap but biased for binary responses.
 The second refits on a 7 x 7 adaptive Gauss-Hermite rule, started from
-the first stage's estimates.  Like every fit on two or more points per
-dimension, the refit first takes Newton steps on the Hessian that its
-own quadrature sweep returns; from such a start it needs only a few, and
-the point where they converge is the fit.  This script
+the first stage's estimates.  Both stages take Newton steps on the
+Hessian that their own quadrature sweeps return, the Laplace one on the
+objective's exact Hessian, and the point where the steps converge is
+the fit; from the first stage's estimates the refit needs only a few.
+This script
 prints each stage's evaluation count and log-likelihood, and checks that
 the refit's per-cluster log-likelihoods (llcont) sum to its total.
 """

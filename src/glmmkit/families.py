@@ -1,7 +1,7 @@
 """Exponential-family kernels for the supported response distributions.
 
 The likelihood and score machinery only ever needs a handful of
-distribution-specific quantities: the inverse link and its first three
+distribution-specific quantities: the inverse link and its first four
 derivatives in ``eta``, the variance function ``Var(mu)``, and the
 conditional log density written in exponential-family form
 
@@ -212,6 +212,23 @@ class FamilySpec:
         dmu = e * np.exp(-e)
         # dmu * e * e, not dmu * (e * e): e * e overflows where dmu is 0
         return dmu * (1.0 - 3.0 * e) + dmu * e * e
+
+    def _d4mu_deta4(self, eta: np.ndarray) -> np.ndarray:
+        """Fourth derivative of mu with respect to eta."""
+        if self.family == "poisson":
+            return np.exp(np.minimum(eta, _ETA_MAX))
+        if self.link == "logit":
+            p = special.expit(eta)
+            dmu = p * (1.0 - p)
+            return dmu * (1.0 - 2.0 * p) * (1.0 - 12.0 * dmu)
+        if self.link == "probit":
+            return (3.0 - eta * eta) * (eta * _norm_pdf(eta))
+        e = np.exp(np.minimum(eta, _ETA_MAX))
+        dmu = e * np.exp(-e)
+        # every power of e follows the factor dmu, which is 0 where the
+        # power alone would overflow
+        de = dmu * e
+        return dmu - 7.0 * de + 6.0 * de * e - de * e * e
 
     def _dvar_dmu(self, mu: np.ndarray) -> np.ndarray:
         if self.family == "binomial":

@@ -123,7 +123,12 @@ def _ordering_groups(order_by: np.ndarray):
     order_by = np.asarray(order_by)
     if order_by.ndim != 1:
         raise ConfigError("ordering variable must be one-dimensional")
-    if order_by.dtype.kind == "f" and np.isnan(order_by).any():
+    # a NaN compares false both ways, so it would sort anywhere: in a float
+    # array, or as an entry of an object one
+    if (np.isnan(order_by).any() if order_by.dtype.kind == "f"
+            else order_by.dtype == object and any(
+                isinstance(v, (float, np.floating)) and np.isnan(v)
+                for v in order_by)):
         raise ConfigError("ordering variable contains NaN")
     try:
         perm = np.argsort(order_by, kind="stable")

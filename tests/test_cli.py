@@ -441,6 +441,25 @@ def test_negative_theta_diagonal_in_a_fit_file_fails_at_load(
             in payload["error"]["message"])
 
 
+@pytest.mark.parametrize("field,value", [("beta", ["x", 1]),
+                                         ("theta", ["a"])],
+                         ids=["beta", "theta"])
+def test_non_numeric_estimates_in_a_fit_file_give_config_error_json(
+        workdir, capsys, tmp_path, field, value):
+    stored = json.loads((workdir / "fit.json").read_text())
+    stored["estimate"][field] = value
+    bad_fit = tmp_path / "strings.json"
+    bad_fit.write_text(json.dumps(stored))
+    code, payload = _run_json(
+        ["scores", "--data", str(workdir / "data.csv"),
+         "--config", str(workdir / "config.json"),
+         "--fit", str(bad_fit)], capsys)
+    assert code == 1
+    _validate(payload, "error")
+    assert payload["error"]["category"] == "config"
+    assert f"{field} must hold only numbers" in payload["error"]["message"]
+
+
 def test_non_utf8_data_gives_error_json(workdir, capsys, tmp_path):
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes(

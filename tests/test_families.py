@@ -54,6 +54,26 @@ def test_mu_derivatives_match_finite_differences(family, link):
         np.testing.assert_allclose(derivative(eta), fd, rtol=1e-8, atol=atol)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family,link", [
+    ("binomial", "logit"), ("binomial", "probit"),
+    ("binomial", "cloglog"), ("poisson", "log"),
+])
+def test_fourth_mu_derivative_matches_differences_of_the_third(family, link):
+    # moderate eta as for the lower derivatives, and |eta| >= 30, where
+    # the logit and cloglog forms must neither overflow nor warn: there
+    # the derivative underflows to 0, or is the Poisson mean itself
+    fam = family_spec(family, link)
+    h = 1e-5
+    for eta, rtol in ((np.array([-2.0, -0.7, 0.0, 0.4, 1.2]), 1e-8),
+                      (np.array([-700.0, -40.0, -30.0, 30.0, 40.0, 700.0]),
+                       1e-6)):
+        fd = (fam._d3mu_deta3(eta + h) - fam._d3mu_deta3(eta - h)) / (2 * h)
+        d4 = fam._d4mu_deta4(eta)
+        assert np.all(np.isfinite(d4))
+        np.testing.assert_allclose(d4, fd, rtol=rtol, atol=1e-9)
+
+
 def _log_density(fam, y, mu):
     kappa = fam.canonical_parameter(mu)
     return y * kappa - fam.cumulant(kappa) + fam.log_normalizer(y)

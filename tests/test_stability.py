@@ -107,6 +107,19 @@ def test_an_ordering_that_cannot_be_sorted_is_a_config_error(binom_fit):
         sctest(binom_fit, ordering, scores=estfun(binom_fit, "theta"))
 
 
+def test_nan_in_an_object_ordering_is_a_config_error(binom_fit):
+    # NaN compares false both ways, so an object array holding one sorts
+    # without error, in an arbitrary order
+    for nan in (np.nan, np.float32("nan")):
+        ordering = np.array([1.0, nan, 2.0, 3.0], dtype=object)
+        with pytest.raises(ConfigError, match="NaN"):
+            cumulative_score_process(np.array([[1.0], [-2.0], [0.5], [0.5]]),
+                                     ordering)
+    ordering = np.array([np.nan] + list(range(39)), dtype=object)
+    with pytest.raises(ConfigError, match="NaN"):
+        sctest(binom_fit, ordering, scores=estfun(binom_fit, "theta"))
+
+
 # ---------------------------------------------------------------------------
 # sctest
 
