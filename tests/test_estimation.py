@@ -366,15 +366,6 @@ def test_exact_gradient_matches_differences_of_the_reanchored_loglik(
     assert gap <= 5e-9
 
 
-def _expected_curvature_factors(monkeypatch):
-    """Build every conditional factor on the expected curvature, the
-    fallback for an observed one that is not positive definite."""
-    monkeypatch.setattr(
-        estimation, "_factor_curvature",
-        lambda m_obs, m_exp, lam, data: (estimation._cholesky(
-            estimation._penalized_curvature(m_exp, lam, data)), False))
-
-
 @pytest.mark.parametrize("curvature", ["observed", "expected"])
 @pytest.mark.parametrize("q,structure", [(1, "unstructured"),
                                          (2, "unstructured"), (2, "diagonal"),
@@ -390,7 +381,10 @@ def test_laplace_hessian_matches_differences_of_the_exact_gradient(
     # gradient the fit follows; "expected" checks the term's fallback
     # branch, where C comes from the expected curvature
     if curvature == "expected":
-        _expected_curvature_factors(monkeypatch)
+        monkeypatch.setattr(
+            estimation, "_factor_curvature",
+            lambda m_obs, m_exp, lam, data: (estimation._cholesky(
+                estimation._penalized_curvature(m_exp, lam, data)), False))
     data, spec, beta, theta = _gradient_case(family, link, q, structure)
     positions = cov.free_positions(q, structure)
 
@@ -1084,7 +1078,7 @@ def test_newton_phase_steps_or_hands_over(case, how, monkeypatch):
 
 @pytest.mark.parametrize("n_points,start,how", [(7, None, "converged"),
                                                 (1, None, "converged"),
-                                                (7, [0.0], "not run")])
+                                                (7, 0.0, "not run")])
 def test_fit_logs_how_the_newton_phase_ended(binom_fit, caplog, monkeypatch,
                                              n_points, start, how):
     # one debug record per fit, none at the default level, and the same
@@ -1093,7 +1087,8 @@ def test_fit_logs_how_the_newton_phase_ended(binom_fit, caplog, monkeypatch,
     # step-halving trials, and the L-BFGS-B runs: none after converged
     # Newton steps, on the Laplace rule too, and two from a start on the
     # boundary, where no Newton step runs
-    control = FitControl(n_points=n_points, restarts=1, theta_start=start)
+    control = FitControl(n_points=n_points, restarts=1,
+                         theta_start=None if start is None else [start])
     quiet = fit(binom_fit.data, "binomial", control=control)
     assert not [r for r in caplog.records if r.name == "glmmkit"]
     sweeps, solves, runs = [], [], []
@@ -1222,7 +1217,8 @@ def test_a_laplace_fit_pinned_at_a_zero_diagonal_leaves_by_its_mirror(
     # while the gradient still pushes it down: the optimum lies past the
     # bound, at the mirror image of a point with theta_1 > 0.  Handed over
     # as it is, L-BFGS-B stops at theta_1 = 0, 8e-5 below the fit of
-    # L-BFGS-B alone; with the first column of Lambda negated it goes on
+    # L-BFGS-B alone; with the rest of Lambda's first column negated, the
+    # mirror image, it goes on
     data = _slope_data("binomial", "logit", 1305363320)
     with caplog.at_level(logging.DEBUG, logger="glmmkit"):
         laplace = fit(data, "binomial")
@@ -1242,7 +1238,9 @@ def test_a_laplace_fit_pinned_at_a_zero_diagonal_leaves_by_its_mirror(
     (2, "unstructured", [0.5, 0.3, 1e-9], [0.0, 0.0, 0.0, 0.0, 1.0], None),
     (2, "unstructured", [1e-9, 0.0, 0.8], [0.0, 0.0, 1.0, 0.0, 0.0], None),
     (2, "diagonal", [1e-9, 0.8], [0.0, 0.0, 1.0, 0.0], None),
-    (1, "unstructured", [1e-9], [0.0, 0.0, 1.0], None)])
+    (1, "unstructured", [1e-9], [0.0, 0.0, 1.0], None)],
+    ids=["pushed down", "at zero", "pushed up", "last column",
+         "zero column", "diagonal", "q = 1"])
 def test_only_columns_with_another_nonzero_entry_are_mirrored(
         q, structure, theta, grad, flipped):
     # a column whose other entries are all zero enters through its
