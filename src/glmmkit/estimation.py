@@ -71,7 +71,9 @@ the exact gradient's anchor terms (``_scalar_anchor_terms``), and the
 second-order sweep's anchor motion and Hessian (``_scalar_anchor_motion``,
 ``_scalar_anchored_hessian``).  Their results are the LAPACK, matmul
 and einsum results bit for bit, and they fail where those fail; q >= 2
-keeps the matrix forms.
+keeps the matrix forms.  So does the Laplace rule's log-determinant term
+(``_log_det_hessian``) at every q: a q = 1 fit takes the one-point rule
+only when asked for it.
 
 ``fit`` logs one debug record to the ``glmmkit`` logger per fit: its
 evaluations, those of the Newton steps and how the steps ended, its
