@@ -877,6 +877,9 @@ def mixture_tail_simulated(weights, value, rng, n_sim,
     return count / n_sim
 
 
+_IMHOF_REACH = 1e100   # where imhof_tail stops integrating
+
+
 def imhof_tail(weights, value):
     """P(sum of weighted chi-square(1) >= value) by Imhof's (1961)
     real-line integral, a deterministic counterpart of
@@ -889,7 +892,11 @@ def imhof_tail(weights, value):
     decades up to one period of the ``x u / 2`` oscillation, so a small
     ``x`` is integrated directly; past that, ``sin(A - x u / 2)`` splits
     into ``sin A cos(x u / 2) - cos A sin(x u / 2)`` and QUADPACK's QAWF
-    (``quad(weight="cos"/"sin")``) sums the oscillating tails.
+    (``quad(weight="cos"/"sin")``) sums the oscillating tails.  The
+    decades stop at ``u = 1e100``, where ``(w u)^2`` is still finite: past
+    it the integrand is below ``(max|w| u)^(-1/2) / u``, whose integral
+    (``2e-50 / max|w|^(1/2)``) is dropped, so an ``x`` within 1e-99 of
+    zero neither overflows nor runs the decades to infinity.
     """
     lam = np.asarray(weights, dtype=float)
     omega = 0.5 * float(value)
@@ -905,8 +912,9 @@ def imhof_tail(weights, value):
             return 0.5 * float(lam.sum()) - omega
         return math.sin(angle(u) - omega * u) / modulus(u)
 
+    period = 2.0 * math.pi / abs(omega) if omega != 0.0 else 0.0
     edges = [0.0, 1.0]
-    while omega != 0.0 and edges[-1] < 2.0 * math.pi / abs(omega):
+    while edges[-1] < min(period, _IMHOF_REACH):
         edges.append(10.0 * edges[-1])
     plain = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 200}
     head = sum(quad(integrand, a, b, **plain)[0]
@@ -914,6 +922,8 @@ def imhof_tail(weights, value):
     start = edges[-1]
     if omega == 0.0:
         tail = quad(integrand, start, np.inf, **plain)[0]
+    elif start >= _IMHOF_REACH:
+        tail = 0.0
     else:
         cycles = {"wvar": abs(omega), "epsabs": 1e-13, "limlst": 200}
         tail = (quad(lambda u: math.sin(angle(u)) / modulus(u), start,
