@@ -23,7 +23,8 @@ of that objective.  The paper's casewise scores hold the quadrature
 anchors fixed; the fit objective moves its anchors with the parameters,
 so the sweep adds the derivative through the mode (implicit
 differentiation of the penalized score) and through the conditional
-factor (differentiated through its Cholesky).  The scores themselves
+factor (differentiated through its Cholesky), contracting the nodes'
+motion in the parameters (``_anchor_motion``).  The scores themselves
 stay independently checked: acceptance gates 1 and 2 test the
 fixed-anchor scores against finite differences and brute-force
 integration, and a test checks the exact gradient against finite
@@ -67,13 +68,12 @@ arithmetic.  There every step of a fit evaluation uses scalar closed
 forms: the mode solver and the conditional factor (``_penalized_curvature``,
 ``_newton_step``, ``_cholesky``, ``_conditional_factor``), the adapted
 grid (``quadrature._adapted_grid``), the sweep's products with Lambda,
-the exact gradient's anchor terms (``_scalar_anchor_terms``), and the
-second-order sweep's anchor motion and Hessian (``_scalar_anchor_motion``,
-``_scalar_anchored_hessian``).  Their results are the LAPACK, matmul
-and einsum results bit for bit, and they fail where those fail; q >= 2
-keeps the matrix forms.  So does the Laplace rule's log-determinant term
-(``_log_det_hessian``) at every q: a q = 1 fit takes the one-point rule
-only when asked for it.
+the anchor motion (``_scalar_anchor_motion``) and the second-order
+sweep's Hessian (``_scalar_anchored_hessian``).  Their results are the
+LAPACK, matmul and einsum results bit for bit, and they fail where those
+fail; q >= 2 keeps the matrix forms.  So does the Laplace rule's
+log-determinant term (``_log_det_hessian``) at every q: a q = 1 fit
+takes the one-point rule only when asked for it.
 
 ``fit`` logs one debug record to the ``glmmkit`` logger per fit: its
 evaluations, those of the Newton steps and how the steps ended, its
@@ -588,16 +588,16 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     canonical link reduces to ``y - mu``.
 
     These scores hold the anchors (modes and factors) fixed.  ``exact``
-    adds the derivative through the anchors (see ``_anchor_terms``), so
-    the scores become the exact gradient of the returned log-likelihood
-    with the modes and factors re-solved at every parameter value: the
-    gradient of the fit objective.  ``second`` also returns the Jacobian
-    of the summed fixed-anchor scores with the anchors following the
-    parameters (see ``_anchored_hessian``), shape (p + k, p + k), and the
-    nodes' motion in the parameters, shape (I, q, 1 + q, p + k), whose
-    first column is the modes' derivative (see ``_anchor_motion``); it
-    adds one row sum per node for every pair of distinct columns of
-    [X Z], weighted by the observed curvature.  The
+    adds the derivative through the anchors, contracted from the nodes'
+    motion (see ``_anchor_motion``), so the scores become the exact
+    gradient of the returned log-likelihood with the modes and factors
+    re-solved at every parameter value: the gradient of the fit
+    objective.  ``second`` also returns the Jacobian of the summed
+    fixed-anchor scores with the anchors following the parameters (see
+    ``_anchored_hessian``), shape (p + k, p + k), and the nodes' motion in
+    the parameters, shape (I, q, 1 + q, p + k), whose first column is the
+    modes' derivative; it adds one row sum per node for every pair of
+    distinct columns of [X Z], weighted by the observed curvature.  The
     log-likelihood and scores are the same bit for bit with and without
     ``second``.
 
@@ -605,10 +605,6 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
     the one a mode solve handed over (``conditional_modes(record=True)``),
     or else one rebuilt from the modes (``_mode_state``).
     """
-
-    def at_modes():
-        return (_mode_state(beta, lam, data, family, modes) if state is None
-                else state)
 
     log_w, locations = _adapted_grid(rule, modes, chols)
     y, n_nodes, p = data.y, rule.size, data.n_fixed
@@ -627,12 +623,15 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
         columns = np.stack([data.X[:, j] if j < p else data.Z[:, j - p]
                             for j in distinct])
         kernel = np.empty((len(distinct), data.n_clusters, n_nodes))
-    if second:
+    if exact or second:
         # the anchors' motion first: the mode-level rows are freed before
         # the node blocks run
+        state = (_mode_state(beta, lam, data, family, modes) if state is None
+                 else state)
+        motion = _anchor_motion(lam, data, modes, chols, positions, state,
+                                columns, col_of)
+    if second:
         products, pair_of = _design_pairs(col_of)
-        motion = _anchor_motion(lam, data, modes, chols, positions,
-                                at_modes(), columns, col_of)
         curvature = np.empty((data.n_clusters, n_nodes, len(products)))
     per_block = max(1, _BLOCK_ELEMENTS // data.n_obs)
     for start in range(0, n_nodes, per_block):
@@ -690,127 +689,45 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
             for part in map(slice, range(0, data.n_clusters, size),
                             range(size, data.n_clusters + size, size)))
     if exact:
-        scores += _anchor_terms(
-            lam, data, modes, chols, positions, at_modes(),
-            np.einsum("im,jim->ij", rho, grad_g),
-            np.einsum("im,jim,mc->ijc", rho, grad_g, rule.nodes))
+        # E[grad g]' da + <E[grad g z'] + diag(1 / C_jj), dC>; dC is lower
+        # triangular, so the upper entries of E[grad g z'] meet zeros
+        moments = np.concatenate(
+            [np.einsum("im,aim->ia", rho, grad_g)[..., None],
+             np.einsum("im,aim,mc->iac", rho, grad_g, rule.nodes)], axis=2)
+        diag = np.arange(data.n_random)
+        moments[:, diag, 1 + diag] += 1.0 / chols[:, diag, diag]
+        scores += np.einsum("iae,iaet->it", moments, motion)
     if not second:
         return ell, scores
     return ell, scores, jacobian, motion
-
-
-def _anchor_terms(lam, data: GlmmData, modes, chols, positions,
-                  state: _ModeState, grad_mean, grad_outer):
-    """The part of the exact per-cluster gradient that fixed-anchor scores
-    leave out: the derivative through the mode and the conditional factor.
-
-    ``grad_mean`` (I, q) and ``grad_outer`` (I, q, q) are the node-weighted
-    moments E[grad g] and E[grad g z'] of g(u) = log f(y | u) - ||u||^2 / 2,
-    z the base nodes.  The nodes sit at u = a + C z, so the missing terms
-    are E[grad g]' da + <tril E[grad g z'] + diag(1 / C_jj), dC>.  The mode
-    moves by da = H^-1 d(grad g)(a), from implicit differentiation of
-    grad g(a) = 0, with H the observed penalized curvature; the factor by
-    dC = C Phi(C^-1 dS C^-T) with dS = -S dH S, S = C C' and Phi keeping
-    the lower triangle with the diagonal halved.  Phi is self-adjoint, so
-    the factor term is -<B, dH> with B = C Phi(C' G) C', G the matrix
-    above.  dH needs the eta-slope of the curvature behind C, and both
-    terms come back to per-row weights, so every parameter costs one
-    segment sum.  ``state`` holds the rows at the modes.  Returns shape
-    (I, p + k).
-
-    At q = 1 every matrix is a scalar per cluster or row, and the terms
-    are formed from those scalars (``_scalar_anchor_terms``).
-    """
-    if data.n_random == 1:
-        return _scalar_anchor_terms(lam, data, modes, chols, state,
-                                    grad_mean, grad_outer)
-    rows = data.cluster_index
-    q = data.n_random
-    weight, slope = state.weight, state.slope
-
-    diag = np.arange(q)
-    chol_t = np.swapaxes(chols, 1, 2)
-    g = np.tril(grad_outer)
-    g[:, diag, diag] += 1.0 / chols[:, diag, diag]
-    inner = np.tril(chol_t @ g)
-    inner[:, diag, diag] *= 0.5
-    b_mat = chols @ inner @ chol_t
-    b_mat = 0.5 * (b_mat + np.swapaxes(b_mat, 1, 2))
-    zl = data.Z @ lam                                   # rows of Z Lambda
-    zlb = np.einsum("nj,njk->nk", zl, b_mat[rows])
-    # dH = Lambda' Z' diag(slope deta) Z Lambda + the direct dLambda terms
-    slope_b = slope * np.sum(zlb * zl, axis=1)
-
-    # the mode term and the factor term's share through deta = Z Lambda da
-    # meet in one vector per cluster, pulled back through H^-1
-    pull = grad_mean - data.sum_by_cluster(zl * slope_b[:, None])
-    if state.observed:
-        nu = np.einsum("ijk,ilk,il->ij", chols, chols, pull)  # C C' pull
-    else:
-        nu = np.linalg.solve(_penalized_curvature(state.m_obs, lam, data),
-                             pull[..., None])[..., 0]
-    row_weight = state.m_obs * np.sum(zl * nu[rows], axis=1) + slope_b
-    zr = data.sum_by_cluster(data.Z * state.resid[:, None])
-    zw = data.sum_by_cluster(data.Z * row_weight[:, None])
-    zwb = data.sum_by_cluster((data.Z * weight[:, None])[:, :, None]
-                              * zlb[:, None, :])
-    s_theta = [nu[:, b] * zr[:, a] - modes[:, b] * zw[:, a]
-               - 2.0 * zwb[:, a, b] for a, b in positions]
-    return np.column_stack([-data.sum_by_cluster(data.X
-                                                 * row_weight[:, None]),
-                            *s_theta])
-
-
-def _scalar_anchor_terms(lam, data: GlmmData, modes, chols,
-                         state: _ModeState, grad_mean, grad_outer):
-    """``_anchor_terms`` at q = 1, from per-cluster and per-row scalars.
-
-    The products come in the general form's order, so they round alike;
-    where that form sums a single product (a 1 x 1 matmul or einsum, a
-    sum over one column), the sum starts from +0, and so does ``0.0 +``
-    here: a zero product is +0, never -0.  B is the scalar c (c (G +
-    1/c) / 2) c, symmetric as it stands, and the expected-curvature
-    fallback divides by the observed penalized curvature
-    (``_newton_step``).  The result is the general form's, bit for bit.
-    """
-    rows = data.cluster_index
-    weight, slope = state.weight, state.slope
-    z = data.Z[:, 0]
-    c = chols[:, 0, 0]
-    b = c * (0.5 * (c * (grad_outer[:, 0, 0] + 1.0 / c))) * c
-    zl = (data.Z @ lam)[:, 0]                           # rows of Z Lambda
-    zlb = 0.0 + zl * b[rows]
-    slope_b = slope * (0.0 + zlb * zl)
-    pull = grad_mean[:, 0] - data.sum_by_cluster(zl * slope_b)
-    if state.observed:
-        nu = c * c * pull
-    else:
-        nu = _newton_step(_penalized_curvature(state.m_obs, lam, data),
-                          pull[:, None])[:, 0]
-    row_weight = state.m_obs * (0.0 + zl * nu[rows]) + slope_b
-    zr = data.sum_by_cluster(z * state.resid)
-    zw = data.sum_by_cluster(z * row_weight)
-    zwb = data.sum_by_cluster(z * weight * zlb)
-    return np.column_stack([
-        -data.sum_by_cluster(data.X * row_weight[:, None]),
-        nu * zr - modes[:, 0] * zw - 2.0 * zwb])
 
 
 def _anchor_motion(lam, data: GlmmData, modes, chols, positions,
                    state: _ModeState, columns, col_of):
     """How the nodes u = a + C z move with the parameters: du = da + dC z,
     returned as ``motion`` (I, q, 1 + q, p + k) with du = sum_e [1, z]_e
-    motion[:, :, e].
+    motion[:, :, e].  This is the one derivative of the anchors: the exact
+    gradient's anchor terms contract it, the Hessian's anchor terms
+    (``_anchored_hessian``) and the Laplace log-determinant term
+    (``_log_det_hessian``) read it.
 
-    As in ``_anchor_terms``, da = H_obs^-1 d(grad g)(a) from implicit
-    differentiation of grad g(a) = 0, and dC = -C Phi(C' dH C), Phi keeping
-    the lower triangle with the diagonal halved, dH differentiating the
-    curvature behind C with the mode's motion in eta.  That takes the row
-    sums of z d' against the observed curvature and of z z' against the
-    factor's weight at the modes, d the rows of the design [X Z], and of z
-    z' d against the weight's slope; the design comes as its distinct
-    ``columns`` and ``col_of`` (``_design_pairs``).  ``state`` holds the
-    rows at the modes.
+    With g(u) = log f(y | u) - ||u||^2 / 2, the mode moves by da = H_obs^-1
+    d(grad g)(a), from implicit differentiation of grad g(a) = 0, H_obs the
+    observed penalized curvature.  The factor moves by dC = C Phi(C^-1 dS
+    C^-T) with dS = -S dH S and S = C C', that is dC = -C Phi(C' dH C), Phi
+    keeping the lower triangle with the diagonal halved, dH differentiating
+    the curvature behind C with the mode's motion in eta.  Where C was
+    built on the expected curvature (``_factor_curvature``), dH
+    differentiates that curvature, while da still solves against H_obs,
+    formed from the rows and factored by LAPACK.  The exact gradient's
+    anchor terms are then E[grad g]' da + <E[grad g z'] + diag(1 / C_jj),
+    dC>, z the base nodes, the diagonal term from log|C|.
+
+    The motion takes the row sums of z d' against the observed curvature
+    and of z z' against the factor's weight at the modes, d the rows of the
+    design [X Z], and of z z' d against the weight's slope; the design
+    comes as its distinct ``columns`` and ``col_of`` (``_design_pairs``).
+    ``state`` holds the rows at the modes.
 
     At q = 1 the motion is formed from per-cluster scalars
     (``_scalar_anchor_motion``).
@@ -1316,7 +1233,8 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     one quadrature sweep returns the log-likelihood and its gradient with
     the anchors differentiated too (``_quadrature_sweep(exact=True)``).
     The diagonal theta entries are bounded below by zero, so a
-    ``theta_start`` with a negative diagonal entry is a ``DomainError``.
+    ``theta_start`` with a negative diagonal entry is a ``DomainError``;
+    a start with an entry that is not a number is a ``ConfigError``.
     A binomial fit whose every cluster has a constant response, some
     cluster with two rows or more, warns (``UserWarning``) that the
     likelihood has no finite maximum in theta, and runs on.
@@ -1368,13 +1286,13 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     bounds = [(None, None)] * p + [(0.0, None) if t in diagonal
                                    else (None, None) for t in range(k)]
 
-    beta0 = (np.asarray(control.beta_start, dtype=float)
+    beta0 = (_numbers(control.beta_start, "beta_start")
              if control.beta_start is not None else _glm_start(data, family))
     if beta0.size != p:
         raise ShapeError("beta_start has the wrong length")
     theta0 = np.isin(np.arange(k), diagonal).astype(float)
     if control.theta_start is not None:
-        theta0 = np.asarray(control.theta_start, dtype=float).copy()
+        theta0 = _numbers(control.theta_start, "theta_start").copy()
         if theta0.size != k:
             raise ShapeError("theta_start has the wrong length")
         cov._nonnegative_factor(theta0, q, structure, "theta_start")

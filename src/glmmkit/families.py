@@ -208,7 +208,9 @@ class FamilySpec:
             return p * (1.0 - p) * (1.0 - 6.0 * p * (1.0 - p))
         if self.link == "probit":
             return (eta * eta - 1.0) * _norm_pdf(eta)
-        e = np.exp(np.minimum(eta, _ETA_MAX))
+        # dmu is exactly 0 from eta = 6.61 on, so a bound of 30 on the
+        # exponent changes no value and keeps 3 e finite
+        e = np.exp(np.minimum(eta, 30.0))
         dmu = e * np.exp(-e)
         # dmu * e * e, not dmu * (e * e): e * e overflows where dmu is 0
         return dmu * (1.0 - 3.0 * e) + dmu * e * e

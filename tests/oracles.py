@@ -517,7 +517,8 @@ def plain_conditional_modes(beta, lam, data, family, start=None):
 
 
 # ---------------------------------------------------------------------------
-# the general matrix forms of the adapted grid and the anchor terms
+# the general matrix forms of the adapted grid and the anchors'
+# derivatives, and the adjoint form of the gradient's anchor terms
 
 
 def matrix_adapted_grid(rule, centers, chols):
@@ -534,10 +535,16 @@ def matrix_adapted_grid(rule, centers, chols):
 
 def matrix_anchor_terms(lam, data, modes, chols, positions, state,
                         grad_mean, grad_outer):
-    """``estimation._anchor_terms`` in its matrix form at every q, the
-    Newton step of the expected-curvature fallback by LAPACK: the part of
-    the exact per-cluster gradient through the modes and the conditional
-    factors, shape (I, p + k)."""
+    """The independent adjoint-form reference for the part of the exact
+    per-cluster gradient through the modes and the conditional factors,
+    shape (I, p + k), given the node moments E[grad g] (I, q) and E[grad g
+    z'] (I, q, q).  Where the sweep contracts the nodes' motion
+    (``estimation._anchor_motion``) with these moments, this pulls them
+    back through H^-1: with G = tril E[grad g z'] + diag(1 / C_jj), the
+    terms are E[grad g]' da - <B, dH>, B = C Phi(C' G) C' and Phi keeping
+    the lower triangle with the diagonal halved, and every parameter
+    costs one segment sum.  The Newton step of the expected-curvature
+    fallback is LAPACK's."""
     rows = data.cluster_index
     q = data.n_random
     weight, slope = state.weight, state.slope
