@@ -625,11 +625,11 @@ def _quadrature_sweep(beta, lam, data: GlmmData, family: FamilySpec,
         kernel = np.empty((len(distinct), data.n_clusters, n_nodes))
     if exact or second:
         # the anchors' motion first: the mode-level rows are freed before
-        # the node blocks run
-        state = (_mode_state(beta, lam, data, family, modes) if state is None
-                 else state)
-        motion = _anchor_motion(lam, data, modes, chols, positions, state,
-                                columns, col_of)
+        # the node blocks run, so a rebuilt state is bound to no name
+        motion = _anchor_motion(
+            lam, data, modes, chols, positions,
+            _mode_state(beta, lam, data, family, modes) if state is None
+            else state, columns, col_of)
     if second:
         products, pair_of = _design_pairs(col_of)
         curvature = np.empty((data.n_clusters, n_nodes, len(products)))
