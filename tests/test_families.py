@@ -76,8 +76,8 @@ def test_fourth_mu_derivative_matches_differences_of_the_third(family, link):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cloglog_third_mu_derivative_is_zero_far_right_without_overflow():
-    # mu' = e exp(-e) is exactly 0 from eta = 6.61 on; 3 e alone used to
-    # overflow from eta = 708.7
+    # mu' = e exp(-e) is exactly 0 from eta = 6.61 on, and 3 e with an
+    # unbounded exponent would overflow from eta = 708.7
     eta = np.array([7.0, 30.0, 708.7, 709.0, 1e4])
     d3 = family_spec("binomial", "cloglog")._d3mu_deta3(eta)
     assert np.array_equal(d3, np.zeros(eta.size))
