@@ -34,12 +34,13 @@ same implicit derivatives (``_anchored_hessian``); the anchor terms of
 both read the rows' state at the modes (``_ModeState``).
 
 The maximizer is L-BFGS-B.  A fit from a start inside the bounds (the
-default one, or a given one such as lme4's second stage after a Laplace
-fit) first takes Newton steps (``_newton_phase``), from the same sweep
-as the gradient.  Where they converge, their last evaluation is the fit;
-where they hand over, L-BFGS-B carries on from there, or from its
-mirror image in a column of Lambda (``_mirror_pinned_columns``).  On a
-rule of two or more points per dimension the steps use that Hessian,
+default one, a method-of-moments theta at a fit without random effects,
+or a given one such as lme4's second stage after a Laplace fit) first
+takes Newton steps (``_newton_phase``), from the same sweep as the
+gradient.  Where they converge, their last evaluation is the fit; where
+they hand over, L-BFGS-B carries on from there, or from its mirror image
+in a column of Lambda (``_mirror_pinned_columns``).  On a rule of two or
+more points per dimension the steps use that Hessian,
 which leaves out the derivative of the anchor terms, so it is not the
 objective's own; it is closest on finer rules and near the optimum.  On
 the Laplace rule (one point) it is furthest from it, but there the
@@ -119,6 +120,9 @@ _GTOL = 1e-6
 _NEWTON_ITER = 8
 _NEWTON_HALVINGS = 4
 _NEWTON_EIG_FLOOR = 1e-8
+# the floor of the default start's random-effect covariance eigenvalues
+# (``_moment_start``): every theta diagonal entry starts at 0.05 or more
+_MOMENT_FLOOR = 0.05 ** 2
 # (row, node) entries per block of the quadrature sweep: many nodes per
 # block save numpy call overhead on small data; from 16,384 rows on each
 # block is one node, which measured faster at 20,000 and 50,000 rows.
@@ -169,6 +173,12 @@ class FitControl:
     ``max_fev`` at least 1 and ``restarts`` at least 0, or a
     ``ConfigError``; so is ``n_points``, when given, at least 1.  The
     stopping tolerances are the module constants ``_FTOL`` and ``_GTOL``.
+
+    ``n_points`` defaults to :func:`default_points`.  ``beta_start``
+    defaults to the fit of the model without random effects, and
+    ``theta_start`` to a method-of-moments estimate at ``beta_start`` (or
+    at that default), or to the ones diagonal where the data do not
+    determine one; :func:`fit` describes both.
     """
 
     n_points: int | None = None
@@ -282,7 +292,10 @@ def conditional_modes(beta, lam, data: GlmmData, family: FamilySpec,
     their rows.  The returned factors satisfy ``C_i C_i' = H_i^{-1}`` with
     ``H_i`` the penalized negative Hessian at the mode (observed
     curvature; expected curvature is substituted in the rare case the
-    observed one is not positive definite).
+    observed one is not positive definite).  A Newton step on a singular
+    curvature is an ``EstimationError`` that names a cluster whose
+    curvature or gradient is not finite, where there is one; a trial whose
+    objective overflows is halved without a warning.
 
     Returns
     -------
@@ -337,7 +350,17 @@ def conditional_modes(beta, lam, data: GlmmData, family: FamilySpec,
                 f"{data.cluster_ids[worst]!r}"
             )
         hess = _penalized_curvature(dmu * dmu / var, lam, data)
-        direction = _newton_step(hess, grad)
+        try:
+            direction = _newton_step(hess, grad)
+        except np.linalg.LinAlgError:
+            bad = ~(np.isfinite(hess).all(axis=(1, 2))
+                    & np.isfinite(grad).all(axis=1))
+            raise EstimationError(
+                "conditional mode search met a singular curvature"
+                + (f" at cluster {data.cluster_ids[int(np.argmax(bad))]!r}, "
+                   "whose curvature or gradient is not finite"
+                   if bad.any() else "")
+            ) from None
 
         if objective is None:
             objective = objective_at(eta, mu, u)
@@ -347,8 +370,11 @@ def conditional_modes(beta, lam, data: GlmmData, family: FamilySpec,
         for halving in range(30):
             candidate = u + scale * direction
             eta_c = eta_at(candidate)
-            mu_c = None if family.canonical else family.inverse_link(eta_c)
-            objective_c = objective_at(eta_c, mu_c, candidate)
+            # a trial far out can overflow its objective's sums to -inf,
+            # which the halving below rejects
+            with np.errstate(over="ignore"):
+                mu_c = None if family.canonical else family.inverse_link(eta_c)
+                objective_c = objective_at(eta_c, mu_c, candidate)
             settled |= objective_c >= floor
             if settled.all():
                 break
@@ -1082,6 +1108,67 @@ def _glm_start(data: GlmmData, family: FamilySpec) -> np.ndarray:
     return beta
 
 
+def _moment_start(beta: np.ndarray, data: GlmmData, family: FamilySpec,
+                  structure: str) -> np.ndarray:
+    """A method-of-moments theta start from the Pearson residuals at the
+    fixed effects ``beta``.
+
+    With e = (y - mu) / sqrt(V) and f = (mu'(eta) / sqrt(V)) z for every
+    row, to first order in the random effect E[e_j e_k] = f_j' G f_k for
+    rows j != k of one cluster, G = Lambda Lambda'.  Least squares over
+    all such pairs gives G's free entries: all of vech(G), or its diagonal
+    under the ``"diagonal"`` structure.  A pair's coefficients of those
+    entries are W vec(f_j f_k'), W adding the two mirror positions of an
+    off-diagonal entry, and every sum over j != k is the sum over all j
+    and k less that over j = k.  So with S_i and t_i the sums of f f' and
+    e f over cluster i, the normal equations need only those two segment
+    sums (one ``sum_by_cluster`` call) and per-row totals:
+
+        A = W (sum_i S_i (x) S_i, rearranged) W' - D'D,
+        r = W vec(sum_i t_i t_i') - D' e^2,     D_j = W vec(f_j f_j').
+
+    G's eigenvalues are floored at ``_MOMENT_FLOOR``, so every theta diagonal
+    entry is at least 0.05, far above ``_BOUNDARY_TOL``, and theta is
+    G's Cholesky factor in ``free_positions`` order.  Where the system is
+    singular or its solution is not finite, as when no cluster has two
+    rows, the start is the ones diagonal, lme4's default.
+    """
+    q = data.n_random
+    positions = cov.free_positions(q, structure)
+    eta = data.X @ beta
+    mu = family.inverse_link(eta)
+    # rows of clusters of one row have no pair: they enter as zeros
+    scale = ((np.diff(data.offsets) > 1)[data.cluster_index]
+             / np.sqrt(family.variance_function(mu)))
+    e = (data.y - mu) * scale
+    f = data.Z * (family._dmu_deta(eta) * scale)[:, None]
+    outer = (f[:, :, None] * f[:, None, :]).reshape(-1, q * q)
+    sums = data.sum_by_cluster(np.concatenate([outer, e[:, None] * f], axis=1))
+    s, t = sums[:, :q * q], sums[:, q * q:]
+    w = np.zeros((len(positions), q * q))
+    for row, (i, j) in enumerate(positions):
+        w[row, [i * q + j, j * q + i]] = 1.0
+    # sum_i S_i[a, c] S_i[b, d], from the Gram matrix of the vec(S_i)
+    cross = (s.T @ s).reshape(q, q, q, q).transpose(0, 2, 1, 3)
+    d = outer @ w.T
+    normal = w @ cross.reshape(q * q, q * q) @ w.T - d.T @ d
+    rhs = w @ (t.T @ t).ravel() - d.T @ (e * e)
+    try:
+        free = np.linalg.solve(normal, rhs)
+    except np.linalg.LinAlgError:
+        free = None
+    if free is None or not np.isfinite(free).all():
+        return np.isin(np.arange(len(positions)),
+                       _theta_diagonal(q, structure)).astype(float)
+    rows, cols = np.array(positions).T
+    g = np.zeros((q, q))
+    g[rows, cols] = free
+    g[cols, rows] = free
+    values, vectors = np.linalg.eigh(g)
+    g = (vectors * np.maximum(values, _MOMENT_FLOOR)) @ vectors.T
+    return np.linalg.cholesky(g)[rows, cols]
+
+
 def _warn_if_every_cluster_separated(data: GlmmData) -> None:
     """Warn when every cluster's binary response is constant (all 0 or all
     1) and some cluster has two rows or more.  The marginal likelihood
@@ -1235,6 +1322,15 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     The diagonal theta entries are bounded below by zero, so a
     ``theta_start`` with a negative diagonal entry is a ``DomainError``;
     a start with an entry that is not a number is a ``ConfigError``.
+
+    The default start takes beta from a fit without random effects
+    (``_glm_start``) and theta from the method of moments at that beta,
+    or at ``beta_start`` when one is given (``_moment_start``): the
+    cross products of the Pearson residuals of rows in one cluster give
+    G = Lambda Lambda' by least squares, its eigenvalues floored so every
+    theta diagonal entry starts at 0.05 or more.  Where no cluster has
+    two rows, or the moments leave G undetermined, theta starts at the
+    ones diagonal, lme4's default.
     A binomial fit whose every cluster has a constant response, some
     cluster with two rows or more, warns (``UserWarning``) that the
     likelihood has no finite maximum in theta, and runs on.
@@ -1247,13 +1343,14 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     over early.  At q = 1 such an evaluation costs about two first-order
     ones; a step the quadratic model expects to converge sweeps
     first-order, and sweeps the same mode solve again, as no new
-    evaluation, only if it misses.  A fit takes about 40% fewer
-    evaluations than with L-BFGS-B alone (a median of 5 instead of 10 on
-    50 clusters of 5 rows at M = 7).  On the Laplace rule (one point) the
-    Jacobian is furthest from the objective's Hessian, and the steps add
-    the second derivative of sum_i log|C_i| (``_log_det_hessian``), which
-    makes it exact: a random-slope fit on 40 clusters of 10 rows takes a
-    median of 6 evaluations instead of 14.  Their evaluations count
+    evaluation, only if it misses.  From the default start a fit takes
+    about half the evaluations of L-BFGS-B alone (a median of 4 instead
+    of 9 on 50 clusters of 5 rows at M = 7).  On the Laplace rule (one
+    point) the Jacobian is furthest from the objective's Hessian, and the
+    steps add the second derivative of sum_i log|C_i|
+    (``_log_det_hessian``), which makes it exact: a random-slope fit on
+    40 clusters of 10 rows takes a median of 5 evaluations instead of
+    14.  Their evaluations count
     against ``max_fev`` like any other.  Where they converge, their last
     evaluation is the fit and L-BFGS-B does not run; where they hand
     over, L-BFGS-B starts there, with a column of Lambda negated where
@@ -1290,8 +1387,9 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
              if control.beta_start is not None else _glm_start(data, family))
     if beta0.size != p:
         raise ShapeError("beta_start has the wrong length")
-    theta0 = np.isin(np.arange(k), diagonal).astype(float)
-    if control.theta_start is not None:
+    if control.theta_start is None:
+        theta0 = _moment_start(beta0, data, family, structure)
+    else:
         theta0 = _numbers(control.theta_start, "theta_start").copy()
         if theta0.size != k:
             raise ShapeError("theta_start has the wrong length")

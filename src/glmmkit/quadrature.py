@@ -17,6 +17,7 @@ cluster integrands only supply the conditional density itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,12 +73,22 @@ def gh_rule(points_per_dim: int, dim: int = 1) -> GhRule:
         and 25.
     dim : int
         Random-effect dimension, between 1 and 3 (grids grow as M**d).
+
+    Each rule is built once and shared by every later call with the same
+    point count and dimension; its arrays are read-only.
     """
     m, d = _check_integer(points_per_dim, "points per dimension"), int(dim)
     if not 1 <= m <= _MAX_POINTS:
         raise ConfigError(f"points per dimension must be in [1, {_MAX_POINTS}], got {m}")
     if not 1 <= d <= _MAX_DIM:
         raise ConfigError(f"dimension must be in [1, {_MAX_DIM}], got {d}")
+    return _tensor_rule(m, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _tensor_rule(m: int, d: int) -> GhRule:
+    """The rule of ``m`` points per axis in ``d`` dimensions, built from
+    validated counts."""
     x, w = _gh_nodes_1d(m)
     if d == 1:
         nodes = x[:, None]

@@ -405,6 +405,49 @@ def fd_hessian(fit: FittedGlmm, parameterization: str = "var",
 
 
 # ---------------------------------------------------------------------------
+# method-of-moments theta start
+
+
+def moment_theta_pairs(beta, data, family, link, structure):
+    """The method-of-moments theta start, by an explicit loop over every
+    ordered pair of rows j != k of each cluster.
+
+    With Pearson residuals e = (y - mu) / sqrt(V) and f = (mu' / sqrt(V))
+    z, a pair's equation is e_j e_k = f_j' G f_k, linear in G's free
+    entries (vech(G), or its diagonal).  The least-squares solution, with
+    G's eigenvalues floored at 0.05^2, gives theta as G's Cholesky factor
+    in the package's free-position order.
+    """
+    positions = cov.free_positions(data.n_random, structure)
+    eta = data.X @ np.asarray(beta, dtype=float)
+    mu = _inverse_link(link, eta)
+    sd = np.sqrt(_variance(family, mu))
+    e = (data.y - mu) / sd
+    f = data.Z * (_dmu_deta(link, eta) / sd)[:, None]
+    normal = np.zeros((len(positions), len(positions)))
+    rhs = np.zeros(len(positions))
+    for start, stop in zip(data.offsets[:-1], data.offsets[1:]):
+        for j in range(start, stop):
+            for k in range(start, stop):
+                if j == k:
+                    continue
+                # the coefficient of G[a, b] in f_j' G f_k, G symmetric
+                x = np.array([f[j, a] * f[k, b]
+                              + (f[j, b] * f[k, a] if a != b else 0.0)
+                              for a, b in positions])
+                normal += np.outer(x, x)
+                rhs += x * (e[j] * e[k])
+    free = np.linalg.solve(normal, rhs)
+    g = np.zeros((data.n_random, data.n_random))
+    for value, (a, b) in zip(free, positions):
+        g[a, b] = g[b, a] = value
+    values, vectors = np.linalg.eigh(g)
+    g = vectors @ np.diag(np.maximum(values, 0.05 ** 2)) @ vectors.T
+    lam = np.linalg.cholesky(g)
+    return np.array([lam[a, b] for a, b in positions])
+
+
+# ---------------------------------------------------------------------------
 # reference mode solver
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from oracles import (_dmu_deta, _inverse_link, _variance,
                      lapack_conditional_factor, lapack_penalized_curvature,
                      matrix_adapted_grid, matrix_anchor_motion,
                      matrix_anchor_terms, matrix_anchored_hessian,
-                     nelder_mead_loglik, plain_conditional_modes,
-                     simpson_cluster)
+                     moment_theta_pairs, nelder_mead_loglik,
+                     plain_conditional_modes, simpson_cluster)
 from test_edge_datasets import _q3
 
 
@@ -839,8 +840,10 @@ def test_last_restart_confirms_a_point_no_run_reported_converged(
     # fails at the round-off floor.  The restart starts where the first
     # run stopped and gains nothing, which confirms the point; without a
     # restart the failed run stands.  The Newton steps reach the same
-    # point in fewer evaluations.
+    # point in fewer evaluations.  Every fit starts at theta = 1, the
+    # ones-diagonal start these runs stalled from.
     data = _stalled_case(name)
+    start = [1.0]
     runs = []
     minimize = estimation.minimize
 
@@ -852,7 +855,8 @@ def test_last_restart_confirms_a_point_no_run_reported_converged(
     with monkeypatch.context() as patch:
         _without_newton(patch)
         patch.setattr(estimation, "minimize", recording)
-        fitted = fit(data, "binomial", control=FitControl(restarts=1))
+        fitted = fit(data, "binomial",
+                     control=FitControl(restarts=1, theta_start=start))
         assert len(runs) == 2
         assert not any(run.success for run in runs)
         assert abs(runs[0].fun - runs[1].fun) < 1e-6
@@ -860,9 +864,11 @@ def test_last_restart_confirms_a_point_no_run_reported_converged(
         assert fitted.loglik == pytest.approx(loglik, abs=1e-9)
         assert fitted.grad_norm < 2e-6
         with pytest.raises(EstimationError, match="ABNORMAL") as info:
-            fit(data, "binomial", control=FitControl(restarts=0))
+            fit(data, "binomial",
+                control=FitControl(restarts=0, theta_start=start))
         assert info.value.best.loglik == pytest.approx(loglik, abs=1e-6)
-    newton = fit(data, "binomial", control=FitControl(restarts=1))
+    newton = fit(data, "binomial",
+                 control=FitControl(restarts=1, theta_start=start))
     assert newton.converged
     assert newton.loglik == pytest.approx(loglik, abs=1e-9)
     assert newton.n_fev < fitted.n_fev
@@ -1196,9 +1202,10 @@ def test_newton_sweeps_count_against_the_budget(monkeypatch, caplog):
     assert len(second) == best.n_fev == 2
     assert not best.converged
     assert best.m_used == 7 and np.isfinite(best.loglik)
-    # a simulation-study replicate whose third trial is swept first-order,
-    # is accepted and misses, and is swept again second-order: the sweep
-    # again reuses that evaluation's mode solve and spends no budget
+    # a simulation-study replicate whose third trial from theta = 1 is
+    # swept first-order, is accepted and misses, and is swept again
+    # second-order: the sweep again reuses that evaluation's mode solve
+    # and spends no budget
     second.clear()
     solves = []
     solve = estimation.conditional_modes
@@ -1212,7 +1219,8 @@ def test_newton_sweeps_count_against_the_budget(monkeypatch, caplog):
                           seed=2060229105).data
     with caplog.at_level(logging.DEBUG, logger="glmmkit"):
         fitted = fit(data, "binomial",
-                     control=FitControl(restarts=1, max_fev=5))
+                     control=FitControl(restarts=1, max_fev=5,
+                                        theta_start=[1.0]))
     record = [r for r in caplog.records if r.name == "glmmkit"][-1]
     assert fitted.converged and record.newton == "converged"
     assert fitted.n_fev == len(solves) == 5
@@ -1261,15 +1269,17 @@ def test_a_laplace_fit_pinned_at_a_zero_diagonal_leaves_by_its_mirror(
     # bound, at the mirror image of a point with theta_1 > 0.  Handed over
     # as it is, L-BFGS-B stops at theta_1 = 0, 8e-5 below the fit of
     # L-BFGS-B alone; with the rest of Lambda's first column negated, the
-    # mirror image, it goes on
+    # mirror image, it goes on.  Both fits start at theta = (1, 0, 1),
+    # the ones-diagonal start the steps were pinned from
     data = _slope_data("binomial", "logit", 1305363320)
+    control = FitControl(theta_start=[1.0, 0.0, 1.0])
     with caplog.at_level(logging.DEBUG, logger="glmmkit"):
-        laplace = fit(data, "binomial")
+        laplace = fit(data, "binomial", control=control)
     record = [r for r in caplog.records if r.name == "glmmkit"][-1]
     assert record.newton == "step limit" and record.lbfgsb_runs > 0
     with monkeypatch.context() as patch:
         _without_newton(patch)
-        reference = fit(data, "binomial")
+        reference = fit(data, "binomial", control=control)
     assert laplace.loglik >= reference.loglik - 1e-9 * abs(reference.loglik)
     assert laplace.theta[1] < 0.0 and reference.theta[1] < 0.0
 
@@ -1341,3 +1351,201 @@ def test_newton_fit_is_no_worse_than_lbfgsb_alone(family, link, seed,
         alone = fit(data, family_spec(family, link), control=control)
     assert newton.loglik >= (alone.loglik
                              - 1e-6 * max(1.0, abs(alone.loglik)))
+
+
+# ---------------------------------------------------------------------------
+# the default start: a method-of-moments theta
+
+
+def _moment_case(family, link, q, seed=5):
+    """Data on 40 clusters of 1 to 8 rows, with q random effects on the
+    intercept and the first q - 1 of two covariates."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 9, size=40)
+    cluster = np.repeat(np.arange(sizes.size), sizes)
+    x = np.column_stack([np.ones(cluster.size),
+                         rng.standard_normal((cluster.size, 2))])
+    lam = cov.theta_to_lambda([0.8, 0.2, -0.1, 0.6, 0.1, 0.5][
+        :cov.theta_length(q)], q)
+    u = rng.standard_normal((sizes.size, q)) @ lam.T
+    spec = family_spec(family, link)
+    mu = spec.inverse_link(x @ [0.2, 0.5, -0.4]
+                           + np.einsum("nj,nj->n", x[:, :q], u[cluster]))
+    y = (rng.random(mu.size) < mu if family == "binomial"
+         else rng.poisson(mu)).astype(float)
+    return GlmmData.from_arrays(y, x, x[:, :q], cluster), spec
+
+
+@pytest.mark.parametrize("structure", ["unstructured", "diagonal"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("family,link", [
+    ("binomial", "logit"), ("binomial", "probit"), ("binomial", "cloglog"),
+    ("poisson", "log")])
+def test_moment_start_matches_the_loop_over_pairs(family, link, q,
+                                                   structure):
+    # the segment sums of per-row products give the normal equations the
+    # explicit loop over pairs j != k builds; clusters of one row have no
+    # pair.  Compared relative to the largest entry of theta
+    data, spec = _moment_case(family, link, q)
+    beta = estimation._glm_start(data, spec)
+    got = estimation._moment_start(beta, data, spec, structure)
+    want = moment_theta_pairs(beta, data, family, link, structure)
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("family", ["binomial", "poisson"])
+def test_default_start_is_the_moment_start(family):
+    data, spec = _moment_case(family, None, 1)
+    beta = estimation._glm_start(data, spec)
+    start = estimation._moment_start(beta, data, spec, "unstructured")
+    assert start[0] != 1.0
+    default = fit(data, spec)
+    given = fit(data, spec, control=FitControl(theta_start=start))
+    assert default.n_fev == given.n_fev
+    for name in ("beta", "theta", "modes", "cond_chol"):
+        assert _same_bits(getattr(default, name), getattr(given, name))
+
+
+@pytest.mark.parametrize("q,structure,ones", [(1, "unstructured", [1.0]),
+                                              (2, "unstructured",
+                                               [1.0, 0.0, 1.0]),
+                                              (2, "diagonal", [1.0, 1.0])])
+def test_moment_start_without_pairs_is_the_ones_diagonal(q, structure, ones):
+    # clusters of one row give no pair, so nothing estimates G
+    sim = make_glmm_data("binomial", beta=(0.5, -0.8),
+                         random="intercept" if q == 1 else "slope",
+                         n_clusters=60, cluster_size=1, seed=3)
+    spec = family_spec("binomial")
+    beta = estimation._glm_start(sim.data, spec)
+    assert _same_bits(estimation._moment_start(beta, sim.data, spec,
+                                               structure), ones)
+
+
+def test_moment_start_of_separated_clusters_is_finite_and_the_fit_warns():
+    # every cluster's response constant: the fit still warns that the
+    # likelihood has no finite maximum in theta
+    d = make_glmm_data("binomial", n_clusters=50, cluster_size=6,
+                       seed=5).data
+    data = GlmmData.from_arrays((d.cluster_index % 2).astype(float), d.X,
+                                d.Z, d.cluster_index)
+    spec = family_spec("binomial")
+    start = estimation._moment_start(estimation._glm_start(data, spec), data,
+                                     spec, "unstructured")
+    assert np.isfinite(start).all() and start[0] >= 0.05
+    with pytest.warns(UserWarning, match="no finite maximum in theta"):
+        fit(data, spec)
+
+
+def _reordered(data, rows_seed, clusters_seed):
+    """``data`` with its rows shuffled within clusters and its clusters
+    put in another order; ``from_arrays`` regroups them in order of first
+    appearance."""
+    order = np.random.default_rng(clusters_seed).permutation(
+        data.n_clusters)
+    rng = np.random.default_rng(rows_seed)
+    rows = np.concatenate([
+        data.offsets[i] + rng.permutation(data.offsets[i + 1]
+                                          - data.offsets[i])
+        for i in order])
+    return GlmmData.from_arrays(data.y[rows], data.X[rows], data.Z[rows],
+                                data.cluster_index[rows])
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from([("binomial", "logit", 1), ("binomial", "probit", 2),
+                             ("poisson", "log", 2), ("binomial", "cloglog", 3)]),
+       structure=st.sampled_from(["unstructured", "diagonal"]),
+       rows_seed=st.integers(0, 10_000), clusters_seed=st.integers(0, 10_000))
+def test_moment_start_ignores_row_and_cluster_order(case, structure,
+                                                    rows_seed,
+                                                    clusters_seed):
+    family, link, q = case
+    data, spec = _moment_case(family, link, q)
+    beta = estimation._glm_start(data, spec)
+    start = estimation._moment_start(beta, data, spec, structure)
+    again = estimation._moment_start(
+        beta, _reordered(data, rows_seed, clusters_seed), spec, structure)
+    np.testing.assert_allclose(again, start, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(start)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from([("binomial", "logit", 1), ("binomial", "probit", 1),
+                             ("binomial", "logit", 2), ("poisson", "log", 2),
+                             ("binomial", "cloglog", 3), ("poisson", "log", 3)]),
+       structure=st.sampled_from(["unstructured", "diagonal"]),
+       seed=st.integers(0, 10_000))
+def test_every_moment_start_has_its_diagonal_at_least_005(case, structure,
+                                                          seed):
+    # G's eigenvalues are floored at 0.05^2, so every diagonal entry of its
+    # Cholesky factor is at least 0.05, up to round-off in the factor
+    family, link, q = case
+    data, spec = _moment_case(family, link, q, seed)
+    start = estimation._moment_start(estimation._glm_start(data, spec), data,
+                                     spec, structure)
+    diagonal = start[estimation._theta_diagonal(q, structure)]
+    assert np.all(diagonal >= 0.05 * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("name", ["intercept", "reduced", "full"])
+def test_moment_start_saves_evaluations_on_the_stalled_cases(name):
+    # the simulation-study replicates on which L-BFGS-B alone stalls: from
+    # the moment start the fit reaches the ones-diagonal start's optimum
+    # in fewer evaluations
+    data = _stalled_case(name)
+    old = fit(data, "binomial",
+              control=FitControl(restarts=1, theta_start=[1.0]))
+    new = fit(data, "binomial", control=FitControl(restarts=1))
+    assert new.converged
+    assert new.loglik >= old.loglik - 1e-9 * abs(old.loglik)
+    assert new.n_fev < old.n_fev
+
+
+def test_overflowing_mode_trials_are_halved_without_a_warning():
+    # a Poisson random-slope fit whose mode solves try steps far enough
+    # out that their objective's sums overflow: the halving rejects those
+    # trials, silently, and the fit is the one it was with the warning
+    data = make_glmm_data("poisson", beta=(1.0, 0.3), random="slope",
+                          theta=(0.8, 0.3, 0.6), n_clusters=40,
+                          cluster_size=10, seed=103).data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fitted = fit(data, "poisson",
+                     control=FitControl(theta_start=[1.0, 0.0, 1.0]))
+    assert fitted.converged
+    assert fitted.loglik == -899.2248815950697 and fitted.n_fev == 19
+
+
+def test_a_singular_mode_step_fails_the_evaluation_not_the_fit():
+    # a Poisson random-slope fit whose mode solve meets a curvature that
+    # LAPACK finds singular (entries near 1e39): the evaluation fails, the
+    # Newton steps halve, and the fit converges
+    data = make_glmm_data("poisson", beta=(1.5, 0.5), random="slope",
+                          theta=(1.0, 0.0, 1.0), n_clusters=40,
+                          cluster_size=10, seed=9).data
+    fitted = fit(data, "poisson", control=FitControl(
+        theta_start=[0.824, 0.00376, 0.27191]))
+    assert fitted.converged and np.isfinite(fitted.loglik)
+
+
+@pytest.mark.parametrize("bad", [None, 5])
+def test_a_singular_mode_step_is_an_estimation_error(bad, monkeypatch):
+    # a zero curvature fails the Newton step; the error names a cluster
+    # whose curvature is not finite where there is one
+    data = make_glmm_data("binomial", n_clusters=10, cluster_size=4,
+                          seed=1).data
+    curvature = estimation._penalized_curvature
+
+    def singular(weight, lam, data):
+        hess = curvature(weight, lam, data)
+        hess[0] = 0.0
+        if bad is not None:
+            hess[bad] = np.inf
+        return hess
+
+    monkeypatch.setattr(estimation, "_penalized_curvature", singular)
+    with pytest.raises(EstimationError, match="singular curvature") as info:
+        conditional_modes(np.zeros(2), np.eye(1), data, "binomial")
+    named = f"at cluster {data.cluster_ids[5]!r}" in str(info.value)
+    assert named == (bad is not None)

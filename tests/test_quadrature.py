@@ -17,7 +17,7 @@ from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 from glmmkit import ConfigError, gh_rule
-from glmmkit.quadrature import _adapted_grid
+from glmmkit.quadrature import _adapted_grid, _tensor_rule
 
 
 def test_one_point_rule():
@@ -80,6 +80,25 @@ def test_rule_bounds_validated():
         gh_rule(3, 0)
     with pytest.raises(ConfigError):
         gh_rule(3, 4)
+
+
+@pytest.mark.parametrize("m,d", [(1, 1), (7, 1), (5, 2), (3, 3)])
+def test_rules_are_built_once_and_stay_read_only(m, d):
+    # a shared rule is the same object on every call, equal bit for bit
+    # to a fresh build, and nobody can write into it
+    rule = gh_rule(m, d)
+    assert gh_rule(np.int64(m), d) is rule
+    fresh = _tensor_rule.__wrapped__(m, d)
+    assert fresh is not rule
+    for name in ("nodes", "weights"):
+        shared, built = getattr(rule, name), getattr(fresh, name)
+        assert shared.shape == built.shape
+        assert shared.tobytes() == built.tobytes()
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+    with pytest.raises(ConfigError, match="integer"):
+        gh_rule(float(m), d)    # a cached count does not let a float in
 
 
 # ---------------------------------------------------------------------------
