@@ -40,16 +40,16 @@ takes Newton steps (``_newton_phase``), from the same sweep as the
 gradient.  Where they converge, their last evaluation is the fit; where
 they hand over, L-BFGS-B carries on from there, or from its mirror image
 in a column of Lambda (``_mirror_pinned_columns``).  On a rule of two or
-more points per dimension the steps use that Hessian,
-which leaves out the derivative of the anchor terms, so it is not the
-objective's own; it is closest on finer rules and near the optimum.  On
-the Laplace rule (one point) it is furthest from it, but there the
-anchor terms are the derivative of sum_i log|C_i| alone, and the steps
-add that term's second derivative (``_log_det_hessian``): the
-objective's exact Hessian.  Where the Hessian is not positive definite
-the steps use its eigenvalues' magnitudes, and each step keeps every
-theta diagonal entry within a ratio of its value that grows while it
-binds, so most fits converge in the Newton steps.
+more points per dimension the steps use that Hessian, which leaves out
+the derivative of the anchor terms, so it is not the objective's own; it
+is closest on finer rules and near the optimum.  On the Laplace rule
+(one point) it is furthest from it, but there the anchor terms are the
+derivative of sum_i log|C_i| alone, and the steps add that term's second
+derivative (``_log_det_hessian``): the objective's exact Hessian.  Where
+the Hessian is not positive definite the steps use its eigenvalues'
+magnitudes, and each step keeps every theta diagonal entry within a
+ratio of its value that grows while it binds, so most fits converge in
+the Newton steps.
 
 Each fit evaluation computes the rows at the modes once.  The mode
 solve starts every Newton iteration from its last accepted trial and
@@ -1137,26 +1137,30 @@ def _moment_start(beta: np.ndarray, data: GlmmData, family: FamilySpec,
     positions = cov.free_positions(q, structure)
     eta = data.X @ beta
     mu = family.inverse_link(eta)
-    # rows of clusters of one row have no pair: they enter as zeros
-    scale = ((np.diff(data.offsets) > 1)[data.cluster_index]
-             / np.sqrt(family.variance_function(mu)))
-    e = (data.y - mu) * scale
-    f = data.Z * (family._dmu_deta(eta) * scale)[:, None]
-    outer = (f[:, :, None] * f[:, None, :]).reshape(-1, q * q)
-    sums = data.sum_by_cluster(np.concatenate([outer, e[:, None] * f], axis=1))
-    s, t = sums[:, :q * q], sums[:, q * q:]
     w = np.zeros((len(positions), q * q))
     for row, (i, j) in enumerate(positions):
         w[row, [i * q + j, j * q + i]] = 1.0
-    # sum_i S_i[a, c] S_i[b, d], from the Gram matrix of the vec(S_i)
-    cross = (s.T @ s).reshape(q, q, q, q).transpose(0, 2, 1, 3)
-    d = outer @ w.T
-    normal = w @ cross.reshape(q * q, q * q) @ w.T - d.T @ d
-    rhs = w @ (t.T @ t).ravel() - d.T @ (e * e)
-    try:
-        free = np.linalg.solve(normal, rhs)
-    except np.linalg.LinAlgError:
-        free = None
+    # a far-off beta can overflow the products, and a system that is not
+    # finite falls back below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rows of clusters of one row have no pair: they enter as zeros
+        scale = ((np.diff(data.offsets) > 1)[data.cluster_index]
+                 / np.sqrt(family.variance_function(mu)))
+        e = (data.y - mu) * scale
+        f = data.Z * (family._dmu_deta(eta) * scale)[:, None]
+        outer = (f[:, :, None] * f[:, None, :]).reshape(-1, q * q)
+        sums = data.sum_by_cluster(np.concatenate([outer, e[:, None] * f],
+                                                  axis=1))
+        s, t = sums[:, :q * q], sums[:, q * q:]
+        # sum_i S_i[a, c] S_i[b, d], from the Gram matrix of the vec(S_i)
+        cross = (s.T @ s).reshape(q, q, q, q).transpose(0, 2, 1, 3)
+        d = outer @ w.T
+        normal = w @ cross.reshape(q * q, q * q) @ w.T - d.T @ d
+        rhs = w @ (t.T @ t).ravel() - d.T @ (e * e)
+        try:
+            free = np.linalg.solve(normal, rhs)
+        except np.linalg.LinAlgError:
+            free = None
     if free is None or not np.isfinite(free).all():
         return np.isin(np.arange(len(positions)),
                        _theta_diagonal(q, structure)).astype(float)
@@ -1322,6 +1326,9 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     The diagonal theta entries are bounded below by zero, so a
     ``theta_start`` with a negative diagonal entry is a ``DomainError``;
     a start with an entry that is not a number is a ``ConfigError``.
+    A binomial fit whose every cluster has a constant response, some
+    cluster with two rows or more, warns (``UserWarning``) that the
+    likelihood has no finite maximum in theta, and runs on.
 
     The default start takes beta from a fit without random effects
     (``_glm_start``) and theta from the method of moments at that beta,
@@ -1331,9 +1338,6 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     theta diagonal entry starts at 0.05 or more.  Where no cluster has
     two rows, or the moments leave G undetermined, theta starts at the
     ones diagonal, lme4's default.
-    A binomial fit whose every cluster has a constant response, some
-    cluster with two rows or more, warns (``UserWarning``) that the
-    likelihood has no finite maximum in theta, and runs on.
 
     From a start (the default one, or ``theta_start``) whose diagonal
     entries are all at least ``_BOUNDARY_TOL``, Newton steps come first
@@ -1350,13 +1354,13 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     steps add the second derivative of sum_i log|C_i|
     (``_log_det_hessian``), which makes it exact: a random-slope fit on
     40 clusters of 10 rows takes a median of 5 evaluations instead of
-    14.  Their evaluations count
-    against ``max_fev`` like any other.  Where they converge, their last
-    evaluation is the fit and L-BFGS-B does not run; where they hand
-    over, L-BFGS-B starts there, with a column of Lambda negated where
-    the steps pinned its diagonal entry at zero and its mirror image can
-    leave it (``_mirror_pinned_columns``).  Each fit logs how the steps
-    ended, at debug level, to the ``glmmkit`` logger.
+    14.  Their evaluations count against ``max_fev`` like any other.
+    Where they converge, their last evaluation is the fit and L-BFGS-B
+    does not run; where they hand over, L-BFGS-B starts there, with a
+    column of Lambda negated where the steps pinned its diagonal entry at
+    zero and its mirror image can leave it (``_mirror_pinned_columns``).
+    Each fit logs how the steps ended, at debug level, to the ``glmmkit``
+    logger.
 
     A restart reruns L-BFGS-B from where its previous run stopped, and
     the loop stops once a restart gains less than 1e-6; the last allowed

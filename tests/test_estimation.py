@@ -1422,6 +1422,19 @@ def test_moment_start_without_pairs_is_the_ones_diagonal(q, structure, ones):
                                                structure), ones)
 
 
+def test_moment_start_at_a_far_off_beta_is_the_ones_diagonal():
+    # Poisson means near exp(800) overflow the normal equations: the start
+    # falls back, without a warning
+    data = make_glmm_data("poisson", beta=(0.5, 0.3), n_clusters=20,
+                          cluster_size=5, seed=1).data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = estimation._moment_start(np.array([800.0, 0.0]), data,
+                                         family_spec("poisson"),
+                                         "unstructured")
+    assert _same_bits(start, [1.0])
+
+
 def test_moment_start_of_separated_clusters_is_finite_and_the_fit_warns():
     # every cluster's response constant: the fit still warns that the
     # likelihood has no finite maximum in theta
@@ -1453,8 +1466,9 @@ def _reordered(data, rows_seed, clusters_seed):
 
 
 @settings(max_examples=20, deadline=None)
-@given(case=st.sampled_from([("binomial", "logit", 1), ("binomial", "probit", 2),
-                             ("poisson", "log", 2), ("binomial", "cloglog", 3)]),
+@given(case=st.sampled_from([("binomial", "logit", 1),
+                             ("binomial", "probit", 2), ("poisson", "log", 2),
+                             ("binomial", "cloglog", 3)]),
        structure=st.sampled_from(["unstructured", "diagonal"]),
        rows_seed=st.integers(0, 10_000), clusters_seed=st.integers(0, 10_000))
 def test_moment_start_ignores_row_and_cluster_order(case, structure,
@@ -1471,7 +1485,8 @@ def test_moment_start_ignores_row_and_cluster_order(case, structure,
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=st.sampled_from([("binomial", "logit", 1), ("binomial", "probit", 1),
+@given(case=st.sampled_from([("binomial", "logit", 1),
+                             ("binomial", "probit", 1),
                              ("binomial", "logit", 2), ("poisson", "log", 2),
                              ("binomial", "cloglog", 3), ("poisson", "log", 3)]),
        structure=st.sampled_from(["unstructured", "diagonal"]),
