@@ -1033,9 +1033,9 @@ def test_laplace_fits_converge_in_newton_steps(seed, monkeypatch, caplog):
 def test_short_newton_steps_on_a_poisson_slope_still_converge(caplog):
     # from the default start the slope's theta entry sits at 0.072 against
     # an optimum near 1, and the objective grows much faster than
-    # quadratically in it, so each Newton step moves it by about half:
-    # 8 steps ran out and two L-BFGS-B runs took the fit to 21
-    # evaluations, where the steps converge in 14
+    # quadratically in it, so each Newton step moves it by about half.
+    # Capped at 8, the steps run out and two L-BFGS-B runs take the fit
+    # to 21 evaluations; with 16 they converge in 14
     data = make_glmm_data("poisson", beta=(1.5, 0.5), random="slope",
                           theta=(1.0, 0.0, 1.0), n_clusters=40,
                           cluster_size=10, seed=104).data
