@@ -7,6 +7,17 @@ the chance that the bridge, or its norm, stays inside a band at every
 point (a chain of transition kernels on Gauss-Legendre nodes), CvM as a
 chi-square tail whose weights come from the bridge's covariance.  Nothing
 here draws random numbers.
+
+The max-LM chain's radial kernel is a scaled Bessel function of order
+dim/2 - 1 (see _radial_kernel).  Its odd orders have closed forms in
+exp(-2z); below z = 2 dim the ascending series gives every order from dim
+5 to 40, and above it an upward recurrence does.  The even bases come
+from Hankel's expansion from z = 32 and from ``i0e`` and ``i1e`` below
+it; ``ive`` remains only below 2 dim for dims above 40.  At dims 1 to 8,
+12, 15, 20 and 40 the kernel is within 4.9e-14 of ``ive``, and most of
+that is ``ive``'s own error: against 40-digit values the forms are within
+7.3e-15 (the recurrence at dim 40; the series within 3.3e-15), ``ive``
+within 3.9e-14.
 """
 
 from __future__ import annotations
@@ -214,6 +225,12 @@ _LM_REACH_TAIL = 1e-16
 # Kernel entries built per batch of steps, at most (1 MB of doubles).
 _LM_BATCH = 2 ** 17
 
+# The radial kernel's series: the ascending one serves z < 2 dim up to
+# this dim, Hankel's this many terms from this z on (see _base_ratio).
+_ASCENDING_MAX_DIM = 40
+_HANKEL_FROM = 32.0
+_HANKEL_TERMS = 15
+
 # Critical values: the secant's step tolerance, Siegmund's correction
 # 0.5826 sqrt(dt) of the continuous Kolmogorov quantile toward the
 # discrete grid's (the DM first guess), the grids kept, and the level.
@@ -283,13 +300,15 @@ def _radial_kernel(dim, r, r_next):
     S_dim(r r_next), less the constant 1 / sqrt(2 pi) and the power of the
     radii, which the chain carries on its nodes.
 
-    S_k(z) = sqrt(2 pi z) exp(-z) I_{k/2 - 1}(z): S_1 = 1 + exp(-2z) (the
-    folded Gaussian), S_3 = 1 - exp(-2z) (the image kernel), S_2 and S_4
-    from the scaled Bessel functions of order 0 and 1.  Higher orders
-    follow from S_{k+2} = S_{k-2} - (k - 2) S_k / z where z >= 2 dim; below
-    that the recurrence loses accuracy (it grows without bound as z falls),
-    so ``ive`` gives them.  Up to dim 40 the recurrence stays within 3e-14
-    of ``ive`` there.
+    S_k(z) = sqrt(2 pi z) exp(-z) I_{k/2 - 1}(z).  _base_ratio gives
+    S_1 to S_4.  For dim >= 5:
+
+    - z < 2 dim, up to dim _ASCENDING_MAX_DIM: the ascending series (see
+      _ascending_ratio); above that dim, ``ive``.
+    - z >= 2 dim: S_{k+2} = S_{k-2} - (k - 2) S_k / z, upward from S_1
+      and S_3 or S_2 and S_4.  Below 2 dim the recurrence loses accuracy
+      (it grows without bound as z falls); up to dim 40 it stays within
+      3e-14 of ``ive`` above it, and within 7.3e-15 of 40-digit values.
     """
     z = r * r_next
     if dim <= 4:
@@ -297,8 +316,11 @@ def _radial_kernel(dim, r, r_next):
     else:
         ratio = np.empty_like(z)
         near = z < 2.0 * dim
-        ratio[near] = np.sqrt(2.0 * math.pi * z[near]) * ive(
-            0.5 * dim - 1.0, z[near])
+        if dim <= _ASCENDING_MAX_DIM:
+            ratio[near] = _ascending_ratio(dim, z[near])
+        else:
+            ratio[near] = np.sqrt(2.0 * math.pi * z[near]) * ive(
+                0.5 * dim - 1.0, z[near])
         far = z[~near]
         top = 4 - dim % 2                    # the highest base order
         lower, upper = _base_ratio(top - 2, far), _base_ratio(top, far)
@@ -309,12 +331,93 @@ def _radial_kernel(dim, r, r_next):
 
 
 def _base_ratio(k, z):
-    """S_k(z) of _radial_kernel for k = 1, 2, 3, 4."""
+    """S_k(z) of _radial_kernel for k = 1, 2, 3, 4.
+
+    S_1 = 1 + exp(-2z) (the folded Gaussian) and S_3 = 1 - exp(-2z) (the
+    image kernel).  S_2 and S_4 come from the scaled Bessel functions of
+    order 0 and 1 below _HANKEL_FROM and from Hankel's expansion (DLMF
+    10.40.1) above it: _HANKEL_TERMS terms in 1/z, whose first omitted
+    term is below 2^-54 there.  The expansion's exponentially small part,
+    exp(-2z) relative, is below 1e-27 there.  Above _HANKEL_FROM it is
+    within 8.9e-16 of ``i0e`` and ``i1e``; against 40-digit values it is
+    within 2.2e-16, they within 4.4e-16.
+    """
     if k == 1:
         return 1.0 + np.exp(-2.0 * z)
     if k == 3:
         return -np.expm1(-2.0 * z)
-    return np.sqrt(2.0 * math.pi * z) * (i0e if k == 2 else i1e)(z)
+    ratio = np.empty_like(z)
+    far = z >= _HANKEL_FROM
+    ratio[far] = _horner(_hankel_coefficients(k), 1.0 / z[far])
+    near = z[~far]
+    ratio[~far] = np.sqrt(2.0 * math.pi * near) * (i0e if k == 2 else i1e)(
+        near)
+    return ratio
+
+
+@functools.lru_cache(maxsize=None)
+def _hankel_coefficients(k):
+    """The coefficients (-1)^m a_m(nu) of Hankel's expansion of S_k,
+    nu = k/2 - 1, highest power first: a_0 = 1 and a_m = a_{m-1}
+    (4 nu^2 - (2m - 1)^2) / (8m)."""
+    mu = (k - 2.0) ** 2                       # 4 nu^2
+    coefficients = [1.0]
+    for m in range(1, _HANKEL_TERMS):
+        coefficients.append(-coefficients[-1] * (mu - (2 * m - 1) ** 2)
+                            / (8.0 * m))
+    return tuple(reversed(coefficients))
+
+
+def _ascending_ratio(dim, z):
+    """S_dim(z) for 0 <= z < 2 dim from the ascending series of I_nu
+    (DLMF 10.25.2), nu = dim/2 - 1:
+
+        S_dim(z) = C z^(nu + 1/2) exp(-z) sum_m x^m / (m! (nu + 1)_m),
+
+    x = z^2 / 4 and C = sqrt(2 pi) 2^-nu / Gamma(nu + 1).  Every term is
+    positive, and the term count, fixed by z = 2 dim, leaves a tail below
+    2^-54 of the sum there (23 terms at dim 5, 74 at dim 40).  The
+    leading factor is the product of C, z^(nu + 1/2) and exp(-z), each
+    rounded once, and is 0 at z = 0.  Up to dim _ASCENDING_MAX_DIM none
+    of them overflows or underflows above z = 1e-4.  The series is within
+    1.2e-14 of ``ive`` at dim 5 and 4.9e-14 at dim 40, mostly ``ive``'s
+    error: against 40-digit values it is within 3.3e-15 at dims 5 to 40,
+    ``ive`` within 3.9e-14.  Past about dim 60 its last coefficients
+    underflow.
+    """
+    constant, coefficients = _ascending_coefficients(dim)
+    return (constant * np.power(z, 0.5 * dim - 0.5) * np.exp(-z)
+            * _horner(coefficients, 0.25 * z * z))
+
+
+@functools.lru_cache(maxsize=None)
+def _ascending_coefficients(dim):
+    """C and the coefficients of _ascending_ratio, highest power first."""
+    nu = 0.5 * dim - 1.0
+    x = float(dim * dim)                      # x at z = 2 dim
+    coefficients, term, total = [1.0], 1.0, 1.0
+    while True:
+        m = len(coefficients)
+        ratio = x / (m * (m + nu))            # term m over term m - 1
+        # the terms fall at least geometrically from here on
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) <= 2.0 ** -54 * total:
+            break
+        coefficients.append(coefficients[-1] / (m * (m + nu)))
+        term *= ratio
+        total += term
+    constant = math.exp(0.5 * math.log(2.0 * math.pi) - nu * math.log(2.0)
+                        - gammaln(nu + 1.0))
+    return constant, tuple(reversed(coefficients))
+
+
+def _horner(coefficients, x):
+    """The polynomial with these coefficients, highest power first, at
+    x."""
+    value = np.full_like(x, coefficients[0])
+    for c in coefficients[1:]:
+        value *= x
+        value += c
+    return value
 
 
 def _stay_probability(bands, steps, dim, nodes=None):

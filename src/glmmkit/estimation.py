@@ -1377,7 +1377,9 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     round-off floor).  The fit's ``loglik`` is its last sweep's.  Raises
     :class:`~glmmkit.exceptions.EstimationError` (with the best fit so far
     attached as ``.best``) if ``max_fev`` evaluations run out first or the
-    last run stops without converging.
+    last run stops without converging, and (with ``.best = None``, chained
+    to the mode solver's last error) if no evaluation gave a finite
+    objective.
     """
     control = control or FitControl()
     family = as_family_spec(family)
@@ -1420,6 +1422,9 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     # with the parameters
     warm: dict = {"u": None, "x": None, "du": None}
     n_eval = [0]
+    # the mode solver's last failure, which a fit with no finite
+    # evaluation reports
+    mode_error = [None]
     # second-order sweeps, those of them at an evaluated point, and the
     # mode solver's iterations and step-halving trials, for the log
     tally = dict.fromkeys(("second_order", "resweeps", "mode_iterations",
@@ -1468,7 +1473,8 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         try:
             solve = conditional_modes(beta, lam, data, family, start=start,
                                       record=True)
-        except EstimationError:
+        except EstimationError as exc:
+            mode_error[0] = exc
             warm.update(u=None, du=None)
         else:
             tally["mode_iterations"] += solve.iterations
@@ -1544,6 +1550,15 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         if best["x"] is not None:
             x_hat = best["x"]
         success = False
+
+    if best["x"] is None:
+        # no point to finalize: a cold re-solve would fail as the
+        # evaluations did
+        err = EstimationError(
+            f"no evaluation of the objective succeeded ({n_eval[0]} "
+            "evaluated)")
+        err.best = None
+        raise err from mode_error[0]
 
     # the optimum is usually the last point evaluated; if that solve met
     # the tight tolerance, a warm re-solve from its modes would stop at

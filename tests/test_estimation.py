@@ -1567,6 +1567,26 @@ def test_a_singular_mode_step_fails_the_evaluation_not_the_fit():
     assert fitted.converged and np.isfinite(fitted.loglik)
 
 
+def test_a_fit_with_no_finite_evaluation_says_so(monkeypatch):
+    # every mode solve of this Poisson fit fails (its largest count is
+    # 131,745), so there is no point to finalize: the error says so, with
+    # no fit attached, and chains the mode solver's
+    data = make_glmm_data("poisson", beta=(1.5, 0.5), random="slope",
+                          theta=(1.0, 0.0, 1.0), n_clusters=40,
+                          cluster_size=10, seed=103).data
+
+    def no_resolve(*args, **kwargs):
+        raise AssertionError("finalized a fit with no finite evaluation")
+
+    monkeypatch.setattr(estimation, "_finalize", no_resolve)
+    with pytest.raises(EstimationError, match="no evaluation of the "
+                       "objective succeeded") as info:
+        fit(data, "poisson")
+    assert info.value.best is None
+    assert isinstance(info.value.__cause__, EstimationError)
+    assert "conditional mode search" in str(info.value.__cause__)
+
+
 @pytest.mark.parametrize("bad", [None, 5])
 def test_a_singular_mode_step_is_an_estimation_error(bad, monkeypatch):
     # a zero curvature fails the Newton step; the error names a cluster

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.special import ive
 
-from glmmkit._nulls import (_DM_TOL, _LM_TOL, _TAIL_EPS, _chisq_mixture_tail,
+from glmmkit._nulls import (_ASCENDING_MAX_DIM, _DM_TOL, _HANKEL_FROM,
+                            _LM_TOL, _TAIL_EPS, _chisq_mixture_tail,
                             _critical_value, _cvm_p_value, _cvm_weights,
                             _dm_p_value, _lm_p_value,
                             _lm_stay_probability, _node_count,
@@ -325,6 +326,29 @@ def test_closed_form_kernels_match_the_bessel_function(dim):
                                reference, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 12, 15, 20, 40,
+                                 _ASCENDING_MAX_DIM + 1])
+def test_every_form_of_the_kernel_matches_the_bessel_function(dim):
+    # the closed forms, the ascending series below 2 dim (ive above
+    # _ASCENDING_MAX_DIM), the recurrence above it, and Hankel's expansion
+    # or the scaled Bessel functions for the even bases, on either side of
+    # each switch; r = r' leaves S_dim(r r') alone
+    switches = np.sqrt([2.0 * dim, _HANKEL_FROM])
+    below, above = switches * (1.0 - 1e-12), switches * (1.0 + 1e-12)
+    radius = np.concatenate((np.sqrt(np.geomspace(1e-4, 1e6, 2001)), below,
+                             switches, above))
+    z = radius * radius
+    assert np.all(z[-6:-4] < np.square(switches))
+    assert np.all(z[-2:] > np.square(switches))
+    reference = np.sqrt(2.0 * math.pi * z) * ive(0.5 * dim - 1.0, z)
+    np.testing.assert_allclose(_radial_kernel(dim, radius, radius),
+                               reference, rtol=1e-12, atol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_zero = _radial_kernel(dim, np.zeros(2), np.zeros(2))
+    assert at_zero.tolist() == [2.0 if dim == 1 else 0.0] * 2
+
+
 @pytest.mark.parametrize("n_clusters,dim,ties,c,trim", [
     (40, 5, False, 15.0, (0.1, 0.9)),     # symmetric: half the chain
     (41, 4, False, 14.0, (0.0, 1.0)),     # symmetric, an even count
@@ -335,11 +359,16 @@ def test_closed_form_kernels_match_the_bessel_function(dim):
     (25, 12, True, 30.0, (0.0, 1.0)),
     (200, 4, False, 30.0, (0.1, 0.95)),   # banded
     (120, 15, False, 30.0, (0.0, 1.0)),   # the recurrence alone overflowed
+    (30, 20, False, 35.0, (0.1, 0.9)),    # every far base from Hankel's
+    (30, _ASCENDING_MAX_DIM + 1, False, 60.0, (0.1, 0.9)),   # ive near 0
 ])
 def test_radial_chain_matches_a_dense_bessel_chain(n_clusters, dim, ties, c,
                                                    trim):
-    # the banded chain, with its closed forms and recurrence for S_k,
-    # against the dense chain of ive() kernels on NumPy's rule
+    # the banded chain, with its closed forms, series and recurrence for
+    # S_k, against the dense chain of ive() kernels on NumPy's rule.  Its
+    # entries reach the ascending series at dims 5 to 20, Hankel's
+    # expansion at dims 2, 4, 8, 12 and 20, and the scaled Bessel
+    # functions below it at dims 2, 4, 8 and 12
     _, t_interior = _grid(n_clusters, ties)
     points = t_interior[_lm_window(t_interior, trim)]
     nodes = 160 if n_clusters < 100 else 128
