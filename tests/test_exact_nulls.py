@@ -333,13 +333,13 @@ def test_every_form_of_the_kernel_matches_the_bessel_function(dim):
     # _ASCENDING_MAX_DIM), the recurrence above it, and Hankel's expansion
     # or the scaled Bessel functions for the even bases, on either side of
     # each switch; r = r' leaves S_dim(r r') alone
-    switches = np.sqrt([2.0 * dim, _HANKEL_FROM])
+    edges = np.array([2.0 * dim, _HANKEL_FROM])
+    switches = np.sqrt(edges)
     below, above = switches * (1.0 - 1e-12), switches * (1.0 + 1e-12)
     radius = np.concatenate((np.sqrt(np.geomspace(1e-4, 1e6, 2001)), below,
                              switches, above))
     z = radius * radius
-    assert np.all(z[-6:-4] < np.square(switches))
-    assert np.all(z[-2:] > np.square(switches))
+    assert np.all(z[-6:-4] < edges) and np.all(z[-2:] > edges)
     reference = np.sqrt(2.0 * math.pi * z) * ive(0.5 * dim - 1.0, z)
     np.testing.assert_allclose(_radial_kernel(dim, radius, radius),
                                reference, rtol=1e-12, atol=0.0)
