@@ -4,9 +4,10 @@ The Vuong statistics are read against weighted chi-square tails, computed
 by Laplace inversion.  The sctest functionals are read against a Brownian
 bridge on the test's own grid, ties included: DM and the max-LM pair as
 the chance that the bridge, or its norm, stays inside a band at every
-point (a chain of transition kernels on Gauss-Legendre nodes), CvM as a
-chi-square tail whose weights come from the bridge's covariance.  Nothing
-here draws random numbers.
+point (a chain of transition kernels on Gauss-Legendre nodes, one kernel
+per run of one transition, whole matrices on coarse grids and ragged
+bands on fine ones), CvM as a chi-square tail whose weights come from the
+bridge's covariance.  Nothing here draws random numbers.
 
 The max-LM chain's radial kernel is a scaled Bessel function of order
 dim/2 - 1 (see _radial_kernel).  Its odd orders have closed forms in
@@ -222,8 +223,17 @@ _EIGH_AFTER = 4
 # Gaussian step exceeds with this probability; J steps drop J times it.
 _LM_REACH_TAIL = 1e-16
 
-# Kernel entries built per batch of steps, at most (1 MB of doubles).
+# Kernel entries built per batch of transitions, at most (1 MB of
+# doubles).
 _LM_BATCH = 2 ** 17
+
+# A batch whose reach cut keeps at least this share of its nodes^2 entries
+# per transition builds them all, as dense matrices applied by
+# matrix-vector products; below it the ragged build costs less.  On max-LM
+# chains of 40 to 330 points in the window (0.1, 0.9), dense and ragged
+# took equal times at a share of 0.75 at dim 1, 0.71 at dim 3 and 0.75 at
+# dim 5.
+_DENSE_SHARE = 0.75
 
 # The radial kernel's series: the ascending one serves z < 2 dim up to
 # this dim, Hankel's this many terms from this z on (see _base_ratio).
@@ -435,10 +445,16 @@ def _stay_probability(bands, steps, dim, nodes=None):
     carries a Gauss-Legendre rule; the chain carries density * weight /
     r^((dim - 1) / 2) on its nodes.
 
-    - A target node sums only the source nodes within the radius a
-      Gaussian step exceeds with probability _LM_REACH_TAIL, so on a fine
-      grid, whose step is a small part of the band, each step's kernel is
-      a ragged band; the kernels of a batch of steps are built in one call.
+    - A run of one transition (step and bands) builds its kernel once and
+      applies it at every step of the run.  A target node sums only the
+      source nodes within the radius a Gaussian step exceeds with
+      probability _LM_REACH_TAIL.  Where that cut keeps at least
+      _DENSE_SHARE of a batch's nodes^2 entries per transition (dense and
+      ragged broke even at 0.71 to 0.75 at dims 1, 3 and 5), the batch's
+      kernels are built whole in one call and applied as matrices.  On a
+      fine grid, whose step is a small part of the band, each kernel is a
+      ragged band instead, built for the batch in one call and applied by
+      ``np.add.reduceat``.
     - A run of one transition (step and bands) repeated more than
       _EIGH_AFTER times the node count is eigendecomposed once and applied
       as V diag(lambda^r) V'.  A top eigenvalue above 1 + 1e-12 means too
@@ -452,8 +468,10 @@ def _stay_probability(bands, steps, dim, nodes=None):
     if nodes is None:
         nodes = _node_count(float(bands.max()), steps)
     inner = steps[1:-1]
-    symmetric = (np.allclose(steps, steps[::-1], rtol=0.0, atol=1e-15)
-                 and np.allclose(bands, bands[::-1], rtol=1e-14, atol=0.0))
+    # np.allclose's tests, without its overhead; a NaN fails them
+    symmetric = (np.abs(steps - steps[::-1]).max() <= 1e-15
+                 and (np.abs(bands - bands[::-1])
+                      <= 1e-14 * np.abs(bands[::-1])).all())
     middle = bands.size // 2 if symmetric else bands.size - 1
     # runs of one transition: equal step, band and next band
     same = ((inner[1:middle] == inner[:middle - 1])
@@ -477,34 +495,47 @@ def _stay_probability(bands, steps, dim, nodes=None):
         previous, done = u, 0
 
         def banded(u, previous, stop):
-            # the transitions from point done up to point stop
+            # the runs from point done up to point stop, one kernel each
+            first, last = np.searchsorted(runs, (done, stop))
             per_batch = max(1, _LM_BATCH // nodes ** 2)
-            for head in range(done, stop, per_batch):
-                batch = slice(head, min(head + per_batch, stop))
+            for head in range(first, last, per_batch):
+                starts = runs[head:min(head + per_batch, last)]
+                repeats = lengths[head:head + starts.size].tolist()
+                weights = [scale[start] * half_w for start in starts]
                 # target radii in units of the step's standard deviation
-                target = np.multiply.outer(bands[1:][batch]
-                                           / root_steps[batch], x)
-                to_x = (root_steps[batch] / bands[:-1][batch])[:, None]
+                target = np.multiply.outer(bands[1:][starts]
+                                           / root_steps[starts], x)
+                to_r = bands[:-1][starts] / root_steps[starts]
+                to_x = (root_steps[starts] / bands[:-1][starts])[:, None]
                 # each target's source nodes [lo, lo + count), at least one
                 lo = np.minimum(np.searchsorted(x, (target - reach) * to_x),
                                 nodes - 1)
                 count = np.maximum(np.searchsorted(
                     x, (target + reach) * to_x) - lo, 1).ravel()
                 ends = np.cumsum(count)
+                if ends[-1] >= _DENSE_SHARE * count.size * nodes:
+                    kernels = _radial_kernel(dim, np.multiply.outer(
+                        to_r, x)[:, None, :], target[:, :, None])
+                    for kernel, weight, length in zip(kernels, weights,
+                                                      repeats):
+                        for _ in range(length):
+                            previous = u
+                            u = weight * (kernel @ u)
+                    continue
                 begins = ends - count
                 local = np.arange(ends[-1]) + np.repeat(lo.ravel() - begins,
                                                         count)
                 kernel = _radial_kernel(
                     dim, x[local] * np.repeat(
-                        bands[:-1][batch] / root_steps[batch],
-                        ends[nodes - 1::nodes] - begins[::nodes]),
+                        to_r, ends[nodes - 1::nodes] - begins[::nodes]),
                     np.repeat(target.ravel(), count))
                 for i, (begin, end) in enumerate(zip(begins[::nodes],
                                                      ends[nodes - 1::nodes])):
-                    previous = u
-                    u = scale[head + i] * half_w * np.add.reduceat(
-                        kernel[begin:end] * u[local[begin:end]],
-                        begins[i * nodes:(i + 1) * nodes] - begin)
+                    rows = begins[i * nodes:(i + 1) * nodes] - begin
+                    for _ in range(repeats[i]):
+                        previous = u
+                        u = weights[i] * np.add.reduceat(
+                            kernel[begin:end] * u[local[begin:end]], rows)
             return u, previous
 
         for start, length in zip(runs, lengths):

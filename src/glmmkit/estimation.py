@@ -79,8 +79,8 @@ takes the one-point rule only when asked for it.
 ``fit`` logs one debug record to the ``glmmkit`` logger per fit: its
 evaluations, those of the Newton steps and how the steps ended, its
 second-order sweeps and how many of them swept an evaluated point again,
-the mode solver's iterations and step-halving trials, and its L-BFGS-B
-runs.
+the mode solver's iterations and step-halving trials, its L-BFGS-B runs,
+and whether it fell back from a failed moment start.
 """
 
 from __future__ import annotations
@@ -154,6 +154,12 @@ def _theta_diagonal(q: int, structure: str) -> list[int]:
     """Positions in theta of the diagonal entries of Lambda."""
     return [t for t, (i, j) in enumerate(cov.free_positions(q, structure))
             if i == j]
+
+
+def _ones_diagonal(q: int, structure: str) -> np.ndarray:
+    """The theta of Lambda = I, lme4's default start."""
+    return np.isin(np.arange(len(cov.free_positions(q, structure))),
+                   _theta_diagonal(q, structure)).astype(float)
 
 
 def _on_boundary(theta, q: int, structure: str) -> list[int]:
@@ -1165,8 +1171,7 @@ def _moment_start(beta: np.ndarray, data: GlmmData, family: FamilySpec,
         except np.linalg.LinAlgError:
             free = None
     if free is None or not np.isfinite(free).all():
-        return np.isin(np.arange(len(positions)),
-                       _theta_diagonal(q, structure)).astype(float)
+        return _ones_diagonal(q, structure)
     rows, cols = np.array(positions).T
     g = np.zeros((q, q))
     g[rows, cols] = free
@@ -1345,7 +1350,10 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     G = Lambda Lambda' by least squares, its eigenvalues floored so every
     theta diagonal entry starts at 0.05 or more.  Where no cluster has
     two rows, or the moments leave G undetermined, theta starts at the
-    ones diagonal, lme4's default.
+    ones diagonal, lme4's default.  Where no evaluation of the Newton
+    steps from the moment start is finite (its mode solve fails), they
+    start once more from the ones diagonal, and the debug record counts
+    that fallback.
 
     From a start (the default one, or ``theta_start``) whose diagonal
     entries are all at least ``_BOUNDARY_TOL``, Newton steps come first
@@ -1505,6 +1513,13 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
         return (f, grad, hess) if second else (f, grad)
 
     x_hat = np.concatenate([beta0, theta0])
+    # a moment start whose Newton steps found no finite evaluation gets one
+    # more try, from the ones diagonal
+    fallback, fallbacks = None, 0
+    if control.theta_start is None:
+        ones = _ones_diagonal(q, structure)
+        if not np.array_equal(ones, theta0):
+            fallback = np.concatenate([beta0, ones])
     f_hat = np.inf
     success, message = False, "no evaluation budget"
     newton, newton_fev, lbfgsb_runs = "not run", 0, 0
@@ -1514,6 +1529,11 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
             try:
                 x_hat, newton = _newton_phase(objective, x_hat,
                                               [p + t for t in diagonal])
+                if (fallback is not None and best["x"] is None
+                        and 0 < n_eval[0] < control.max_fev):
+                    fallbacks = 1
+                    x_hat, newton = _newton_phase(objective, fallback,
+                                                  [p + t for t in diagonal])
             finally:
                 newton_fev = n_eval[0]
             if newton != "converged":
@@ -1569,15 +1589,16 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     fitted = _finalize(x_hat[:p], x_hat[p:], structure, data, family, rule,
                        converged=success, n_fev=n_eval[0], start=warm["u"],
                        swept=swept if reuse else None)
-    _log.debug("fit: %d evaluations, %d in the Newton phase (%s); %d "
-               "second-order sweeps, %d of them again at an evaluated point; "
-               "%d mode-solver iterations, %d step-halving trials; %d "
-               "L-BFGS-B runs", n_eval[0], newton_fev, newton,
-               tally["second_order"], tally["resweeps"],
-               tally["mode_iterations"], tally["mode_halvings"], lbfgsb_runs,
+    _log.debug("fit: %d evaluations, %d in the Newton phase (%s) after %d "
+               "fallback starts; %d second-order sweeps, %d of them again at "
+               "an evaluated point; %d mode-solver iterations, %d "
+               "step-halving trials; %d L-BFGS-B runs", n_eval[0],
+               newton_fev, newton, fallbacks, tally["second_order"],
+               tally["resweeps"], tally["mode_iterations"],
+               tally["mode_halvings"], lbfgsb_runs,
                extra={"newton": newton, "newton_fev": newton_fev,
                       "n_fev": n_eval[0], "lbfgsb_runs": lbfgsb_runs,
-                      **tally})
+                      "fallbacks": fallbacks, **tally})
     if not success:
         err = EstimationError(
             f"optimizer did not converge within {control.max_fev} evaluations"

@@ -905,6 +905,35 @@ def radial_stay_reference(c, t, dim, nodes):
                       * np.exp(-radii[-1] ** 2 / (2.0 * rest))))
 
 
+def dm_stay_reference(band, steps, nodes):
+    """P(|B(t_j)| <= band at every interior point t_j) for one coordinate
+    of a Brownian bridge on the grid whose J + 1 ``steps`` cut [0, 1], as
+    a dense chain on NumPy's Gauss-Legendre rule with ``nodes`` nodes per
+    point.
+
+    |B| at the J points has the joint density f(r_1) prod_j p_j(r_{j+1} |
+    r_j) g(r_J): f(r) = 2 phi(r; t_1) the density of |W(t_1)| for a
+    Brownian motion W, p_j(r' | r) = phi(r' - r; dt) + phi(r' + r; dt) the
+    folded Gaussian kernel of a step of variance dt, and g(r) =
+    phi(r; 1 - t_J) / phi(0; 1) the density of returning to the origin at
+    1, relative to that of a bridge started there; phi(x; v) is the
+    normal density of variance v.
+    """
+    def phi(x, variance):
+        return np.exp(-x * x / (2.0 * variance)) / np.sqrt(
+            2.0 * math.pi * variance)
+
+    z, w = np.polynomial.legendre.leggauss(nodes)
+    r = 0.5 * band * (z + 1.0)
+    weights = 0.5 * band * w
+    v = weights * 2.0 * phi(r, steps[0])
+    for dt in steps[1:-1]:
+        kernel = (phi(r[:, None] - r[None, :], dt)
+                  + phi(r[:, None] + r[None, :], dt))
+        v = (v @ kernel) * weights
+    return float(v @ (phi(r, steps[-1]) * math.sqrt(2.0 * math.pi)))
+
+
 def mixture_tail_simulated(weights, value, rng, n_sim,
                            chunk_elements=2 ** 16):
     """P(sum of weighted chi-square(1) >= value), by simulation in chunks

@@ -70,6 +70,14 @@ def _large_poisson_means():
                           cluster_size=5, seed=7).data
 
 
+def _failing_moment_start():
+    # the mode solve at the moment start fails; the fit falls back to the
+    # ones diagonal
+    return make_glmm_data("poisson", beta=(1.5, 0.5), random="slope",
+                          theta=(1.0, 0.0, 1.0), n_clusters=40,
+                          cluster_size=10, seed=103).data
+
+
 CASES = {
     "binomial clusters of size 1": ("binomial", lambda: _size_one("binomial")),
     "poisson clusters of size 1": ("poisson", lambda: _size_one("poisson")),
@@ -78,6 +86,7 @@ CASES = {
     "separated clusters": ("binomial", _separated),
     "q = 3": ("binomial", _q3),
     "poisson large means": ("poisson", _large_poisson_means),
+    "poisson slope, failed moment start": ("poisson", _failing_moment_start),
 }
 
 

@@ -1567,13 +1567,22 @@ def test_a_singular_mode_step_fails_the_evaluation_not_the_fit():
     assert fitted.converged and np.isfinite(fitted.loglik)
 
 
-def test_a_fit_with_no_finite_evaluation_says_so(monkeypatch):
-    # every mode solve of this Poisson fit fails (its largest count is
-    # 131,745), so there is no point to finalize: the error says so, with
-    # no fit attached, and chains the mode solver's
+def _failing_moment_start():
+    # the mode solve at this Poisson fit's moment start fails (its largest
+    # count is 131,745)
     data = make_glmm_data("poisson", beta=(1.5, 0.5), random="slope",
                           theta=(1.0, 0.0, 1.0), n_clusters=40,
                           cluster_size=10, seed=103).data
+    family = estimation.as_family_spec("poisson")
+    return data, estimation._moment_start(
+        estimation._glm_start(data, family), data, family, "unstructured")
+
+
+def test_a_fit_with_no_finite_evaluation_says_so(monkeypatch):
+    # every mode solve of this Poisson fit from the moment start, given as
+    # theta_start, fails, so there is no point to finalize: the error says
+    # so, with no fit attached, and chains the mode solver's
+    data, start = _failing_moment_start()
 
     def no_resolve(*args, **kwargs):
         raise AssertionError("finalized a fit with no finite evaluation")
@@ -1581,10 +1590,27 @@ def test_a_fit_with_no_finite_evaluation_says_so(monkeypatch):
     monkeypatch.setattr(estimation, "_finalize", no_resolve)
     with pytest.raises(EstimationError, match="no evaluation of the "
                        "objective succeeded") as info:
-        fit(data, "poisson")
+        fit(data, "poisson", control=FitControl(theta_start=start))
     assert info.value.best is None
     assert isinstance(info.value.__cause__, EstimationError)
     assert "conditional mode search" in str(info.value.__cause__)
+
+
+def test_a_failed_moment_start_falls_back_to_the_ones_diagonal(caplog):
+    # by default the same fit starts again from the ones diagonal, and is
+    # the fit from there but for the failed evaluation
+    data, start = _failing_moment_start()
+    assert not np.array_equal(start, [1.0, 0.0, 1.0])
+    with caplog.at_level(logging.DEBUG, logger="glmmkit"):
+        fitted = fit(data, "poisson")
+    record = [r for r in caplog.records if r.name == "glmmkit"][-1]
+    assert record.fallbacks == 1 and record.n_fev == fitted.n_fev
+    ones = fit(data, "poisson", control=FitControl(
+        theta_start=[1.0, 0.0, 1.0]))
+    assert fitted.converged and fitted.n_fev == ones.n_fev + 1
+    assert fitted.loglik == ones.loglik
+    assert np.array_equal(fitted.theta, ones.theta)
+    assert np.array_equal(fitted.beta, ones.beta)
 
 
 @pytest.mark.parametrize("bad", [None, 5])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.special import ive
 
+from glmmkit import _nulls
 from glmmkit._nulls import (_ASCENDING_MAX_DIM, _DM_TOL, _HANKEL_FROM,
                             _LM_TOL, _TAIL_EPS, _chisq_mixture_tail,
                             _critical_value, _cvm_p_value, _cvm_weights,
@@ -25,7 +26,7 @@ from glmmkit._nulls import (_ASCENDING_MAX_DIM, _DM_TOL, _HANKEL_FROM,
                             _lm_stay_probability, _node_count,
                             _radial_kernel, _stay_probability)
 from glmmkit.stability import _lm_window, _ordering_groups
-from oracles import (bridge_null_reference, imhof_tail,
+from oracles import (bridge_null_reference, dm_stay_reference, imhof_tail,
                      mixture_tail_simulated, radial_stay_reference,
                      two_weight_tail)
 
@@ -205,6 +206,31 @@ def test_too_few_nodes_double_instead_of_overflowing():
     assert abs(_dm_stay(0.94, steps, 8) - reference) <= 1e-9
 
 
+@pytest.mark.parametrize("n_clusters,ties,sides", [
+    (50, False, {"dense"}),       # one transition, one kernel for 24 steps
+    (40, True, {"dense"}),        # runs of several transitions, each reused
+    (300, False, {"ragged"}),     # the reach cut keeps under _DENSE_SHARE
+])
+def test_dm_chain_matches_a_dense_folded_gaussian_chain(n_clusters, ties,
+                                                        sides, monkeypatch):
+    # the sides the chain's kernels take: a dense batch of transitions
+    # broadcasts to three axes, a ragged one is flat
+    taken = set()
+    kernel = _nulls._radial_kernel
+
+    def spy(dim, r, r_next):
+        taken.add({1: "ragged", 2: "eigh", 3: "dense"}[
+            np.broadcast(r, r_next).ndim])
+        return kernel(dim, r, r_next)
+
+    monkeypatch.setattr(_nulls, "_radial_kernel", spy)
+    steps = _grid(n_clusters, ties)[0]
+    for band in (0.9, 1.2):
+        assert abs(_dm_stay(band, steps)
+                   - dm_stay_reference(band, steps, 160)) <= 1e-11
+    assert taken == sides
+
+
 @pytest.mark.parametrize("n_clusters,dim,ties", [(5000, 4, False),
                                                  (40, 3, False),
                                                  (50, 5, False),
@@ -361,6 +387,7 @@ def test_every_form_of_the_kernel_matches_the_bessel_function(dim):
     (120, 15, False, 30.0, (0.0, 1.0)),   # the recurrence alone overflowed
     (30, 20, False, 35.0, (0.1, 0.9)),    # every far base from Hankel's
     (30, _ASCENDING_MAX_DIM + 1, False, 60.0, (0.1, 0.9)),   # ive near 0
+    (500, 3, False, 12.0, (0.1, 0.9)),    # every batch ragged
 ])
 def test_radial_chain_matches_a_dense_bessel_chain(n_clusters, dim, ties, c,
                                                    trim):
