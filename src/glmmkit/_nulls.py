@@ -455,10 +455,10 @@ def _stay_probability(bands, steps, dim, nodes=None):
       fine grid, whose step is a small part of the band, each kernel is a
       ragged band instead, built for the batch in one call and applied by
       ``np.add.reduceat``.
-    - A run of one transition (step and bands) repeated more than
-      _EIGH_AFTER times the node count is eigendecomposed once and applied
-      as V diag(lambda^r) V'.  A top eigenvalue above 1 + 1e-12 means too
-      few nodes, and the count doubles.
+    - A run longer than _EIGH_AFTER times the node count has its kernel
+      eigendecomposed instead, once, and applied as V diag(lambda^r) V'.
+      A top eigenvalue above 1 + 1e-12 means too few nodes, and the count
+      doubles.
     - Steps and bands symmetric about t = 1/2 (to rounding) are their own
       time reversal.  The reversed bridge's chain from t = 1 back to the
       middle point m is then this chain from t = 0 to m's mirror m', and
