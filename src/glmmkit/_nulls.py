@@ -224,7 +224,8 @@ _EIGH_AFTER = 4
 _LM_REACH_TAIL = 1e-16
 
 # Kernel entries built per batch of transitions, at most (1 MB of
-# doubles).
+# doubles).  A transition with more nodes^2 entries than this takes the
+# ragged side alone, in slices of target rows.
 _LM_BATCH = 2 ** 17
 
 # A batch whose reach cut keeps at least this share of its nodes^2 entries
@@ -454,7 +455,10 @@ def _stay_probability(bands, steps, dim, nodes=None):
       kernels are built whole in one call and applied as matrices.  On a
       fine grid, whose step is a small part of the band, each kernel is a
       ragged band instead, built for the batch in one call and applied by
-      ``np.add.reduceat``.
+      ``np.add.reduceat``.  Batches hold at most _LM_BATCH entries; a
+      transition of more nodes^2 entries than that is ragged whatever its
+      share, and builds its target rows in slices of at most _LM_BATCH
+      entries, anew at every step of its run.
     - A run longer than _EIGH_AFTER times the node count has its kernel
       eigendecomposed instead, once, and applied as V diag(lambda^r) V'.
       A top eigenvalue above 1 + 1e-12 means too few nodes, and the count
@@ -513,7 +517,8 @@ def _stay_probability(bands, steps, dim, nodes=None):
                 count = np.maximum(np.searchsorted(
                     x, (target + reach) * to_x) - lo, 1).ravel()
                 ends = np.cumsum(count)
-                if ends[-1] >= _DENSE_SHARE * count.size * nodes:
+                if (count.size * nodes <= _LM_BATCH
+                        and ends[-1] >= _DENSE_SHARE * count.size * nodes):
                     kernels = _radial_kernel(dim, np.multiply.outer(
                         to_r, x)[:, None, :], target[:, :, None])
                     for kernel, weight, length in zip(kernels, weights,
@@ -523,19 +528,44 @@ def _stay_probability(bands, steps, dim, nodes=None):
                             u = weight * (kernel @ u)
                     continue
                 begins = ends - count
-                local = np.arange(ends[-1]) + np.repeat(lo.ravel() - begins,
-                                                        count)
-                kernel = _radial_kernel(
-                    dim, x[local] * np.repeat(
-                        to_r, ends[nodes - 1::nodes] - begins[::nodes]),
-                    np.repeat(target.ravel(), count))
-                for i, (begin, end) in enumerate(zip(begins[::nodes],
-                                                     ends[nodes - 1::nodes])):
-                    rows = begins[i * nodes:(i + 1) * nodes] - begin
-                    for _ in range(repeats[i]):
-                        previous = u
-                        u = weights[i] * np.add.reduceat(
-                            kernel[begin:end] * u[local[begin:end]], rows)
+                offset = lo.ravel() - begins
+                source_r = np.repeat(to_r, nodes)
+                target_r = target.ravel()
+
+                def entries(a, b):
+                    # target rows a to b: their kernel entries and the
+                    # source node of each
+                    local = np.arange(begins[a], ends[b - 1]) + np.repeat(
+                        offset[a:b], count[a:b])
+                    return local, _radial_kernel(
+                        dim, x[local] * np.repeat(source_r[a:b], count[a:b]),
+                        np.repeat(target_r[a:b], count[a:b]))
+
+                if ends[-1] <= _LM_BATCH:
+                    local, kernel = entries(0, count.size)
+                    for i, (begin, end) in enumerate(zip(
+                            begins[::nodes], ends[nodes - 1::nodes])):
+                        rows = begins[i * nodes:(i + 1) * nodes] - begin
+                        for _ in range(repeats[i]):
+                            previous = u
+                            u = weights[i] * np.add.reduceat(
+                                kernel[begin:end] * u[local[begin:end]], rows)
+                    continue
+                # one transition of more entries than that: its target rows
+                # in slices of at most _LM_BATCH entries, each built anew at
+                # every step of the run
+                cuts = [0]
+                while cuts[-1] < nodes:
+                    a = cuts[-1]
+                    cuts.append(max(a + 1, int(np.searchsorted(
+                        ends, begins[a] + _LM_BATCH, "right"))))
+                for _ in range(repeats[0]):
+                    step = np.empty(nodes)
+                    for a, b in zip(cuts[:-1], cuts[1:]):
+                        local, kernel = entries(a, b)
+                        step[a:b] = np.add.reduceat(kernel * u[local],
+                                                    begins[a:b] - begins[a])
+                    previous, u = u, weights[0] * step
             return u, previous
 
         for start, length in zip(runs, lengths):

@@ -96,6 +96,12 @@ def _write_csv(path, header, rows):
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
+            if all([isinstance(v, float) for v in row]):
+                # digits, signs, points, exponents, inf and nan: nothing
+                # csv.writer would quote
+                handle.write(",".join([format(v, ".17g") for v in row]))
+                handle.write("\n")
+                continue
             writer.writerow([
                 format(v, ".17g") if isinstance(v, float) else v for v in row
             ])

@@ -92,7 +92,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.optimize import minimize
 
 from . import covariance as cov
 from .design import GlmmData
@@ -103,6 +102,16 @@ from .quadrature import GhRule, _adapted_grid, gh_rule
 
 __all__ = ["FitControl", "FittedGlmm", "conditional_modes", "fit",
            "load_fitted", "default_points"]
+
+# glibc's malloc maps a block above its mmap threshold (128 KiB at start)
+# afresh at every call, and trims a free heap top above twice that, so
+# each reuse of such a block page-faults again.  The quadrature sweep's
+# node blocks are of that size (157 KB at M = 7, q = 2, 400 rows).
+# Freeing a mapped block raises the mmap threshold to its size and the
+# trim threshold to twice that (mallopt(3)): this untouched 8 MiB one,
+# allocated and freed at import, keeps the blocks on the heap.  It costs
+# no resident memory, and under other allocators it does nothing.
+np.empty(1 << 20)
 
 _MODE_TOL = 1e-10
 _MODE_MAX_ITER = 200
@@ -1088,6 +1097,15 @@ def _log_det_hessian(lam, data: GlmmData, family: FamilySpec, modes, chols,
 # outer optimization
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call: most fits
+    converge in the Newton phase and never run L-BFGS-B, and the import
+    takes longer than such a fit."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 class _BudgetSpent(Exception):
     """Raised by the fit objective once ``max_fev`` evaluations are spent;
     L-BFGS-B's own ``maxfun`` can be overrun inside a line search."""
@@ -1375,8 +1393,9 @@ def fit(data: GlmmData, family: FamilySpec, structure: str = "unstructured",
     does not run; where they hand over, L-BFGS-B starts there, with a
     column of Lambda negated where the steps pinned its diagonal entry at
     zero and its mirror image can leave it (``_mirror_pinned_columns``).
-    Each fit logs how the steps ended, at debug level, to the ``glmmkit``
-    logger.
+    ``scipy.optimize`` is imported on the first hand-over, not with
+    glmmkit.  Each fit logs how the steps ended, at debug level, to the
+    ``glmmkit`` logger.
 
     A restart reruns L-BFGS-B from where its previous run stopped, and
     the loop stops once a restart gains less than 1e-6; the last allowed

@@ -9,7 +9,9 @@ covariance, cross-covariance, and negative Hessians.  The tails of both
 chi-square mixtures are computed exactly, to an absolute error of 1e-9,
 by :func:`~glmmkit._nulls._chisq_mixture_tail`, so nothing is simulated:
 ``seed`` is accepted and ignored, and ``n_sim`` is validated and
-reported.
+reported.  The non-nested test's normal tails are ``scipy.special.ndtr``
+at -z and z, the calls ``scipy.stats.norm.sf`` and ``norm.cdf`` make,
+without the import of ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import ndtr
 
 from ._nulls import _TAIL_EPS, _chisq_mixture_tail
 from .derivatives import _hessian_on_scale, _hessian_sweep, _refuse_boundary
@@ -257,8 +259,8 @@ def vuong_lr_test(fit1: FittedGlmm, fit2: FittedGlmm, nested: bool = False,
     else:
         test = "non-nested"
         statistic = float(total / np.sqrt(diff.size * omega2))
-        p_a = float(sps.norm.sf(statistic))
-        p_b = float(sps.norm.cdf(statistic))
+        p_a = float(ndtr(-statistic))
+        p_b = float(ndtr(statistic))
     return VuongResult(
         test=test,
         omega2=omega2,

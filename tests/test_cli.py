@@ -11,7 +11,7 @@ import pytest
 import glmmkit.derivatives
 import glmmkit.estimation
 from glmmkit import make_glmm_data
-from glmmkit.cli import _cluster_level, _parse_parm, main
+from glmmkit.cli import _cluster_level, _parse_parm, _write_csv, main
 from glmmkit.exceptions import ConfigError
 from glmmkit._nulls import _TAIL_EPS
 from glmmkit._nulls import _DM_TOL
@@ -100,6 +100,25 @@ def test_scores_csv(workdir, capsys):
     assert values.shape == (30, 3)
     # at an interior optimum the scores nearly cancel columnwise
     np.testing.assert_allclose(values.sum(axis=0), 0.0, atol=0.05)
+
+
+def test_all_float_rows_are_written_as_csv_writer_writes_them(tmp_path):
+    header = ["(Intercept)", "var[a,b]", "x"]
+    inf = float("inf")
+    rows = [[-1.5, 5e-324, 1e300], [inf, -inf, float("nan")],
+            [2.2250738585072014e-308, -1e-300, -0.0],
+            [0.25, "a,b", 3]]                 # a mixed row, as --path-out
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".17g") if isinstance(v, float)
+                             else v for v in row])
+    written = tmp_path / "written.csv"
+    _write_csv(str(written), header, rows)
+    assert written.read_bytes() == expected.read_bytes()
+    assert b'"var[a,b]"' in written.read_bytes()
 
 
 def test_scores_ranpar_theta(workdir, capsys):

@@ -9,6 +9,7 @@ invariants a tail must keep.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -401,6 +402,29 @@ def test_radial_chain_matches_a_dense_bessel_chain(n_clusters, dim, ties, c,
     nodes = 160 if n_clusters < 100 else 128
     assert abs(_lm_stay_probability(c, points, dim)
                - radial_stay_reference(c, points, dim, nodes)) <= 1e-11
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_a_transition_past_the_batch_is_built_in_slices(dim, monkeypatch):
+    # the tiny step gives 816 nodes, and three transitions keep about
+    # 470,000 of their 665,856 entries each: every one takes the ragged
+    # side, in slices of at most _LM_BATCH entries.  Unbounded, the four
+    # transitions make one ragged batch, built once, whose entries take
+    # about 80 MB; the slices' temporaries hold about ten arrays of
+    # _LM_BATCH doubles (1 MB each)
+    t = np.array([0.46, 0.48, 0.5, 0.50003, 0.52])
+    band = float(np.sqrt(16.0 * t * (1.0 - t)).max())
+    assert 400 <= _node_count(band, np.diff(t, prepend=0.0,
+                                            append=1.0)) <= 1000
+    tracemalloc.start()
+    try:
+        stay = _lm_stay_probability(16.0, t, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    monkeypatch.setattr(_nulls, "_LM_BATCH", 2 ** 40)
+    assert stay == _lm_stay_probability(16.0, t, dim)
 
 
 @pytest.mark.parametrize("name,n_clusters,dim,ties", [

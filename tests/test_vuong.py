@@ -88,6 +88,15 @@ def test_non_nested_directional_p_values(model_pair):
     assert result.p_a < 0.01
 
 
+@pytest.mark.parametrize("first,second", [(0, 2), (2, 0), (1, 2), (2, 1)])
+def test_directional_p_values_are_scipy_stats_normal_tails(model_pair, first,
+                                                           second):
+    # ndtr at -z and z is what norm.sf and norm.cdf compute, bit for bit
+    result = vuong_lr_test(model_pair[first], model_pair[second])
+    assert result.p_a == float(sps.norm.sf(result.statistic))
+    assert result.p_b == float(sps.norm.cdf(result.statistic))
+
+
 def test_non_nested_zero_variance_is_degenerate(model_pair):
     full, _, _ = model_pair
     with pytest.raises(DegenerateError):
