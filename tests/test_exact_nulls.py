@@ -406,8 +406,8 @@ def test_radial_chain_matches_a_dense_bessel_chain(n_clusters, dim, ties, c,
 
 @pytest.mark.parametrize("dim", [1, 3])
 def test_a_transition_past_the_batch_is_built_in_slices(dim, monkeypatch):
-    # the tiny step gives 816 nodes, and three transitions keep about
-    # 470,000 of their 665,856 entries each: every one takes the ragged
+    # the tiny step gives 816 nodes, and three transitions keep 470,000
+    # to 490,000 of their 665,856 entries each: every one takes the ragged
     # side, in slices of at most _LM_BATCH entries.  Unbounded, the four
     # transitions make one ragged batch, built once, whose entries take
     # about 80 MB; the slices' temporaries hold about ten arrays of
